@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .bounds import BettingSchedule, BoundRequest, capital_process, hoeffding_ucb, oce_risk_ucb, wsr_ucb
+from .bounds import BoundRequest, betting_fractions, capital_process, hoeffding_ucb, oce_risk_ucb, wsr_ucb
 from .calibrate import (
     CalibrationOutcome,
     LambdaGrid,

@@ -22,45 +22,21 @@ import numpy as np
 from .risk import LOSS_MAX, OceCost, bound_B, phi_eval, transformed_losses
 
 
-@dataclass(frozen=True)
-class BettingSchedule:
-    """Betting fractions for the capital process.
+def betting_fractions(z: np.ndarray, delta: float) -> np.ndarray:
+    """Predictable plug-in betting fractions; entry j uses only z[:j].
 
-    "predictable-plugin" (default) uses running mean/variance estimates:
         mu_j    = (1/2 + sum_{i<=j} z_i) / (j + 1)
         sig2_j  = (1/4 + sum_{i<=j} (z_i - mu_i)^2) / (j + 1)
-        eta_j   = min(cap, sqrt(2 ln(1/delta) / (n sig2_{j-1})))
-    "fixed" uses a constant eta.
+        eta_j   = min(1, sqrt(2 ln(1/delta) / (n sig2_{j-1})))
     """
-
-    strategy: str = "predictable-plugin"
-    eta: float | None = None
-    cap: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.cap <= 1.0:
-            raise ValueError("cap must lie in (0, 1]")
-        if self.strategy == "fixed":
-            if self.eta is None or not 0.0 < self.eta <= 1.0:
-                raise ValueError("fixed schedule requires eta in (0, 1]")
-        elif self.strategy == "predictable-plugin":
-            if self.eta is not None:
-                raise ValueError("predictable-plugin takes no eta")
-        else:
-            raise ValueError(f"unknown strategy: {self.strategy!r}")
-
-    def etas(self, z: np.ndarray, delta: float) -> np.ndarray:
-        """Per-step betting fractions; entry j uses only z[:j]."""
-        n = z.size
-        if self.strategy == "fixed":
-            return np.full(n, min(self.eta, self.cap))
-        idx = np.arange(1, n + 1)
-        mu = (0.5 + np.cumsum(z)) / (idx + 1.0)
-        sig2 = (0.25 + np.cumsum((z - mu) ** 2)) / (idx + 1.0)
-        # shift: eta_j uses sig2_{j-1}; sig2_0 = 1/4 (prior only)
-        sig2_prev = np.concatenate(([0.25], sig2[:-1]))
-        etas = np.sqrt(2.0 * math.log(1.0 / delta) / (n * sig2_prev))
-        return np.minimum(etas, self.cap)
+    n = z.size
+    idx = np.arange(1, n + 1)
+    mu = (0.5 + np.cumsum(z)) / (idx + 1.0)
+    sig2 = (0.25 + np.cumsum((z - mu) ** 2)) / (idx + 1.0)
+    # shift: eta_j uses sig2_{j-1}; sig2_0 = 1/4 (prior only)
+    sig2_prev = np.concatenate(([0.25], sig2[:-1]))
+    etas = np.sqrt(2.0 * math.log(1.0 / delta) / (n * sig2_prev))
+    return np.minimum(etas, 1.0)
 
 
 @dataclass(frozen=True)
@@ -82,35 +58,25 @@ class BoundRequest:
             raise ValueError("tolerance must be positive")
 
 
-def capital_process(
-    z: np.ndarray,
-    R: float,
-    schedule: BettingSchedule,
-    delta: float,
-    etas: np.ndarray | None = None,
-) -> float:
+def capital_process(z: np.ndarray, R: float, etas: np.ndarray) -> float:
     """Max over prefixes (including the empty prefix, capital 1) of
     prod_{j<=i} (1 + eta_j (R - z_j)). Nondecreasing in R."""
     z = np.asarray(z, dtype=np.float64)
-    if etas is None:
-        etas = schedule.etas(z, delta)
     factors = 1.0 + etas * (R - z)
     capital = np.cumprod(factors)
     return max(1.0, float(capital.max())) if capital.size else 1.0
 
 
-def wsr_ucb(request: BoundRequest, schedule: BettingSchedule | None = None) -> float:
+def wsr_ucb(request: BoundRequest) -> float:
     """Betting-martingale UCB: inf{R in [0,1] : max_i K_i(R) > 1/delta},
     located by bisection and rounded up to be conservative; 1 if nothing
     in [0, 1] is rejected."""
-    if schedule is None:
-        schedule = BettingSchedule()
     z = request.samples
     threshold = 1.0 / request.delta
-    etas = schedule.etas(z, request.delta)
+    etas = betting_fractions(z, request.delta)
 
     def rejected(R: float) -> bool:
-        return capital_process(z, R, schedule, request.delta, etas=etas) > threshold
+        return capital_process(z, R, etas) > threshold
 
     if not rejected(1.0):
         return 1.0
@@ -138,31 +104,29 @@ def oce_risk_ucb(
     cost: OceCost,
     t: float,
     delta: float,
-    schedule: BettingSchedule | None = None,
-    loss_max: float = LOSS_MAX,
     method: str = "wsr",
     tolerance: float = 1e-6,
 ) -> float:
     """UCB on the OCE objective t + E[phi(loss - t)].
 
     Transformed losses are mapped affinely to [0, 1] using their analytic
-    range [t + phi(-t), t + phi(loss_max - t)], bounded there, and mapped
-    back. Requires t in [0, loss_max] so the range is well ordered.
+    range [t + phi(-t), t + phi(LOSS_MAX - t)], bounded there, and mapped
+    back. Requires t in [0, LOSS_MAX] so the range is well ordered.
     """
-    if not 0.0 <= t <= loss_max:
-        raise ValueError("t must lie in [0, loss_max]")
+    if not 0.0 <= t <= LOSS_MAX:
+        raise ValueError("t must lie in [0, LOSS_MAX]")
     losses = np.asarray(losses, dtype=np.float64)
     if losses.size == 0:
         raise ValueError("losses must be nonempty")
     lo = t + phi_eval(cost, -t)
-    hi = bound_B(cost, t, loss_max)
+    hi = bound_B(cost, t)
     if hi <= lo:
         return lo  # transformed loss is the constant lo = hi
     tl = transformed_losses(cost, t, losses)
     z = np.clip((tl - lo) / (hi - lo), 0.0, 1.0)
     request = BoundRequest(z, delta, tolerance)
     if method == "wsr":
-        u = wsr_ucb(request, schedule)
+        u = wsr_ucb(request)
     elif method == "hoeffding":
         u = hoeffding_ucb(request)
     else:

@@ -10,21 +10,12 @@ scanned descending from 1 with early stop at the first failure.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BettingSchedule, oce_risk_ucb
-from .risk import (
-    LossKind,
-    OceCost,
-    bound_B,
-    cache_example,
-    empirical_objective,
-    empirical_oce,
-    losses_at,
-)
+from .bounds import oce_risk_ucb
+from .risk import LossKind, OceCost, bound_B, empirical_objective, empirical_oce, losses_at
 
 
 @dataclass(frozen=True)
@@ -38,7 +29,7 @@ class ReliabilitySpec:
     delta: float
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:  # NaN fails too
             raise ValueError("alpha must be >= 0")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
@@ -74,26 +65,7 @@ class CalibrationOutcome:
     trace: list
 
 
-def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Minimize a unimodal f on [lo, hi] to bracket width tol."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def optimize_t(opt_losses: np.ndarray, cost: OceCost, mode: str = "closed-form") -> float:
+def optimize_t(opt_losses: np.ndarray, cost: OceCost) -> float:
     """Minimizer of t + mean phi(loss - t) over the held-out losses.
 
     Closed forms: average -> 0; entropic -> log-mean-exp; cvar -> the
@@ -102,15 +74,9 @@ def optimize_t(opt_losses: np.ndarray, cost: OceCost, mode: str = "closed-form")
     opt_losses = np.asarray(opt_losses, dtype=np.float64)
     if opt_losses.size == 0:
         raise ValueError("opt losses must be nonempty")
-    if mode == "closed-form":
-        if cost.variant == "average":
-            return 0.0
-        return empirical_oce(opt_losses, cost)[1]
-    if mode == "golden-section":
-        return golden_section_minimize(
-            lambda t: empirical_objective(opt_losses, cost, t), 0.0, 1.0
-        )
-    raise ValueError(f"unknown optimize_t mode: {mode!r}")
+    if cost.variant == "average":
+        return 0.0
+    return empirical_oce(opt_losses, cost)[1]
 
 
 def _t_for_column(opt_col, cost: OceCost, fixed_t: float | None) -> float:
@@ -141,9 +107,8 @@ def select_oce_crc(
     trace, t_by_lambda = [], {}
     for j, lam in enumerate(lams):
         t = _t_for_column(None if opt_losses is None else opt_losses[:, j], cost, fixed_t)
-        value = (n / (n + 1.0)) * empirical_objective(cal_losses[:, j], cost, t) + bound_B(
-            cost, t, loss.loss_max
-        ) / (n + 1.0)
+        risk = empirical_objective(cal_losses[:, j], cost, t)
+        value = (n / (n + 1.0)) * risk + bound_B(cost, t) / (n + 1.0)
         passed = value <= spec.alpha
         t_by_lambda[float(lam)] = t
         trace.append(TraceEntry(float(lam), float(value), passed))
@@ -159,7 +124,6 @@ def select_oce_rcps(
     grid: LambdaGrid,
     cost: OceCost,
     loss: LossKind,
-    schedule: BettingSchedule | None = None,
     fixed_t: float | None = None,
     bound_method: str = "wsr",
 ) -> CalibrationOutcome:
@@ -167,8 +131,6 @@ def select_oce_rcps(
     there and at every larger grid threshold (descending scan, early stop)."""
     if len(cal) == 0:
         raise ValueError("calibration set must be nonempty")
-    if schedule is None:
-        schedule = BettingSchedule()
     lams = grid.values
     cal_losses = losses_at(cal, loss, lams)
     opt_losses = losses_at(opt, loss, lams) if fixed_t is None else None
@@ -177,10 +139,7 @@ def select_oce_rcps(
     for j in range(lams.size - 1, -1, -1):
         lam = float(lams[j])
         t = _t_for_column(None if opt_losses is None else opt_losses[:, j], cost, fixed_t)
-        ucb = oce_risk_ucb(
-            cal_losses[:, j], cost, t, spec.delta,
-            schedule=schedule, loss_max=loss.loss_max, method=bound_method,
-        )
+        ucb = oce_risk_ucb(cal_losses[:, j], cost, t, spec.delta, method=bound_method)
         passed = ucb <= spec.alpha
         t_by_lambda[lam] = t
         trace.append(TraceEntry(lam, float(ucb), passed))
@@ -198,12 +157,10 @@ def select_rcps(
     spec: ReliabilitySpec,
     grid: LambdaGrid,
     loss: LossKind,
-    schedule: BettingSchedule | None = None,
     bound_method: str = "wsr",
 ) -> CalibrationOutcome:
     """RCPS on the plain average risk: OCE-RCPS with identity cost, t = 0,
     and no held-out split."""
     return select_oce_rcps(
-        cal, [], spec, grid, OceCost.average(), loss,
-        schedule=schedule, fixed_t=0.0, bound_method=bound_method,
+        cal, [], spec, grid, OceCost.average(), loss, fixed_t=0.0, bound_method=bound_method
     )

@@ -2,10 +2,11 @@
 
 Subcommands: generate, calibrate, evaluate, trials, sweep. Every flag has
 a config-file equivalent (JSON, keys = flag names with dashes replaced by
-underscores); explicit flags override the file, unknown config keys are
-rejected. Exit codes: 0 success, 1 infeasible under --strict, 2 usage
-error, 3 data error. Diagnostics go to stderr under OCE_RCPS_LOG
-(error|info|debug); data outputs go to files or stdout only.
+underscores); explicit flags override the file, unknown config keys and
+values the flag itself would reject are usage errors. Exit codes: 0
+success, 1 infeasible under --strict, 2 usage error, 3 data error.
+Diagnostics go to stderr under OCE_RCPS_LOG (error|info|debug); data
+outputs go to files or stdout only.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import BettingSchedule
-from .calibrate import LambdaGrid, ReliabilitySpec, select_oce_crc, select_oce_rcps, select_rcps
+from .calibrate import LambdaGrid
 from .datagen import (
     DatasetParseError,
     GeneratorParams,
@@ -39,6 +39,7 @@ from .harness import (
     kde_to_csv,
     records_to_csv,
     run_trials,
+    select,
     summary_to_dict,
 )
 from .risk import LossKind, OceCost, empirical_oce, losses_at, relative_set_sizes
@@ -88,10 +89,28 @@ def _parse_t_mode(text: str):
     raise UsageError(f"bad t-mode: {text!r} (per-lambda | closed-form | fixed:VALUE)")
 
 
+def _config_value(action: argparse.Action, value):
+    """A config-file value, checked as argparse checks the flag's text."""
+    if action.nargs == 0:  # store_true flag
+        if not isinstance(value, bool):
+            raise UsageError(f"config {action.dest}: expected true or false, got {value!r}")
+        return value
+    try:
+        value = action.type(str(value)) if action.type else str(value)
+    except ValueError:
+        raise UsageError(f"config {action.dest}: invalid {action.type.__name__} value {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(
+            f"config {action.dest}: {value!r} is not one of {', '.join(action.choices)}"
+        )
+    return value
+
+
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Config file fills flags left unset; unknown keys fail closed; then
-    hard defaults fill anything still unset."""
-    keys = {k for k in vars(args) if k not in ("func", "command", "config")}
+    """Config file fills flags left unset, each value checked by its flag's
+    type and choices; unknown keys fail closed; then hard defaults fill
+    anything still unset."""
+    keys = {k for k in vars(args) if k not in ("func", "command", "config", "parser")}
     if getattr(args, "config", None):
         try:
             with open(args.config) as fp:
@@ -103,9 +122,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         unknown = set(conf) - keys
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        actions = {a.dest: a for a in args.parser._actions}
         for key, value in conf.items():
-            if getattr(args, key) is None:
-                setattr(args, key, value)
+            if getattr(args, key) is None and value is not None:
+                setattr(args, key, _config_value(actions[key], value))
     for key in keys:
         if getattr(args, key) is None and key in DEFAULTS:
             setattr(args, key, DEFAULTS[key])
@@ -145,18 +165,6 @@ def _add_run_flags(p):
     p.add_argument("--t-mode", default=None, help="per-lambda | closed-form | fixed:VALUE")
 
 
-def _resolve_run(args):
-    _require(args, "method", "risk", "loss", "alpha", "delta")
-    try:
-        cost = OceCost.parse(args.risk)
-        loss = LossKind(args.loss)
-        grid = LambdaGrid(args.grid)
-    except ValueError as e:
-        raise UsageError(str(e))
-    fixed_t = _parse_t_mode(args.t_mode)
-    return cost, loss, grid, args.bound, fixed_t
-
-
 def _cmd_generate(args):
     _require(args, "count", "seed", "output")
     data = generate_dataset(_gen_params(args), args.count, args.seed)
@@ -169,34 +177,23 @@ def _cmd_generate(args):
 
 
 def _cmd_calibrate(args):
-    cost, loss, grid, bound, fixed_t = _resolve_run(args)
+    config = _trial_config(args, test_size=0)
     _require(args, "data", "output_dir")
     data = read_dataset_path(args.data)
-    split = SplitSpec(args.opt_size, args.cal_size, 0)
-    opt, cal, _ = split_dataset(data, split, args.seed)
-    spec = ReliabilitySpec(args.alpha, args.delta)
-    schedule = BettingSchedule()
-    if args.method == "oce-crc":
-        outcome = select_oce_crc(cal, opt, spec, grid, cost, loss, fixed_t=fixed_t)
-    elif args.method == "rcps":
-        outcome = select_rcps(cal, spec, grid, loss, schedule=schedule, bound_method=bound)
-    else:
-        outcome = select_oce_rcps(
-            cal, opt, spec, grid, cost, loss,
-            schedule=schedule, fixed_t=fixed_t, bound_method=bound,
-        )
+    opt, cal, _ = split_dataset(data, config.split, args.seed)
+    outcome = select(cal, opt, config)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {
         "lambda_hat": outcome.lambda_hat,
         "feasible": outcome.feasible,
         "t_by_lambda": {repr(k): v for k, v in outcome.t_by_lambda.items()},
-        "method": args.method,
-        "risk": cost.spelled(),
-        "loss": loss.variant,
-        "alpha": args.alpha,
-        "delta": args.delta,
-        "grid": grid.resolution,
+        "method": config.method,
+        "risk": config.cost.spelled(),
+        "loss": config.loss.variant,
+        "alpha": config.alpha,
+        "delta": config.delta,
+        "grid": config.grid.resolution,
         "toolkit_version": __version__,
     }
     (outdir / "calibration.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -250,13 +247,21 @@ def _load_pool(args):
     return generate_dataset(_gen_params(args), args.pool_size, args.pool_seed)
 
 
-def _trial_config(args) -> TrialConfig:
-    cost, loss, grid, bound, fixed_t = _resolve_run(args)
-    split = SplitSpec(args.opt_size, args.cal_size, args.test_size)
+def _trial_config(args, test_size: int) -> TrialConfig:
+    """The run flags as a TrialConfig; calibrate passes test_size 0."""
+    _require(args, "method", "risk", "loss", "alpha", "delta")
+    try:
+        cost = OceCost.parse(args.risk)
+        loss = LossKind(args.loss)
+        grid = LambdaGrid(args.grid)
+    except ValueError as e:
+        raise UsageError(str(e))
+    fixed_t = _parse_t_mode(args.t_mode)
     return TrialConfig(
         method=args.method, cost=cost, loss=loss,
-        alpha=args.alpha, delta=args.delta, grid=grid, split=split,
-        bound_method=bound, fixed_t=fixed_t,
+        alpha=args.alpha, delta=args.delta, grid=grid,
+        split=SplitSpec(args.opt_size, args.cal_size, test_size),
+        bound_method=args.bound, fixed_t=fixed_t,
     )
 
 
@@ -285,9 +290,15 @@ def _emit_trials(outdir: Path, records, summary, no_timestamp: bool):
             kde_to_csv(series, fp)
 
 
-def _cmd_trials(args):
+def _require_trials(args):
     _require(args, "trials", "seed", "output_dir")
-    config = _trial_config(args)
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
+
+
+def _cmd_trials(args):
+    _require_trials(args)
+    config = _trial_config(args, args.test_size)
     pool = _load_pool(args)
     records, summary = run_trials(pool, config, args.trials, args.seed, jobs=args.jobs)
     _emit_trials(Path(args.output_dir), records, summary, args.no_timestamp)
@@ -296,7 +307,8 @@ def _cmd_trials(args):
 
 
 def _cmd_sweep(args):
-    _require(args, "vary", "values", "trials", "seed", "output_dir")
+    _require(args, "vary", "values")
+    _require_trials(args)
     values = [float(v) for v in str(args.values).split(",") if v.strip()]
     if not values:
         raise UsageError("--values must list at least one number")
@@ -304,7 +316,7 @@ def _cmd_sweep(args):
         args.delta = values[0]
     else:
         args.alpha = values[0]
-    _trial_config(args)  # validate the shared part before the long run
+    _trial_config(args, args.test_size)  # validate the shared part before the long run
     pool = _load_pool(args)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -314,7 +326,7 @@ def _cmd_sweep(args):
             args.delta = value
         else:
             args.alpha = value
-        config = _trial_config(args)
+        config = _trial_config(args, args.test_size)
         records, summary = run_trials(pool, config, args.trials, args.seed, jobs=args.jobs)
         sub = outdir / f"{args.vary}_{value:g}"
         _emit_trials(sub, records, summary, args.no_timestamp)
@@ -342,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", default=None, help="path or - for stdout")
-    p.set_defaults(func=_cmd_generate)
+    p.set_defaults(func=_cmd_generate, parser=p)
 
     p = sub.add_parser("calibrate", help="select a threshold on one dataset")
     p.add_argument("--config", default=None)
@@ -354,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", default=None)
     p.add_argument("--strict", action="store_true", default=None,
                    help="exit 1 when infeasible")
-    p.set_defaults(func=_cmd_calibrate)
+    p.set_defaults(func=_cmd_calibrate, parser=p)
 
     p = sub.add_parser("evaluate", help="test metrics for a given threshold")
     p.add_argument("--config", default=None)
@@ -364,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=("fnr", "miscoverage"), default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--output", default=None, help="path or - for stdout")
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate, parser=p)
 
     for name, fn in (("trials", _cmd_trials), ("sweep", _cmd_sweep)):
         p = sub.add_parser(name, help=f"Monte Carlo {name}")
@@ -385,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "sweep":
             p.add_argument("--vary", choices=("delta", "alpha"), default=None)
             p.add_argument("--values", default=None, help="comma-separated grid")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, parser=p)
     return parser
 
 

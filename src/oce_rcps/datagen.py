@@ -15,7 +15,7 @@ for scores), so generation is reproducible and parallelizable per example.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -160,10 +160,13 @@ def read_dataset(fp) -> Dataset:
         if len(scores) != m:
             raise DatasetParseError(line_no, f"expected {m} scores, got {len(scores)}")
         arr = np.asarray(scores, dtype=np.float64)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
             raise DatasetParseError(line_no, "score outside [0, 1]")
-        if any((not isinstance(i, int)) or i < 0 or i >= m for i in truth):
+        # bool is a subclass of int, but true is not an index
+        if any(type(i) is not int or i < 0 or i >= m for i in truth):
             raise DatasetParseError(line_no, "truth index out of range")
+        if len(set(truth)) != len(truth):
+            raise DatasetParseError(line_no, "duplicate truth index")
         examples.append(ScoredExample(arr, frozenset(truth)))
     count = header.get("count")
     if isinstance(count, int) and count != len(examples):

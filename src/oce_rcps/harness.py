@@ -13,11 +13,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BettingSchedule
 from .calibrate import (
     CalibrationOutcome,
     LambdaGrid,
@@ -42,7 +41,6 @@ class TrialConfig:
     delta: float
     grid: LambdaGrid = LambdaGrid()
     split: SplitSpec = SplitSpec(200, 800, 781)
-    schedule: BettingSchedule = BettingSchedule()
     bound_method: str = "wsr"
     fixed_t: float | None = None
 
@@ -93,39 +91,30 @@ class ExperimentSummary:
     config: dict | None = None
 
 
-def _select(cal, opt, config: TrialConfig) -> CalibrationOutcome:
+def select(cal, opt, config: TrialConfig) -> CalibrationOutcome:
+    """Run the selector that `config.method` names on one split."""
     spec = config.spec()
     if config.method == "oce-crc":
         return select_oce_crc(
-            cal, opt, spec, config.grid, config.cost, config.loss,
-            fixed_t=config.fixed_t,
+            cal, opt, spec, config.grid, config.cost, config.loss, fixed_t=config.fixed_t
         )
     if config.method == "rcps":
-        return select_rcps(
-            cal, spec, config.grid, config.loss,
-            schedule=config.schedule, bound_method=config.bound_method,
-        )
+        return select_rcps(cal, spec, config.grid, config.loss, bound_method=config.bound_method)
     return select_oce_rcps(
         cal, opt, spec, config.grid, config.cost, config.loss,
-        schedule=config.schedule, fixed_t=config.fixed_t,
-        bound_method=config.bound_method,
+        fixed_t=config.fixed_t, bound_method=config.bound_method,
     )
 
 
 def run_trial(
-    pool: Dataset,
-    config: TrialConfig,
-    trial_index: int,
-    master_seed: int,
-    eval_pool: Dataset | None = None,
+    pool: Dataset, config: TrialConfig, trial_index: int, master_seed: int
 ) -> TrialRecord:
     seed = mix64(master_seed, trial_index)
     opt, cal, test = split_dataset(pool, config.split, seed)
-    outcome = _select(cal, opt, config)
-    eval_examples = eval_pool.examples if eval_pool is not None else test
-    losses = losses_at(eval_examples, config.loss, [outcome.lambda_hat])[:, 0]
+    outcome = select(cal, opt, config)
+    losses = losses_at(test, config.loss, [outcome.lambda_hat])[:, 0]
     risk, _ = empirical_oce(losses, config.cost)
-    rel = relative_set_sizes(eval_examples, outcome.lambda_hat)
+    rel = relative_set_sizes(test, outcome.lambda_hat)
     return TrialRecord(
         trial_index=trial_index,
         seed=seed,
@@ -142,25 +131,15 @@ def run_trial(
 _WORKER: dict = {}
 
 
-def _init_worker(pool, config, master_seed, eval_pool):
-    _WORKER.update(pool=pool, config=config, master_seed=master_seed, eval_pool=eval_pool)
+def _init_worker(pool, config, master_seed):
+    _WORKER.update(pool=pool, config=config, master_seed=master_seed)
 
 
 def _run_index(i: int) -> TrialRecord:
-    return run_trial(
-        _WORKER["pool"], _WORKER["config"], i, _WORKER["master_seed"],
-        eval_pool=_WORKER["eval_pool"],
-    )
+    return run_trial(_WORKER["pool"], _WORKER["config"], i, _WORKER["master_seed"])
 
 
-def run_trials(
-    pool: Dataset,
-    config: TrialConfig,
-    trials: int,
-    master_seed: int,
-    jobs: int = 1,
-    eval_pool: Dataset | None = None,
-):
+def run_trials(pool: Dataset, config: TrialConfig, trials: int, master_seed: int, jobs: int = 1):
     """Run `trials` independent trials; returns (records, summary).
 
     jobs > 1 fans trials out to worker processes; results are identical to
@@ -169,12 +148,12 @@ def run_trials(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if jobs <= 1:
-        records = [run_trial(pool, config, i, master_seed, eval_pool) for i in range(trials)]
+        records = [run_trial(pool, config, i, master_seed) for i in range(trials)]
     else:
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,
-            initargs=(pool, config, master_seed, eval_pool),
+            initargs=(pool, config, master_seed),
         ) as ex:
             records = list(ex.map(_run_index, range(trials), chunksize=8))
     return records, summarize(records, config.alpha, config_echo=config.echo())

@@ -11,7 +11,7 @@ instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class ScoredExample:
         object.__setattr__(self, "truth", frozenset(self.truth))
         if scores.ndim != 1 or scores.size < 1:
             raise InvalidExampleError("scores must be a nonempty 1-d vector")
-        if np.any(scores < 0.0) or np.any(scores > 1.0):
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):  # NaN fails too
             raise InvalidExampleError("scores must lie in [0, 1]")
         m = scores.size
         if any((i < 0 or i >= m) for i in self.truth):
@@ -57,10 +57,9 @@ class PredictionSet:
 
 @dataclass(frozen=True)
 class LossKind:
-    """Loss variant; both shipped losses are bounded by loss_max = 1."""
+    """Loss variant; both shipped losses are bounded by LOSS_MAX = 1."""
 
     variant: str  # "miscoverage" | "fnr"
-    loss_max: float = LOSS_MAX
 
     def __post_init__(self):
         if self.variant not in ("miscoverage", "fnr"):
@@ -173,11 +172,9 @@ def transformed_losses(cost: OceCost, t: float, losses: np.ndarray) -> np.ndarra
     return t + np.expm1(bu) / cost.beta
 
 
-def bound_B(cost: OceCost, t: float, loss_max: float = LOSS_MAX) -> float:
-    """t + phi(loss_max - t): dominates the transformed loss on [0, loss_max]."""
-    if loss_max < 0:
-        raise ValueError("loss_max must be >= 0")
-    return t + phi_eval(cost, loss_max - t)
+def bound_B(cost: OceCost, t: float) -> float:
+    """t + phi(LOSS_MAX - t): dominates the transformed loss on [0, LOSS_MAX]."""
+    return t + phi_eval(cost, LOSS_MAX - t)
 
 
 def empirical_objective(losses: np.ndarray, cost: OceCost, t: float) -> float:
@@ -230,14 +227,12 @@ def cache_example(example: ScoredExample) -> ExampleCache:
     return ExampleCache(ts, np.sort(example.scores), len(example.truth), example.m)
 
 
-def losses_at(dataset, kind: LossKind, lams, caches=None) -> np.ndarray:
+def losses_at(dataset, kind: LossKind, lams) -> np.ndarray:
     """Loss matrix of shape (len(dataset), len(lams))."""
     lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
     thresholds = 1.0 - lams
-    if caches is None:
-        caches = [cache_example(ex) for ex in dataset]
-    out = np.empty((len(caches), lams.size))
-    for i, c in enumerate(caches):
+    out = np.empty((len(dataset), lams.size))
+    for i, c in enumerate(map(cache_example, dataset)):
         if kind.variant == "fnr":
             if c.truth_size == 0:
                 raise InvalidExampleError("FNR loss needs a nonempty truth set")
@@ -251,13 +246,11 @@ def losses_at(dataset, kind: LossKind, lams, caches=None) -> np.ndarray:
     return out
 
 
-def relative_set_sizes(dataset, lam: float, caches=None) -> np.ndarray:
+def relative_set_sizes(dataset, lam: float) -> np.ndarray:
     """|prediction set| / |truth| per example at a single threshold."""
-    if caches is None:
-        caches = [cache_example(ex) for ex in dataset]
     thr = 1.0 - lam
-    out = np.empty(len(caches))
-    for i, c in enumerate(caches):
+    out = np.empty(len(dataset))
+    for i, c in enumerate(map(cache_example, dataset)):
         if c.truth_size == 0:
             raise InvalidExampleError("relative size needs a nonempty truth set")
         size = c.m - np.searchsorted(c.sorted_scores, thr, side="left")

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from oce_rcps.bounds import BettingSchedule, BoundRequest, capital_process, oce_risk_ucb, wsr_ucb
+from oce_rcps.bounds import BoundRequest, betting_fractions, capital_process, oce_risk_ucb, wsr_ucb
 from oce_rcps.calibrate import LambdaGrid, ReliabilitySpec, optimize_t, select_oce_rcps, select_rcps
 from oce_rcps.datagen import GeneratorParams, SplitSpec, generate_dataset, split_dataset
 from oce_rcps.harness import TrialConfig, records_to_csv, run_trials
@@ -26,6 +26,7 @@ from oce_rcps.risk import (
     empirical_oce,
     losses_at,
 )
+from oracles import golden_section_t
 
 FNR = LossKind("fnr")
 TRIALS = 500
@@ -91,8 +92,8 @@ def test_criterion_1_closed_form_oracle_equivalence():
     for _ in range(100):
         losses = rng.uniform(size=50)
         for cost in costs:
-            fc = empirical_objective(losses, cost, optimize_t(losses, cost, "closed-form"))
-            fg = empirical_objective(losses, cost, optimize_t(losses, cost, "golden-section"))
+            fc = empirical_objective(losses, cost, optimize_t(losses, cost))
+            fg = empirical_objective(losses, cost, golden_section_t(losses, cost))
             worst = max(worst, abs(fc - fg))
     elapsed = time.monotonic() - start
     report(
@@ -166,7 +167,6 @@ def test_criterion_3_wsr_coverage():
 def test_criterion_4_monotonicity_suite():
     start = time.monotonic()
     rng = np.random.default_rng(104)
-    schedule = BettingSchedule()
 
     for _ in range(100):  # nesting and loss monotonicity
         ex = _random_fixture(rng, 1)[0]
@@ -179,7 +179,8 @@ def test_criterion_4_monotonicity_suite():
 
     for _ in range(50):  # capital monotone in R
         z = rng.uniform(size=rng.integers(1, 120))
-        caps = [capital_process(z, r, schedule, 0.1) for r in np.sort(rng.uniform(size=6))]
+        etas = betting_fractions(z, 0.1)
+        caps = [capital_process(z, r, etas) for r in np.sort(rng.uniform(size=6))]
         assert all(a <= b + 1e-12 for a, b in zip(caps, caps[1:]))
 
     z = (rng.uniform(size=400) < 0.4).astype(float)  # UCB monotone in delta

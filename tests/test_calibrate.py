@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from oce_rcps.bounds import BettingSchedule
 from oce_rcps.calibrate import (
     LambdaGrid,
     ReliabilitySpec,
-    golden_section_minimize,
     optimize_t,
     select_oce_crc,
     select_oce_rcps,
     select_rcps,
 )
 from oce_rcps.risk import LossKind, OceCost, ScoredExample, empirical_objective
+from oracles import golden_section_minimize, golden_section_t
 
 FNR = LossKind("fnr")
 MISS = LossKind("miscoverage")
@@ -63,8 +62,8 @@ def test_golden_section_agrees_with_closed_form(cost):
     rng = np.random.default_rng(17)
     for _ in range(10):
         losses = rng.uniform(size=50)
-        tc = optimize_t(losses, cost, "closed-form")
-        tg = optimize_t(losses, cost, "golden-section")
+        tc = optimize_t(losses, cost)
+        tg = golden_section_t(losses, cost)
         fc = empirical_objective(losses, cost, tc)
         fg = empirical_objective(losses, cost, tg)
         assert abs(fc - fg) < 1e-5
@@ -222,6 +221,12 @@ def test_empty_cal_rejected():
         select_rcps([], ReliabilitySpec(0.5, 0.2), LambdaGrid(5), FNR)
     with pytest.raises(ValueError):
         select_oce_crc([], [], ReliabilitySpec(0.5, 0.2), LambdaGrid(5), OceCost.average(), FNR)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, math.nan])
+def test_reliability_spec_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError):
+        ReliabilitySpec(alpha, 0.2)
 
 
 def test_grid_values_include_endpoints():

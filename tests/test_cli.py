@@ -173,3 +173,60 @@ def test_config_unknown_key_rejected(tmp_path):
     conf = tmp_path / "bad.json"
     conf.write_text(json.dumps({"alpa": 0.4}))
     assert run(["trials", "--config", conf]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("method", "bogus"),
+    ("loss", "bogus"),
+    ("bound", "bogus"),
+    ("vary", "bogus"),
+    ("grid", "abc"),
+    ("grid", 20.5),
+    ("alpha", "abc"),
+    ("alpha", True),
+])
+def test_config_values_checked_like_flags(dataset_path, tmp_path, key, value):
+    conf = {
+        "vary": "delta", "values": "0.2", "method": "oce-rcps", "risk": "cvar:0.8",
+        "loss": "fnr", "alpha": 0.4, "delta": 0.2, "grid": 20, "pool": str(dataset_path),
+        "opt_size": 30, "cal_size": 100, "test_size": 70, "trials": 2, "seed": 7,
+    }
+    conf[key] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(conf))
+    assert run(["sweep", "--config", path, "--output-dir", tmp_path / "out"]) == 2
+
+
+def test_calibrate_config_method_checked(dataset_path, tmp_path):
+    # a bad method used to run OCE-RCPS and write the bad name into calibration.json
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"method": "bogus"}))
+    code = run([
+        "calibrate", "--config", conf, "--risk", "cvar:0.8", "--loss", "fnr",
+        "--alpha", "0.4", "--delta", "0.2", "--grid", "20", "--data", dataset_path,
+        "--opt-size", "30", "--cal-size", "100", "--output-dir", tmp_path / "out",
+    ])
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_calibrate_nan_alpha_is_data_error(dataset_path, tmp_path):
+    code = run([
+        "calibrate", "--method", "oce-rcps", "--risk", "cvar:0.8", "--loss", "fnr",
+        "--alpha", "nan", "--delta", "0.2", "--grid", "20", "--data", dataset_path,
+        "--opt-size", "30", "--cal-size", "100", "--output-dir", tmp_path / "out",
+    ])
+    assert code == 3
+    assert not (tmp_path / "out" / "calibration.json").exists()
+
+
+@pytest.mark.parametrize("command", ["trials", "sweep"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_nonpositive_trials_is_usage_error(dataset_path, tmp_path, command, trials):
+    sweep = ["--vary", "delta", "--values", "0.2"] if command == "sweep" else []
+    code = run([
+        command, *sweep, *RUN, "--pool", dataset_path,
+        "--opt-size", "30", "--cal-size", "100", "--test-size", "70",
+        "--trials", trials, "--seed", "7", "--output-dir", tmp_path / "out",
+    ])
+    assert code == 2

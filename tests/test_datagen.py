@@ -121,9 +121,21 @@ def test_roundtrip_equality():
 
 
 def test_read_rejects_bad_score():
+    # the JSON NaN literal parses, so the range check must fail it too
+    for score in ("1.2", "NaN"):
+        text = (
+            '{"format":"oce-rcps-dataset","version":1,"m":2,"count":1,"seed":null,"params":null}\n'
+            '{"scores":[0.5,%s],"truth":[0]}\n' % score
+        )
+        with pytest.raises(DatasetParseError, match="line 2"):
+            read_dataset(io.StringIO(text))
+
+
+@pytest.mark.parametrize("truth", ["[true]", "[2,2]"])
+def test_read_rejects_bool_or_duplicate_truth(truth):
     text = (
-        '{"format":"oce-rcps-dataset","version":1,"m":2,"count":1,"seed":null,"params":null}\n'
-        '{"scores":[0.5,1.2],"truth":[0]}\n'
+        '{"format":"oce-rcps-dataset","version":1,"m":3,"count":1,"seed":null,"params":null}\n'
+        '{"scores":[0.2,0.5,0.9],"truth":%s}\n' % truth
     )
     with pytest.raises(DatasetParseError, match="line 2"):
         read_dataset(io.StringIO(text))

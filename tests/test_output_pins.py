@@ -1,0 +1,98 @@
+"""SHA-256 pins on the bytes the CLI writes.
+
+These files are the behaviour contract: the generated JSONL, `trials.csv`
+and `summary.json` (with `--no-timestamp`), `calibration.json`,
+`trace.csv`, and the JSON from `evaluate`. A refactor must leave every
+digest here unchanged; a pin moves only with a deliberate change to what
+the toolkit computes, explained in CHANGES.md.
+
+The digests were taken with Python 3.11, numpy 2.4.6 and scipy 1.17.1.
+The generated scores come from `scipy.special.betaincinv`, so another
+scipy (or numpy) release can move the generated bytes, and every pin
+downstream of them, without any change here.
+"""
+
+import hashlib
+
+import pytest
+
+from oce_rcps.cli import run_cli
+
+RUN = ["--loss", "fnr", "--alpha", "0.4", "--delta", "0.2"]
+CALIBRATIONS = {
+    "cal-oce-rcps": ["--method", "oce-rcps", "--risk", "cvar:0.9"],
+    "cal-oce-crc": ["--method", "oce-crc", "--risk", "cvar:0.9"],
+    "cal-hoeffding-fixed": [
+        "--method", "oce-rcps", "--risk", "entropic:1",
+        "--bound", "hoeffding", "--t-mode", "fixed:0.3",
+    ],
+}
+METHODS = ("oce-crc", "rcps", "oce-rcps")
+
+PINS = {
+    "generate.jsonl": "ae560485ca2b97435f418f4a8f900dc1a2f92a4ce2cf6dbb5f129bc0dbeb1c3a",
+    "trials-oce-crc/trials.csv": "a61f44cf225437404de5419f59775c57737655548765c0368c5dde72906a24e1",
+    "trials-oce-crc/summary.json": "a079dab249c1c40891ff608803fdddb91308c48e86f987020c3e5564b047b9df",
+    "trials-rcps/trials.csv": "eb41c121740e2ef6eef49606cf696836920819232b2fca3e87aa2571b5a58766",
+    "trials-rcps/summary.json": "24e486c91d8d5f4e11da220a00aae85891f4d05d906e30901124662ad28d05ac",
+    "trials-oce-rcps/trials.csv": "58e48d89cc10239cd2d394c9330b06410542225d9ad97e626f9e71d80114e295",
+    "trials-oce-rcps/summary.json": "0d8783b6d7b637cc4039f5a8611ab95298f827347e863bf0ba4d755a020cbaaf",
+    "cal-oce-rcps/calibration.json": "742a3284ff9a4c3087bb81dd3c72eb646e7a2a27f25d0e3f10906a89bb2a69e8",
+    "cal-oce-rcps/trace.csv": "f07203658693b2cd7e26ab868135e468f775f64baa46671ca47470e6127a6c08",
+    "cal-oce-crc/calibration.json": "5ae8f8fd0fb8f7b1923c2ddec083b6e03b0c5061a5fe6819cc6bfeab6a07d930",
+    "cal-oce-crc/trace.csv": "c0111c7bd9852efbe7b780e11d118ecef77946244ec0df29e9e990ab65e3bbf3",
+    "cal-hoeffding-fixed/calibration.json": "227d20cf01f95ee245814a8c1c95ae9ea8765984c846b177208a92193c6e123f",
+    "cal-hoeffding-fixed/trace.csv": "973dfeeeadaab9332c492a51571dbad3d2b32dd8d49d1dee7f53b9a10fd1c44a",
+    "evaluate.json": "4a4c8a316519bf4b6c24eff36e1c0176b131545e10222048f648c631a899a60b",
+}
+
+
+def _run(*args):
+    assert run_cli([str(a) for a in args]) == 0
+
+
+def produce(root):
+    """Run the pinned commands under `root`; returns {pin name: path}."""
+    pool = root / "pool.jsonl"
+    _run("generate", "--count", 200, "--seed", 1, "--output", pool)
+    out = {"generate.jsonl": pool}
+    for method in METHODS:
+        outdir = root / f"trials-{method}"
+        _run(
+            "trials", "--method", method, "--risk", "cvar:0.9", *RUN,
+            "--grid", 100, "--pool", pool,
+            "--opt-size", 40, "--cal-size", 100, "--test-size", 60,
+            "--trials", 20, "--seed", 7, "--no-timestamp", "--output-dir", outdir,
+        )
+        out[f"trials-{method}/trials.csv"] = outdir / "trials.csv"
+        out[f"trials-{method}/summary.json"] = outdir / "summary.json"
+    for name, flags in CALIBRATIONS.items():
+        outdir = root / name
+        _run(
+            "calibrate", *flags, *RUN, "--data", pool,
+            "--opt-size", 40, "--cal-size", 150, "--seed", 3, "--output-dir", outdir,
+        )
+        out[f"{name}/calibration.json"] = outdir / "calibration.json"
+        out[f"{name}/trace.csv"] = outdir / "trace.csv"
+    evaluate = root / "evaluate.json"
+    _run(
+        "evaluate", "--data", pool, "--lambda", 0.9, "--risk", "cvar:0.9",
+        "--loss", "fnr", "--alpha", 0.4, "--output", evaluate,
+    )
+    out["evaluate.json"] = evaluate
+    return out
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    paths = produce(tmp_path_factory.mktemp("pins"))
+    return {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
+
+
+def test_every_output_is_pinned(digests):
+    assert sorted(digests) == sorted(PINS)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_output_pin(digests, name):
+    assert digests[name] == PINS[name]

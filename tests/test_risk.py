@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oce_rcps.risk import (
+    LOSS_MAX,
     InvalidExampleError,
     LossKind,
     OceCost,
@@ -72,7 +73,7 @@ def test_loss_monotone_in_lambda(ex, l1, l2):
         loss_lo = compute_loss(kind, ex, build_prediction_set(ex, lo))
         loss_hi = compute_loss(kind, ex, build_prediction_set(ex, hi))
         assert loss_lo >= loss_hi
-        assert 0.0 <= loss_hi <= loss_lo <= kind.loss_max
+        assert 0.0 <= loss_hi <= loss_lo <= LOSS_MAX
 
 
 # ---------------------------------------------------------------- losses
@@ -163,13 +164,13 @@ def test_transformed_loss_dominated_by_bound(cost):
     for _ in range(200):
         t = rng.uniform(0, 1)
         loss = rng.uniform(0, 1)
-        assert transformed_loss(cost, t, loss) <= bound_B(cost, t, 1.0) + 1e-12
+        assert transformed_loss(cost, t, loss) <= bound_B(cost, t) + 1e-12
 
 
 def test_bound_B_examples():
-    assert bound_B(OceCost.average(), 0.0, 1.0) == 1.0
-    assert bound_B(OceCost.cvar(0.9), 0.5, 1.0) == pytest.approx(5.5)
-    assert bound_B(OceCost.entropic(3), 1.0, 1.0) == 1.0
+    assert bound_B(OceCost.average(), 0.0) == 1.0
+    assert bound_B(OceCost.cvar(0.9), 0.5) == pytest.approx(5.5)
+    assert bound_B(OceCost.entropic(3), 1.0) == 1.0
 
 
 # ---------------------------------------------------------------- empirical
@@ -261,6 +262,8 @@ def test_objective_convex_in_t(cost):
 def test_invalid_examples_rejected():
     with pytest.raises(InvalidExampleError):
         example([1.2], {0})
+    with pytest.raises(InvalidExampleError):  # NaN compares false both ways
+        example([0.2, math.nan, 0.9], {1, 2})
     with pytest.raises(InvalidExampleError):
         example([0.5], {3})
     with pytest.raises(InvalidExampleError):
