@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -85,7 +86,13 @@ def _parse_t_mode(text: str):
     if text in ("per-lambda", "closed-form"):
         return None
     if text.startswith("fixed:"):
-        return float(text.split(":", 1)[1])
+        try:
+            t = float(text.split(":", 1)[1])
+        except ValueError:
+            t = math.nan
+        if not math.isfinite(t):
+            raise UsageError(f"bad t-mode: {text!r} (fixed:VALUE needs a finite number)")
+        return t
     raise UsageError(f"bad t-mode: {text!r} (per-lambda | closed-form | fixed:VALUE)")
 
 
@@ -210,6 +217,10 @@ def _cmd_calibrate(args):
 
 def _cmd_evaluate(args):
     _require(args, "data", "risk", "loss", "lam")
+    if not 0.0 <= args.lam <= 1.0:  # NaN fails too
+        raise UsageError("--lambda must lie in [0, 1]")
+    if args.alpha is not None and not 0.0 <= args.alpha < math.inf:
+        raise UsageError("--alpha must be a finite number >= 0")
     try:
         cost = OceCost.parse(args.risk)
         loss = LossKind(args.loss)
@@ -411,7 +422,7 @@ def run_cli(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (DatasetParseError, FileNotFoundError, ValueError) as e:
+    except (DatasetParseError, FileNotFoundError, ValueError, OverflowError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
 

@@ -136,8 +136,7 @@ def compute_loss(kind: LossKind, example: ScoredExample, pset: PredictionSet) ->
     if kind.variant == "fnr":
         if not example.truth:
             raise InvalidExampleError("FNR loss needs a nonempty truth set")
-        hit = len(example.truth & pset.members)
-        return 1.0 - hit / len(example.truth)
+        return len(example.truth - pset.members) / len(example.truth)
     return 0.0 if example.truth <= pset.members else 1.0
 
 
@@ -214,45 +213,44 @@ def empirical_oce(losses: np.ndarray, cost: OceCost) -> tuple[float, float]:
 # the reference semantics; these paths are used by calibrators and the
 # harness and are tested for agreement).
 
-@dataclass
-class ExampleCache:
-    sorted_truth_scores: np.ndarray
-    sorted_scores: np.ndarray
-    truth_size: int
-    m: int
-
-
-def cache_example(example: ScoredExample) -> ExampleCache:
-    ts = np.sort(example.scores[sorted(example.truth)]) if example.truth else np.empty(0)
-    return ExampleCache(ts, np.sort(example.scores), len(example.truth), example.m)
-
-
 def losses_at(dataset, kind: LossKind, lams) -> np.ndarray:
-    """Loss matrix of shape (len(dataset), len(lams))."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
-    thresholds = 1.0 - lams
-    out = np.empty((len(dataset), lams.size))
-    for i, c in enumerate(map(cache_example, dataset)):
-        if kind.variant == "fnr":
-            if c.truth_size == 0:
-                raise InvalidExampleError("FNR loss needs a nonempty truth set")
-            missed = np.searchsorted(c.sorted_truth_scores, thresholds, side="left")
-            out[i] = missed / c.truth_size
-        else:
-            if c.truth_size == 0:
-                out[i] = 0.0
-            else:
-                out[i] = (c.sorted_truth_scores[0] < thresholds).astype(np.float64)
+    """Loss matrix of shape (len(dataset), len(lams)).
+
+    Both losses come from one count: how many truth scores of each example
+    lie below the threshold 1 - lam. FNR is that count over |truth|,
+    miscoverage is min(count, 1). The count is built by walking the
+    thresholds in increasing order over all truth scores sorted at once.
+    """
+    thresholds = 1.0 - np.atleast_1d(np.asarray(lams, dtype=np.float64))
+    n = len(dataset)
+    truth = [ex.scores[np.fromiter(ex.truth, np.intp, len(ex.truth))] for ex in dataset]
+    sizes = np.fromiter(map(len, truth), np.intp, n)
+    if kind.variant == "fnr" and not sizes.all():
+        raise InvalidExampleError("FNR loss needs a nonempty truth set")
+    scores = np.concatenate(truth) if truth else np.empty(0)
+    order = np.argsort(scores)
+    rows = np.repeat(np.arange(n), sizes)[order]
+    columns = np.argsort(thresholds)
+    stops = np.searchsorted(scores[order], thresholds[columns], side="left")
+    # column-major, so each column written here (and read by the selectors) is contiguous
+    out = np.empty((thresholds.size, n)).T
+    missed = np.zeros(n)
+    start = 0
+    for j, stop in zip(columns, stops):
+        missed += np.bincount(rows[start:stop], minlength=n)
+        out[:, j] = missed
+        start = stop
+    if kind.variant == "fnr":
+        out /= sizes[:, None]
+    else:
+        np.minimum(out, 1.0, out=out)
     return out
 
 
 def relative_set_sizes(dataset, lam: float) -> np.ndarray:
-    """|prediction set| / |truth| per example at a single threshold."""
+    """|prediction set| / max(|truth|, 1) per example at a single threshold;
+    an empty truth set counts as 1, so its relative size is the set size."""
     thr = 1.0 - lam
-    out = np.empty(len(dataset))
-    for i, c in enumerate(map(cache_example, dataset)):
-        if c.truth_size == 0:
-            raise InvalidExampleError("relative size needs a nonempty truth set")
-        size = c.m - np.searchsorted(c.sorted_scores, thr, side="left")
-        out[i] = size / c.truth_size
-    return out
+    return np.array(
+        [np.count_nonzero(ex.scores >= thr) / max(len(ex.truth), 1) for ex in dataset]
+    )

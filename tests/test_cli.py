@@ -230,3 +230,61 @@ def test_nonpositive_trials_is_usage_error(dataset_path, tmp_path, command, tria
         "--trials", trials, "--seed", "7", "--output-dir", tmp_path / "out",
     ])
     assert code == 2
+
+
+def test_evaluate_empty_truth_relative_size(tmp_path, capsys):
+    # an empty truth set counts as size 1: the relative size is the set size
+    data = tmp_path / "empty_truth.jsonl"
+    data.write_text(
+        '{"format":"oce-rcps-dataset","version":1,"m":3,"count":2}\n'
+        '{"scores":[0.9,0.6,0.1],"truth":[]}\n'
+        '{"scores":[0.9,0.6,0.1],"truth":[0,1]}\n'
+    )
+    base = ["evaluate", "--data", data, "--lambda", "0.5", "--risk", "average"]
+    assert run([*base, "--loss", "miscoverage"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["test_oce_risk"] == 0.0
+    assert payload["mean_rel_size"] == 1.5
+    assert run([*base, "--loss", "fnr"]) == 3
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "nan"],
+    ["--lambda", "1.5"],
+    ["--lambda", "-0.1"],
+    ["--lambda", "0.9", "--alpha", "nan"],
+    ["--lambda", "0.9", "--alpha", "-0.1"],
+    ["--lambda", "0.9", "--alpha", "inf"],
+])
+def test_evaluate_range_checked(dataset_path, capsys, flags):
+    code = run(["evaluate", "--data", dataset_path, "--risk", "average", "--loss", "fnr", *flags])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("t_mode", ["fixed:nan", "fixed:inf", "fixed:-inf", "fixed:abc"])
+def test_fixed_t_must_be_finite(dataset_path, tmp_path, t_mode):
+    code = run([
+        "calibrate", "--method", "oce-crc", "--risk", "cvar:0.8", "--loss", "fnr",
+        "--alpha", "0.4", "--delta", "0.2", "--grid", "20", "--t-mode", t_mode,
+        "--data", dataset_path, "--opt-size", "30", "--cal-size", "100",
+        "--output-dir", tmp_path / "out",
+    ])
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_entropic_overflow_is_data_error(dataset_path, tmp_path, capsys):
+    code = run([
+        "calibrate", "--method", "oce-rcps", "--risk", "entropic:800", "--loss", "fnr",
+        "--alpha", "0.4", "--delta", "0.2", "--grid", "20", "--data", dataset_path,
+        "--opt-size", "30", "--cal-size", "100", "--output-dir", tmp_path / "out",
+    ])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: entropic cost overflow")
+    # evaluate shifts by the largest loss, so the same beta works there
+    assert run([
+        "evaluate", "--data", dataset_path, "--lambda", "0.9",
+        "--risk", "entropic:800", "--loss", "fnr",
+    ]) == 0

@@ -28,6 +28,8 @@ CALIBRATIONS = {
     ],
 }
 METHODS = ("oce-crc", "rcps", "oce-rcps")
+# miscoverage runs: 0/1 losses, so the entropic risk tells the methods apart
+MISS_RUN = ["--risk", "entropic:1", "--loss", "miscoverage", "--alpha", "0.4", "--delta", "0.2"]
 
 PINS = {
     "generate.jsonl": "ae560485ca2b97435f418f4a8f900dc1a2f92a4ce2cf6dbb5f129bc0dbeb1c3a",
@@ -44,6 +46,15 @@ PINS = {
     "cal-hoeffding-fixed/calibration.json": "227d20cf01f95ee245814a8c1c95ae9ea8765984c846b177208a92193c6e123f",
     "cal-hoeffding-fixed/trace.csv": "973dfeeeadaab9332c492a51571dbad3d2b32dd8d49d1dee7f53b9a10fd1c44a",
     "evaluate.json": "4a4c8a316519bf4b6c24eff36e1c0176b131545e10222048f648c631a899a60b",
+    "trials-miss-oce-crc/trials.csv": "12ba3fee0b01cebb2e70335062d17d8959f01ba136991f62c4d740037bf72af9",
+    "trials-miss-oce-crc/summary.json": "c2191729f41ecb0efd7ed7892c150967b215511534f9a7208cb34237f4181f79",
+    "trials-miss-rcps/trials.csv": "357714ac59cbdc8339bf8050cffd8bf4e0cdbc1679c688a6aa2063659831500a",
+    "trials-miss-rcps/summary.json": "5cf38ad46a3d6e365d113f4d577e096deeb71644b76829f5103be47a6a95ef88",
+    "trials-miss-oce-rcps/trials.csv": "5e78562b468f3d3b0a9e53ef2ebf049dab7862c10cd0b19e73862481758dce78",
+    "trials-miss-oce-rcps/summary.json": "ab39f833179cbfd11ab7c0f7b6352847835cffa6741e4844e6d5cad5ec302111",
+    "cal-miss-oce-rcps/calibration.json": "17ae324b95ff8b7d7170582d5a4a38cbea154d175856cee33b785f7aa7dd975d",
+    "cal-miss-oce-rcps/trace.csv": "674f42e7f6d803e034310ff6e9cf26755b9b7f60d4e3e1acecac6657164b0ca5",
+    "evaluate-miss.json": "70a41ea5ba591edf794a28b1dde5bb8251a4766e8b7b1679719be6363f5a2e1b",
 }
 
 
@@ -66,6 +77,16 @@ def produce(root):
         )
         out[f"trials-{method}/trials.csv"] = outdir / "trials.csv"
         out[f"trials-{method}/summary.json"] = outdir / "summary.json"
+    for method in METHODS:
+        outdir = root / f"trials-miss-{method}"
+        _run(
+            "trials", "--method", method, *MISS_RUN,
+            "--grid", 100, "--pool", pool,
+            "--opt-size", 40, "--cal-size", 100, "--test-size", 60,
+            "--trials", 20, "--seed", 7, "--no-timestamp", "--output-dir", outdir,
+        )
+        out[f"trials-miss-{method}/trials.csv"] = outdir / "trials.csv"
+        out[f"trials-miss-{method}/summary.json"] = outdir / "summary.json"
     for name, flags in CALIBRATIONS.items():
         outdir = root / name
         _run(
@@ -80,6 +101,16 @@ def produce(root):
         "--loss", "fnr", "--alpha", 0.4, "--output", evaluate,
     )
     out["evaluate.json"] = evaluate
+    outdir = root / "cal-miss-oce-rcps"
+    _run(
+        "calibrate", "--method", "oce-rcps", *MISS_RUN, "--data", pool,
+        "--opt-size", 40, "--cal-size", 150, "--seed", 3, "--output-dir", outdir,
+    )
+    out["cal-miss-oce-rcps/calibration.json"] = outdir / "calibration.json"
+    out["cal-miss-oce-rcps/trace.csv"] = outdir / "trace.csv"
+    evaluate = root / "evaluate-miss.json"
+    _run("evaluate", "--data", pool, "--lambda", 0.9, *MISS_RUN[:4], "--output", evaluate)
+    out["evaluate-miss.json"] = evaluate
     return out
 
 

@@ -13,7 +13,6 @@ from oce_rcps.risk import (
     ScoredExample,
     bound_B,
     build_prediction_set,
-    cache_example,
     compute_loss,
     empirical_objective,
     empirical_oce,
@@ -100,6 +99,16 @@ def test_fnr_empty_truth_rejected():
         compute_loss(FNR, ex, build_prediction_set(ex, 1.0))
 
 
+def reference_losses(kind, exs, lams):
+    return np.array(
+        [[compute_loss(kind, ex, build_prediction_set(ex, l)) for l in lams] for ex in exs]
+    ).reshape(len(exs), len(lams))
+
+
+def reference_rel_sizes(exs, lam):
+    return [len(build_prediction_set(ex, lam).members) / max(len(ex.truth), 1) for ex in exs]
+
+
 def test_fast_losses_match_reference():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -109,15 +118,51 @@ def test_fast_losses_match_reference():
         ex = example(scores, truth)
         lams = rng.uniform(size=7)
         for kind in (FNR, MISS):
-            fast = losses_at([ex], kind, lams)[0]
-            ref = [compute_loss(kind, ex, build_prediction_set(ex, l)) for l in lams]
-            assert np.allclose(fast, ref)
-        # relative set sizes against direct construction
+            assert np.array_equal(losses_at([ex], kind, lams), reference_losses(kind, [ex], lams))
         for l in lams:
-            pset = build_prediction_set(ex, l)
-            assert relative_set_sizes([ex], l)[0] == pytest.approx(
-                len(pset.members) / len(truth)
-            )
+            assert relative_set_sizes([ex], l).tolist() == reference_rel_sizes([ex], l)
+
+
+@st.composite
+def grid_cases(draw):
+    """Examples of mixed m whose scores sit on the thresholds 1 - k/G (or
+    at 0 and 1), with a shuffled grid that repeats some lambdas."""
+    G = draw(st.integers(1, 12))
+    grid = [k / G for k in range(G + 1)]
+    levels = st.sampled_from(sorted({1.0 - lam for lam in grid} | {0.0, 1.0}))
+    exs = []
+    for _ in range(draw(st.integers(0, 6))):
+        scores = draw(st.lists(levels, min_size=1, max_size=8))
+        truth = draw(st.sets(st.integers(0, len(scores) - 1), max_size=len(scores)))
+        exs.append(example(scores, truth))
+    lams = draw(st.permutations(grid + draw(st.lists(st.sampled_from(grid), max_size=4))))
+    return exs, lams
+
+
+@settings(deadline=None)
+@given(grid_cases())
+def test_fast_path_matches_reference_on_grid(case):
+    exs, lams = case
+    for kind in (FNR, MISS):
+        if kind == FNR and not all(ex.truth for ex in exs):
+            with pytest.raises(InvalidExampleError):
+                losses_at(exs, kind, lams)
+            continue
+        assert np.array_equal(losses_at(exs, kind, lams), reference_losses(kind, exs, lams))
+    for l in lams:
+        assert relative_set_sizes(exs, l).tolist() == reference_rel_sizes(exs, l)
+
+
+def test_fast_path_empty_dataset():
+    for kind in (FNR, MISS):
+        assert losses_at([], kind, [0.2, 0.7]).shape == (0, 2)
+    assert relative_set_sizes([], 0.5).shape == (0,)
+
+
+def test_relative_size_of_empty_truth_is_set_size():
+    exs = [example([0.9, 0.6, 0.1], set()), example([0.9, 0.6, 0.1], {0, 1})]
+    assert relative_set_sizes(exs, 0.5).tolist() == [2.0, 1.0]
+    assert losses_at(exs, MISS, [0.0, 0.5]).tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
 
 # ---------------------------------------------------------------- phi
