@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .bounds import BoundRequest, betting_fractions, capital_process, hoeffding_ucb, oce_risk_ucb, wsr_ucb
+from .bounds import betting_fractions, capital_process, oce_risk_ucb
 from .calibrate import (
     CalibrationOutcome,
     LambdaGrid,
@@ -34,5 +34,4 @@ from .risk import (
     empirical_objective,
     empirical_oce,
     phi_eval,
-    transformed_loss,
 )

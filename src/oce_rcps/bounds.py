@@ -15,7 +15,6 @@ normalizing the transformed losses to [0, 1] using their analytic range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,25 +38,6 @@ def betting_fractions(z: np.ndarray, delta: float) -> np.ndarray:
     return np.minimum(etas, 1.0)
 
 
-@dataclass(frozen=True)
-class BoundRequest:
-    samples: np.ndarray
-    delta: float
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", samples)
-        if samples.size == 0:
-            raise ValueError("samples must be nonempty")
-        if np.any(samples < 0.0) or np.any(samples > 1.0):
-            raise ValueError("samples must lie in [0, 1]")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-
-
 def capital_process(z: np.ndarray, R: float, etas: np.ndarray) -> float:
     """Max over prefixes (including the empty prefix, capital 1) of
     prod_{j<=i} (1 + eta_j (R - z_j)). Nondecreasing in R."""
@@ -67,13 +47,12 @@ def capital_process(z: np.ndarray, R: float, etas: np.ndarray) -> float:
     return max(1.0, float(capital.max())) if capital.size else 1.0
 
 
-def wsr_ucb(request: BoundRequest) -> float:
+def _wsr_ucb(z: np.ndarray, delta: float) -> float:
     """Betting-martingale UCB: inf{R in [0,1] : max_i K_i(R) > 1/delta},
-    located by bisection and rounded up to be conservative; 1 if nothing
-    in [0, 1] is rejected."""
-    z = request.samples
-    threshold = 1.0 / request.delta
-    etas = betting_fractions(z, request.delta)
+    located by 20 bisection halvings and rounded up to the grid k/2^20 to
+    be conservative; 1 if nothing in [0, 1] is rejected."""
+    threshold = 1.0 / delta
+    etas = betting_fractions(z, delta)
 
     def rejected(R: float) -> bool:
         return capital_process(z, R, etas) > threshold
@@ -83,7 +62,7 @@ def wsr_ucb(request: BoundRequest) -> float:
     if rejected(0.0):
         return 0.0
     lo, hi = 0.0, 1.0
-    while hi - lo > request.tolerance:
+    for _ in range(20):
         mid = 0.5 * (lo + hi)
         if rejected(mid):
             hi = mid
@@ -92,10 +71,9 @@ def wsr_ucb(request: BoundRequest) -> float:
     return hi
 
 
-def hoeffding_ucb(request: BoundRequest) -> float:
+def _hoeffding_ucb(z: np.ndarray, delta: float) -> float:
     """mean + sqrt(ln(1/delta) / (2n)), capped at 1."""
-    z = request.samples
-    ucb = float(np.mean(z)) + math.sqrt(math.log(1.0 / request.delta) / (2.0 * z.size))
+    ucb = float(np.mean(z)) + math.sqrt(math.log(1.0 / delta) / (2.0 * z.size))
     return min(ucb, 1.0)
 
 
@@ -105,7 +83,6 @@ def oce_risk_ucb(
     t: float,
     delta: float,
     method: str = "wsr",
-    tolerance: float = 1e-6,
 ) -> float:
     """UCB on the OCE objective t + E[phi(loss - t)].
 
@@ -115,6 +92,8 @@ def oce_risk_ucb(
     """
     if not 0.0 <= t <= LOSS_MAX:
         raise ValueError("t must lie in [0, LOSS_MAX]")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     losses = np.asarray(losses, dtype=np.float64)
     if losses.size == 0:
         raise ValueError("losses must be nonempty")
@@ -124,11 +103,7 @@ def oce_risk_ucb(
         return lo  # transformed loss is the constant lo = hi
     tl = transformed_losses(cost, t, losses)
     z = np.clip((tl - lo) / (hi - lo), 0.0, 1.0)
-    request = BoundRequest(z, delta, tolerance)
-    if method == "wsr":
-        u = wsr_ucb(request)
-    elif method == "hoeffding":
-        u = hoeffding_ucb(request)
-    else:
+    ucb = {"wsr": _wsr_ucb, "hoeffding": _hoeffding_ucb}.get(method)
+    if ucb is None:
         raise ValueError(f"unknown bound method: {method!r}")
-    return lo + (hi - lo) * u
+    return lo + (hi - lo) * ucb(z, delta)

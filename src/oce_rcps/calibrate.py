@@ -29,8 +29,8 @@ class ReliabilitySpec:
     delta: float
 
     def __post_init__(self):
-        if not self.alpha >= 0:  # NaN fails too
-            raise ValueError("alpha must be >= 0")
+        if not 0.0 <= self.alpha < np.inf:  # NaN fails too
+            raise ValueError("alpha must be a finite number >= 0")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
 

@@ -90,8 +90,8 @@ def _parse_t_mode(text: str):
             t = float(text.split(":", 1)[1])
         except ValueError:
             t = math.nan
-        if not math.isfinite(t):
-            raise UsageError(f"bad t-mode: {text!r} (fixed:VALUE needs a finite number)")
+        if not 0.0 <= t <= 1.0:  # NaN fails too
+            raise UsageError(f"bad t-mode: {text!r} (fixed:VALUE needs a number in [0, 1])")
         return t
     raise UsageError(f"bad t-mode: {text!r} (per-lambda | closed-form | fixed:VALUE)")
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .rng import SplitMix64, beta_inverse_cdf, mix64
+from .rng import beta_inverse_cdf, mix64, shuffle, uniforms
 from .risk import ScoredExample
 
 _MAX_MEMBERSHIP_ATTEMPTS = 10_000
@@ -77,15 +77,15 @@ class Dataset:
 
 
 def _generate_example(params: GeneratorParams, sub_seed: int) -> ScoredExample:
-    stream = SplitMix64(sub_seed)
-    d = float(beta_inverse_cdf(stream.next_float(), params.difficulty_a, params.difficulty_b))
-    for _ in range(_MAX_MEMBERSHIP_ATTEMPTS):
-        positive = np.array([stream.next_float() < params.rho for _ in range(params.m)])
+    m = params.m  # draw 1: difficulty; membership attempt k: draws 2 + k*m ..; then scores
+    d = float(beta_inverse_cdf(uniforms(sub_seed, 0, 1)[0], params.difficulty_a, params.difficulty_b))
+    for attempt in range(_MAX_MEMBERSHIP_ATTEMPTS):
+        positive = uniforms(sub_seed, 1 + attempt * m, m) < params.rho
         if positive.any():
             break
     else:
         raise RuntimeError("membership resampling did not terminate")
-    u = stream.next_floats(params.m)
+    u = uniforms(sub_seed, 1 + (attempt + 1) * m, m)
     k = params.sharpness
     a = np.where(positive, 1.0 + k * (1.0 - d), 1.5)
     b = np.where(positive, 1.0 + k * d, 1.0 + k * (1.0 - d))
@@ -106,7 +106,7 @@ def split_dataset(data: Dataset, split: SplitSpec, seed: int):
     if split.total > n:
         raise ValueError(f"split sizes total {split.total} exceed dataset size {n}")
     indices = list(range(n))
-    SplitMix64(seed).shuffle(indices)
+    shuffle(indices, seed)
     a, b, c = split.opt_size, split.opt_size + split.cal_size, split.total
     pick = lambda idx: [data.examples[i] for i in idx]
     return pick(indices[:a]), pick(indices[a:b]), pick(indices[b:c])

@@ -153,13 +153,8 @@ def phi_eval(cost: OceCost, u: float) -> float:
     return math.expm1(bu) / cost.beta
 
 
-def transformed_loss(cost: OceCost, t: float, loss: float) -> float:
-    """t + phi(loss - t); nondecreasing in loss for fixed t."""
-    return t + phi_eval(cost, loss - t)
-
-
 def transformed_losses(cost: OceCost, t: float, losses: np.ndarray) -> np.ndarray:
-    """Vectorized transformed_loss."""
+    """t + phi(loss - t) per loss; nondecreasing in loss for fixed t."""
     losses = np.asarray(losses, dtype=np.float64)
     if cost.variant == "average":
         return losses.copy()

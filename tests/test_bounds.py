@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oce_rcps.bounds import (
-    BoundRequest,
-    betting_fractions,
-    capital_process,
-    hoeffding_ucb,
-    oce_risk_ucb,
-    wsr_ucb,
-)
+from oce_rcps.bounds import _hoeffding_ucb, _wsr_ucb, betting_fractions, capital_process, oce_risk_ucb
 from oce_rcps.risk import OceCost
 
 
@@ -57,64 +50,71 @@ def test_schedule_caps_eta():
 
 
 def test_wsr_ucb_on_zeros():
-    ucb = wsr_ucb(BoundRequest(np.zeros(100), 0.1))
+    ucb = _wsr_ucb(np.zeros(100), 0.1)
     assert 0.0 < ucb <= 0.05
 
 
 def test_wsr_ucb_single_sample_never_rejects():
     # capital 1 + R <= 2 never strictly exceeds 1/delta = 2
-    assert wsr_ucb(BoundRequest(np.zeros(1), 0.5)) == 1.0
+    assert _wsr_ucb(np.zeros(1), 0.5) == 1.0
 
 
 def test_wsr_ucb_range_and_dominates_mean():
     rng = np.random.default_rng(2)
     for _ in range(20):
         z = rng.uniform(size=rng.integers(1, 200))
-        req = BoundRequest(z, 0.1)
-        ucb = wsr_ucb(req)
+        ucb = _wsr_ucb(z, 0.1)
         assert 0.0 <= ucb <= 1.0
         mean = z.mean()
         if capital_process(z, mean, betting_fractions(z, 0.1)) <= 10.0:
-            assert ucb >= mean - req.tolerance
+            assert ucb >= mean - 2**-20
 
 
 def test_wsr_ucb_monotone_in_delta():
     rng = np.random.default_rng(3)
     z = (rng.uniform(size=300) < 0.4).astype(float)
-    ucbs = [wsr_ucb(BoundRequest(z, d)) for d in (0.05, 0.1, 0.2, 0.4)]
+    ucbs = [_wsr_ucb(z, d) for d in (0.05, 0.1, 0.2, 0.4)]
     assert all(a >= b - 1e-9 for a, b in zip(ucbs, ucbs[1:]))
 
 
-def test_wsr_ucb_conservative_rounding():
+def test_wsr_ucb_is_first_rejected_bisection_point():
+    # the bisection returns the smallest rejected point k/2^20: u is
+    # rejected and the grid point just below it is not
     rng = np.random.default_rng(4)
-    z = rng.uniform(size=200)
-    coarse = wsr_ucb(BoundRequest(z, 0.1, tolerance=1e-3))
-    fine = wsr_ucb(BoundRequest(z, 0.1, tolerance=1e-7))
-    assert fine <= coarse + 1e-12
-    assert coarse - fine <= 1e-3
+    for n in (20, 200, 800):
+        for delta in (0.05, 0.2):
+            z = rng.uniform(size=n) * rng.uniform()
+            u = _wsr_ucb(z, delta)
+            assert 0.0 < u < 1.0
+            assert u * 2**20 == int(u * 2**20)
+            etas = betting_fractions(z, delta)
+            assert capital_process(z, u, etas) > 1.0 / delta
+            assert capital_process(z, u - 2**-20, etas) <= 1.0 / delta
 
 
-def test_bound_request_validation():
+def test_oce_risk_ucb_validation():
     with pytest.raises(ValueError):
-        BoundRequest(np.array([]), 0.1)
-    with pytest.raises(ValueError):
-        BoundRequest(np.array([1.2]), 0.1)
-    with pytest.raises(ValueError):
-        BoundRequest(np.array([0.5]), 1.0)
+        oce_risk_ucb(np.array([]), OceCost.average(), 0.0, 0.1)
+    for delta in (0.0, 1.0, -0.1, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            oce_risk_ucb(np.array([0.5]), OceCost.average(), 0.0, delta)
+        # checked before the constant-range shortcut at t = LOSS_MAX too
+        with pytest.raises(ValueError):
+            oce_risk_ucb(np.array([0.5]), OceCost.cvar(0.5), 1.0, delta)
 
 
 def test_hoeffding_examples():
-    ucb = hoeffding_ucb(BoundRequest(np.full(800, 0.3), 0.2))
+    ucb = _hoeffding_ucb(np.full(800, 0.3), 0.2)
     assert ucb == pytest.approx(0.3 + math.sqrt(math.log(5) / 1600))
-    assert hoeffding_ucb(BoundRequest(np.ones(10), 0.1)) == 1.0
-    ucb = hoeffding_ucb(BoundRequest(np.zeros(4), 0.999))
+    assert _hoeffding_ucb(np.ones(10), 0.1) == 1.0
+    ucb = _hoeffding_ucb(np.zeros(4), 0.999)
     assert ucb == pytest.approx(math.sqrt(math.log(1 / 0.999) / 8))
 
 
 def test_oce_risk_ucb_average_reduces_to_wsr():
     rng = np.random.default_rng(5)
     z = rng.uniform(size=150)
-    direct = wsr_ucb(BoundRequest(z, 0.1))
+    direct = _wsr_ucb(z, 0.1)
     lifted = oce_risk_ucb(z, OceCost.average(), 0.0, 0.1)
     assert lifted == direct
 

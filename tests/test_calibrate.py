@@ -223,7 +223,7 @@ def test_empty_cal_rejected():
         select_oce_crc([], [], ReliabilitySpec(0.5, 0.2), LambdaGrid(5), OceCost.average(), FNR)
 
 
-@pytest.mark.parametrize("alpha", [-0.1, math.nan])
+@pytest.mark.parametrize("alpha", [-0.1, math.nan, math.inf])
 def test_reliability_spec_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError):
         ReliabilitySpec(alpha, 0.2)

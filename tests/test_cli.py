@@ -220,6 +220,21 @@ def test_calibrate_nan_alpha_is_data_error(dataset_path, tmp_path):
     assert not (tmp_path / "out" / "calibration.json").exists()
 
 
+@pytest.mark.parametrize("command", ["calibrate", "trials", "sweep"])
+def test_infinite_alpha_is_data_error(dataset_path, tmp_path, command):
+    args = {
+        "calibrate": ["--data", dataset_path, "--opt-size", "30", "--cal-size", "100"],
+        "trials": ["--pool", dataset_path, *POOL[2:], "--trials", "2"],
+        "sweep": ["--vary", "alpha", "--values", "inf", "--pool", dataset_path, *POOL[2:],
+                  "--trials", "2"],
+    }[command]
+    code = run([command, *RUN, "--alpha", "inf", *args, "--output-dir", tmp_path / "out"])
+    assert code == 3
+    # JSON has no Infinity literal
+    written = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert not any("Infinity" in p.read_text() for p in written)
+
+
 @pytest.mark.parametrize("command", ["trials", "sweep"])
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_nonpositive_trials_is_usage_error(dataset_path, tmp_path, command, trials):
@@ -262,16 +277,20 @@ def test_evaluate_range_checked(dataset_path, capsys, flags):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("t_mode", ["fixed:nan", "fixed:inf", "fixed:-inf", "fixed:abc"])
+@pytest.mark.parametrize(
+    "t_mode", ["fixed:nan", "fixed:inf", "fixed:-inf", "fixed:abc", "fixed:1.5", "fixed:-0.1"]
+)
 def test_fixed_t_must_be_finite(dataset_path, tmp_path, t_mode):
-    code = run([
-        "calibrate", "--method", "oce-crc", "--risk", "cvar:0.8", "--loss", "fnr",
-        "--alpha", "0.4", "--delta", "0.2", "--grid", "20", "--t-mode", t_mode,
-        "--data", dataset_path, "--opt-size", "30", "--cal-size", "100",
-        "--output-dir", tmp_path / "out",
-    ])
-    assert code == 2
-    assert not (tmp_path / "out").exists()
+    # t lies in [0, 1] for every method, not only where the bound checks it
+    for method in ("oce-crc", "oce-rcps"):
+        code = run([
+            "calibrate", "--method", method, "--risk", "cvar:0.8", "--loss", "fnr",
+            "--alpha", "0.4", "--delta", "0.2", "--grid", "20", "--t-mode", t_mode,
+            "--data", dataset_path, "--opt-size", "30", "--cal-size", "100",
+            "--output-dir", tmp_path / "out",
+        ])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
 
 
 def test_entropic_overflow_is_data_error(dataset_path, tmp_path, capsys):

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oce_rcps import rng
 from oce_rcps.datagen import (
     Dataset,
     DatasetParseError,
@@ -14,8 +17,12 @@ from oce_rcps.datagen import (
     split_dataset,
     write_dataset,
 )
-from oce_rcps.rng import SplitMix64, mix64
+from oce_rcps.rng import draws, mix64, shuffle, uniforms
 from oce_rcps.risk import ScoredExample
+from oracles import SplitMix64, generate_example
+
+# below 0 and at or above 2^63 included: seeds are taken mod 2^64
+SEEDS = st.integers(-(2**64), 2**65)
 
 
 def serialize(data: Dataset) -> str:
@@ -183,16 +190,79 @@ def test_mix64_spreads_indices():
 
 
 def test_splitmix_floats_in_unit_interval():
-    stream = SplitMix64(7)
-    values = stream.next_floats(1000)
+    values = uniforms(7, 0, 1000)
     assert np.all(values >= 0.0) and np.all(values < 1.0)
     # crude uniformity check
     assert abs(values.mean() - 0.5) < 0.05
 
 
 def test_shuffle_is_permutation():
-    stream = SplitMix64(7)
     items = list(range(100))
-    stream.shuffle(items)
+    shuffle(items, 7)
     assert sorted(items) == list(range(100))
     assert items != list(range(100))
+
+
+@settings(deadline=None)
+@given(SEEDS, st.integers(0, 300), st.integers(0, 50))
+def test_draws_match_sequential_stream(seed, skip, count):
+    stream = SplitMix64(seed)
+    for _ in range(skip):
+        stream.next_uint64()
+    assert draws(seed, skip, count).tolist() == [stream.next_uint64() for _ in range(count)]
+    floats = SplitMix64(seed).next_floats(skip + count)[skip:]
+    assert uniforms(seed, skip, count).tolist() == floats.tolist()
+
+
+@settings(deadline=None)
+@given(SEEDS, st.integers(0, 80))
+def test_shuffle_matches_sequential_stream(seed, n):
+    items, expected = list(range(n)), list(range(n))
+    shuffle(items, seed)
+    SplitMix64(seed).shuffle(expected)
+    assert items == expected
+
+
+class _Scripted(SplitMix64):
+    """A stream that replays fixed draws."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def next_uint64(self) -> int:
+        return next(self._values)
+
+
+def test_shuffle_rejected_draw_extends_block(monkeypatch):
+    # 2^64 mod 5 = 2^64 mod 3 = 1, so the draw 2^64 - 1 is rejected at
+    # positions 4 and 2 (bounds 5 and 3) and accepted at position 3, whose
+    # bound 4 divides 2^64
+    top = 2**64 - 1
+    values = [top, top, 7, top, top, 5, 3]
+    reads = []
+
+    def fake(seed, skip, count):
+        reads.append((skip, count))
+        assert len(reads) <= 4, "shuffle reads the same draws again"
+        return np.array(values[skip:skip + count], dtype=np.uint64)
+
+    monkeypatch.setattr(rng, "draws", fake)
+    items, expected = list(range(5)), list(range(5))
+    shuffle(items, 0)
+    _Scripted(values).shuffle(expected)
+    assert items == expected
+    assert reads == [(0, 4), (1, 4), (2, 4), (5, 2)]  # each rejection starts a new block
+
+
+@settings(deadline=None, max_examples=60)
+@given(SEEDS, st.integers(1, 8), st.sampled_from([0.01, 0.05, 0.3, 0.9]), st.integers(1, 12))
+@example(seed=0, m=1, rho=0.05, count=12)
+@example(seed=2**64 - 1, m=1, rho=0.01, count=12)
+def test_generation_matches_sequential_stream(seed, m, rho, count):
+    # m = 1 with a small rho resamples the membership draws almost every time
+    params = GeneratorParams(m=m, rho=rho)
+    data = generate_dataset(params, count, seed)
+    for i, ex in enumerate(data.examples):
+        ref = generate_example(params, mix64(seed, i))
+        assert ex.truth == ref.truth
+        assert ex.scores.tobytes() == ref.scores.tobytes()

@@ -19,7 +19,7 @@ from oce_rcps.risk import (
     losses_at,
     phi_eval,
     relative_set_sizes,
-    transformed_loss,
+    transformed_losses,
 )
 
 FNR = LossKind("fnr")
@@ -189,9 +189,9 @@ def test_cost_parameter_validation():
 
 
 def test_transformed_loss_examples():
-    assert transformed_loss(OceCost.average(), 0.3, 0.8) == pytest.approx(0.8)
-    assert transformed_loss(OceCost.cvar(0.5), 0.2, 0.1) == pytest.approx(0.2)
-    assert transformed_loss(OceCost.entropic(1), 0.0, 0.0) == 0.0
+    assert transformed_losses(OceCost.average(), 0.3, [0.8])[0] == pytest.approx(0.8)
+    assert transformed_losses(OceCost.cvar(0.5), 0.2, [0.1])[0] == pytest.approx(0.2)
+    assert transformed_losses(OceCost.entropic(1), 0.0, [0.0])[0] == 0.0
 
 
 COSTS = [
@@ -209,7 +209,7 @@ def test_transformed_loss_dominated_by_bound(cost):
     for _ in range(200):
         t = rng.uniform(0, 1)
         loss = rng.uniform(0, 1)
-        assert transformed_loss(cost, t, loss) <= bound_B(cost, t) + 1e-12
+        assert transformed_losses(cost, t, [loss])[0] <= bound_B(cost, t) + 1e-12
 
 
 def test_bound_B_examples():
