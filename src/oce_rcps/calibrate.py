@@ -17,6 +17,9 @@ import numpy as np
 from .bounds import oce_risk_ucb
 from .risk import LossKind, OceCost, bound_B, empirical_objective, empirical_oce, losses_at
 
+# grid columns bounded per oce_risk_ucb call in the descending scan
+_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class ReliabilitySpec:
@@ -136,16 +139,27 @@ def select_oce_rcps(
     opt_losses = losses_at(opt, loss, lams) if fixed_t is None else None
     trace, t_by_lambda = [], {}
     last_passing = None
-    for j in range(lams.size - 1, -1, -1):
-        lam = float(lams[j])
-        t = _t_for_column(None if opt_losses is None else opt_losses[:, j], cost, fixed_t)
-        ucb = oce_risk_ucb(cal_losses[:, j], cost, t, spec.delta, method=bound_method)
-        passed = ucb <= spec.alpha
-        t_by_lambda[lam] = t
-        trace.append(TraceEntry(lam, float(ucb), passed))
+    # bound a block of columns at once, then walk it downward to the first failure
+    for stop in range(lams.size, 0, -_BLOCK):
+        start = max(stop - _BLOCK, 0)
+        ts = [
+            _t_for_column(None if opt_losses is None else opt_losses[:, j], cost, fixed_t)
+            for j in range(start, stop)
+        ]
+        ucbs = oce_risk_ucb(
+            cal_losses[:, start:stop], cost, np.array(ts), spec.delta, method=bound_method
+        )
+        for j in range(stop - 1, start - 1, -1):
+            lam = float(lams[j])
+            ucb = float(ucbs[j - start])
+            passed = ucb <= spec.alpha
+            t_by_lambda[lam] = ts[j - start]
+            trace.append(TraceEntry(lam, ucb, passed))
+            if not passed:
+                break
+            last_passing = lam
         if not passed:
             break
-        last_passing = lam
     trace.reverse()
     if last_passing is None:
         return CalibrationOutcome(1.0, t_by_lambda, False, trace)

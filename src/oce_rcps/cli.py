@@ -268,12 +268,14 @@ def _trial_config(args, test_size: int) -> TrialConfig:
     except ValueError as e:
         raise UsageError(str(e))
     fixed_t = _parse_t_mode(args.t_mode)
-    return TrialConfig(
+    config = TrialConfig(
         method=args.method, cost=cost, loss=loss,
         alpha=args.alpha, delta=args.delta, grid=grid,
         split=SplitSpec(args.opt_size, args.cal_size, test_size),
         bound_method=args.bound, fixed_t=fixed_t,
     )
+    config.spec()  # a bad alpha or delta is a data error before any pool is read
+    return config
 
 
 def _emit_trials(outdir: Path, records, summary, no_timestamp: bool):
@@ -323,21 +325,15 @@ def _cmd_sweep(args):
     values = [float(v) for v in str(args.values).split(",") if v.strip()]
     if not values:
         raise UsageError("--values must list at least one number")
-    if args.vary == "delta":
-        args.delta = values[0]
-    else:
-        args.alpha = values[0]
-    _trial_config(args, args.test_size)  # validate the shared part before the long run
+    configs = []
+    for value in values:  # validate every grid point before the long run
+        setattr(args, args.vary, value)
+        configs.append(_trial_config(args, args.test_size))
     pool = _load_pool(args)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
-        if args.vary == "delta":
-            args.delta = value
-        else:
-            args.alpha = value
-        config = _trial_config(args, args.test_size)
+    for value, config in zip(values, configs):
         records, summary = run_trials(pool, config, args.trials, args.seed, jobs=args.jobs)
         sub = outdir / f"{args.vary}_{value:g}"
         _emit_trials(sub, records, summary, args.no_timestamp)

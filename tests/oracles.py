@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 
+from oce_rcps.calibrate import TraceEntry, optimize_t
 from oce_rcps.datagen import GeneratorParams
-from oce_rcps.risk import ScoredExample, empirical_objective
+from oce_rcps.risk import ScoredExample, bound_B, empirical_objective, phi_eval, transformed_losses
 from oce_rcps.rng import _GAMMA, _MASK64, _finalize, beta_inverse_cdf
 
 
@@ -80,3 +81,81 @@ def generate_example(params: GeneratorParams, sub_seed: int) -> ScoredExample:
     b = np.where(positive, 1.0 + k * d, 1.0 + k * (1.0 - d))
     scores = np.clip(beta_inverse_cdf(u, a, b), 0.0, 1.0)
     return ScoredExample(scores, frozenset(np.flatnonzero(positive).tolist()))
+
+
+def betting_fractions(z: np.ndarray, delta: float) -> np.ndarray:
+    """Predictable plug-in betting fractions of one sample vector."""
+    n = z.size
+    idx = np.arange(1, n + 1)
+    mu = (0.5 + np.cumsum(z)) / (idx + 1.0)
+    sig2 = (0.25 + np.cumsum((z - mu) ** 2)) / (idx + 1.0)
+    sig2_prev = np.concatenate(([0.25], sig2[:-1]))
+    etas = np.sqrt(2.0 * math.log(1.0 / delta) / (n * sig2_prev))
+    return np.minimum(etas, 1.0)
+
+
+def capital_process(z: np.ndarray, R: float, etas: np.ndarray) -> float:
+    """Max over prefixes, the empty one included, of the capital at R."""
+    capital = np.cumprod(1.0 + etas * (R - z))
+    return max(1.0, float(capital.max())) if capital.size else 1.0
+
+
+def wsr_ucb(z: np.ndarray, delta: float) -> float:
+    """Scalar bisection for the betting-martingale UCB of one sample
+    vector: 20 halvings, rounded up to the grid k/2^20."""
+    threshold = 1.0 / delta
+    etas = betting_fractions(z, delta)
+
+    def rejected(R: float) -> bool:
+        return capital_process(z, R, etas) > threshold
+
+    if not rejected(1.0):
+        return 1.0
+    if rejected(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        if rejected(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def hoeffding_ucb(z: np.ndarray, delta: float) -> float:
+    ucb = float(np.mean(z)) + math.sqrt(math.log(1.0 / delta) / (2.0 * z.size))
+    return min(ucb, 1.0)
+
+
+def oce_risk_ucb(losses, cost, t: float, delta: float, method: str = "wsr") -> float:
+    """UCB on the OCE objective of one loss column at one t."""
+    lo = t + phi_eval(cost, -t)
+    hi = bound_B(cost, t)
+    if hi <= lo:
+        return lo
+    tl = transformed_losses(cost, t, losses)
+    z = np.clip((tl - lo) / (hi - lo), 0.0, 1.0)
+    ucb = {"wsr": wsr_ucb, "hoeffding": hoeffding_ucb}[method]
+    return lo + (hi - lo) * ucb(z, delta)
+
+
+def oce_rcps_scan(cal_losses, opt_losses, alpha, delta, lams, cost, fixed_t=None, method="wsr"):
+    """Descending OCE-RCPS scan, one column at a time, stopping at the first
+    failure; returns (lambda_hat, t_by_lambda, feasible, trace)."""
+    trace, t_by_lambda = [], {}
+    last_passing = None
+    for j in range(len(lams) - 1, -1, -1):
+        lam = float(lams[j])
+        t = optimize_t(opt_losses[:, j], cost) if fixed_t is None else fixed_t
+        ucb = oce_risk_ucb(cal_losses[:, j], cost, t, delta, method)
+        t_by_lambda[lam] = t
+        passed = ucb <= alpha
+        trace.append(TraceEntry(lam, float(ucb), passed))
+        if not passed:
+            break
+        last_passing = lam
+    trace.reverse()
+    if last_passing is None:
+        return 1.0, t_by_lambda, False, trace
+    return last_passing, t_by_lambda, True, trace

@@ -152,7 +152,7 @@ def test_criterion_3_wsr_coverage():
         covered = 0
         for _ in range(2000):
             z = (rng.uniform(size=800) < 0.3).astype(float)
-            if _wsr_ucb(z, delta) >= 0.3:
+            if _wsr_ucb(z[None], delta)[0] >= 0.3:
                 covered += 1
         rates[delta] = covered / 2000
     elapsed = time.monotonic() - start
@@ -184,7 +184,7 @@ def test_criterion_4_monotonicity_suite():
         assert all(a <= b + 1e-12 for a, b in zip(caps, caps[1:]))
 
     z = (rng.uniform(size=400) < 0.4).astype(float)  # UCB monotone in delta
-    ucbs = [_wsr_ucb(z, d) for d in (0.05, 0.1, 0.2, 0.4)]
+    ucbs = [_wsr_ucb(z[None], d)[0] for d in (0.05, 0.1, 0.2, 0.4)]
     assert all(a >= b - 1e-12 for a, b in zip(ucbs, ucbs[1:]))
 
     costs = [OceCost.average(), OceCost.entropic(3), OceCost.cvar(0.5), OceCost.cvar(0.9)]

@@ -2,9 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oce_rcps.bounds import _hoeffding_ucb, _wsr_ucb, betting_fractions, capital_process, oce_risk_ucb
-from oce_rcps.risk import OceCost
+from oce_rcps.risk import OceCost, bound_B
+
+
+def wsr(z, delta):
+    """The block WSR bound of one sample vector (a block of one column)."""
+    return float(_wsr_ucb(z[None], delta)[0])
+
+
+def hoeffding(z, delta):
+    return float(_hoeffding_ucb(z[None], delta)[0])
 
 
 def test_capital_single_zero_sample():
@@ -50,20 +62,20 @@ def test_schedule_caps_eta():
 
 
 def test_wsr_ucb_on_zeros():
-    ucb = _wsr_ucb(np.zeros(100), 0.1)
+    ucb = wsr(np.zeros(100), 0.1)
     assert 0.0 < ucb <= 0.05
 
 
 def test_wsr_ucb_single_sample_never_rejects():
     # capital 1 + R <= 2 never strictly exceeds 1/delta = 2
-    assert _wsr_ucb(np.zeros(1), 0.5) == 1.0
+    assert wsr(np.zeros(1), 0.5) == 1.0
 
 
 def test_wsr_ucb_range_and_dominates_mean():
     rng = np.random.default_rng(2)
     for _ in range(20):
         z = rng.uniform(size=rng.integers(1, 200))
-        ucb = _wsr_ucb(z, 0.1)
+        ucb = wsr(z, 0.1)
         assert 0.0 <= ucb <= 1.0
         mean = z.mean()
         if capital_process(z, mean, betting_fractions(z, 0.1)) <= 10.0:
@@ -73,7 +85,7 @@ def test_wsr_ucb_range_and_dominates_mean():
 def test_wsr_ucb_monotone_in_delta():
     rng = np.random.default_rng(3)
     z = (rng.uniform(size=300) < 0.4).astype(float)
-    ucbs = [_wsr_ucb(z, d) for d in (0.05, 0.1, 0.2, 0.4)]
+    ucbs = [wsr(z, d) for d in (0.05, 0.1, 0.2, 0.4)]
     assert all(a >= b - 1e-9 for a, b in zip(ucbs, ucbs[1:]))
 
 
@@ -84,7 +96,7 @@ def test_wsr_ucb_is_first_rejected_bisection_point():
     for n in (20, 200, 800):
         for delta in (0.05, 0.2):
             z = rng.uniform(size=n) * rng.uniform()
-            u = _wsr_ucb(z, delta)
+            u = wsr(z, delta)
             assert 0.0 < u < 1.0
             assert u * 2**20 == int(u * 2**20)
             etas = betting_fractions(z, delta)
@@ -104,17 +116,17 @@ def test_oce_risk_ucb_validation():
 
 
 def test_hoeffding_examples():
-    ucb = _hoeffding_ucb(np.full(800, 0.3), 0.2)
+    ucb = hoeffding(np.full(800, 0.3), 0.2)
     assert ucb == pytest.approx(0.3 + math.sqrt(math.log(5) / 1600))
-    assert _hoeffding_ucb(np.ones(10), 0.1) == 1.0
-    ucb = _hoeffding_ucb(np.zeros(4), 0.999)
+    assert hoeffding(np.ones(10), 0.1) == 1.0
+    ucb = hoeffding(np.zeros(4), 0.999)
     assert ucb == pytest.approx(math.sqrt(math.log(1 / 0.999) / 8))
 
 
 def test_oce_risk_ucb_average_reduces_to_wsr():
     rng = np.random.default_rng(5)
     z = rng.uniform(size=150)
-    direct = _wsr_ucb(z, 0.1)
+    direct = wsr(z, 0.1)
     lifted = oce_risk_ucb(z, OceCost.average(), 0.0, 0.1)
     assert lifted == direct
 
@@ -140,3 +152,85 @@ def test_oce_risk_ucb_entropic_zero_losses():
 def test_oce_risk_ucb_rejects_bad_t():
     with pytest.raises(ValueError):
         oce_risk_ucb(np.zeros(10), OceCost.average(), 1.5, 0.1)
+
+
+def test_oce_risk_ucb_checks_method_first():
+    # checked before the constant-range shortcut (cvar at t = LOSS_MAX)
+    with pytest.raises(ValueError):
+        oce_risk_ucb(np.zeros(3), OceCost.cvar(0.5), 1.0, 0.1, method="bogus")
+
+
+def test_oce_risk_ucb_block_needs_one_t_per_column():
+    with pytest.raises(ValueError):
+        oce_risk_ucb(np.zeros((5, 3)), OceCost.average(), np.zeros(2), 0.1)
+    with pytest.raises(ValueError):
+        oce_risk_ucb(np.zeros((5, 3)), OceCost.average(), np.array([0.0, 0.5, 1.5]), 0.1)
+
+
+COSTS = [OceCost.average(), OceCost.cvar(0.5), OceCost.cvar(0.9), OceCost.entropic(1),
+         OceCost.entropic(3)]
+# "top" keeps random samples but takes t = LOSS_MAX, where cvar's range is constant
+KINDS = ("uniform", "grid", "zeros", "ones", "top")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 60),
+    k=st.integers(1, 40),
+    delta=st.floats(0.01, 0.99),
+    cost=st.sampled_from(COSTS),
+    method=st.sampled_from(("wsr", "hoeffding")),
+    seed=st.integers(0, 2**32 - 1),
+    fortran=st.booleans(),
+)
+def test_block_bound_matches_scalar_oracle(data, n, k, delta, cost, method, seed, fortran):
+    rng = np.random.default_rng(seed)
+    kinds = data.draw(st.lists(st.sampled_from(KINDS), min_size=k, max_size=k))
+    ts = data.draw(st.lists(
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), min_size=k, max_size=k
+    ))
+    columns = []
+    for j, kind in enumerate(kinds):
+        if kind == "zeros":
+            columns.append(np.zeros(n))
+        elif kind == "ones":
+            columns.append(np.ones(n))
+        elif kind == "grid":  # FNR-like values with ties
+            columns.append(rng.integers(0, 11, size=n) / 10.0)
+        else:
+            columns.append(rng.uniform(size=n) * rng.uniform())
+            if kind == "top":
+                ts[j] = 1.0
+    block = np.column_stack(columns)
+    if fortran:  # the column-major layout the selectors pass
+        block = np.asfortranarray(block)
+    got = oce_risk_ucb(block, cost, np.array(ts), delta, method=method)
+    want = [oracles.oce_risk_ucb(block[:, j], cost, ts[j], delta, method) for j in range(k)]
+    assert got.tolist() == want
+    single = oce_risk_ucb(block[:, 0], cost, ts[0], delta, method=method)
+    assert type(single) is float and single == want[0]
+
+
+def test_block_bound_edge_columns_in_one_block():
+    # all-zero, all-one and constant-range columns next to random ones
+    rng = np.random.default_rng(7)
+    block = np.column_stack([np.zeros(40), np.ones(40), rng.uniform(size=40), np.full(40, 0.4)])
+    ts = np.array([0.3, 0.3, 0.3, 1.0])
+    cost = OceCost.cvar(0.9)
+    got = oce_risk_ucb(block, cost, ts, 0.1).tolist()
+    assert got == [oracles.oce_risk_ucb(block[:, j], cost, ts[j], 0.1) for j in range(4)]
+    assert got[1] == bound_B(cost, 0.3)  # all ones: nothing below 1 is rejected, the bound is hi
+    assert got[3] == 1.0  # constant range at t = LOSS_MAX
+    # one sample never rejects anything in [0, 1], so every column returns hi
+    assert _wsr_ucb(block[:1].T, 0.2).tolist() == [1.0] * 4
+
+
+def test_wsr_block_returns_zero_like_scalar():
+    # oce_risk_ucb clips samples to [0, 1], where R = 0 is never rejected;
+    # rows shifted below 0 reach the branch that returns 0
+    rng = np.random.default_rng(8)
+    z = np.stack([rng.uniform(size=50) - shift for shift in (0.0, 0.5, 1.0, 2.0)])
+    got = _wsr_ucb(z, 0.1).tolist()
+    assert got == [oracles.wsr_ucb(row, 0.1) for row in z]
+    assert got[-1] == 0.0 and 0.0 < got[0] < 1.0

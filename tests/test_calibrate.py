@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oce_rcps.calibrate import (
+    _BLOCK,
     LambdaGrid,
     ReliabilitySpec,
     optimize_t,
@@ -11,8 +12,8 @@ from oce_rcps.calibrate import (
     select_oce_rcps,
     select_rcps,
 )
-from oce_rcps.risk import LossKind, OceCost, ScoredExample, empirical_objective
-from oracles import golden_section_minimize, golden_section_t
+from oce_rcps.risk import LossKind, OceCost, ScoredExample, empirical_objective, losses_at
+from oracles import golden_section_minimize, golden_section_t, oce_rcps_scan
 
 FNR = LossKind("fnr")
 MISS = LossKind("miscoverage")
@@ -214,6 +215,48 @@ def test_delta_monotonicity():
         )
         lams.append(out.lambda_hat)
     assert all(a >= b - 1e-12 for a, b in zip(lams, lams[1:]))
+
+
+def staircase(rng, G):
+    """Singletons whose miscoverage at lambda = j/G counts the examples with
+    k >= j, two per k < G, plus as many zero-loss ones: the mean loss rises
+    at every step of the descending scan."""
+    scores = [1.0 - (k + 0.5) / G for k in range(G) for _ in range(2)] + [1.0] * (2 * G)
+    return [singleton(s) for s in rng.permutation(scores)]
+
+
+@pytest.mark.parametrize("G", [1, 7, 31, 32, 33, 100])
+def test_block_scan_matches_column_oracle(G):
+    rng = np.random.default_rng(53 + G)
+    cal, opt = staircase(rng, G), staircase(rng, G)[: G + 5]
+    lams = LambdaGrid(G).values
+    cal_losses, opt_losses = losses_at(cal, MISS, lams), losses_at(opt, MISS, lams)
+    # first column of each block in scan order, and the last one
+    edges = {j for stop in range(G + 1, 0, -_BLOCK) for j in (stop - 1, max(stop - _BLOCK, 0))}
+    for cost, fixed_t in ((OceCost.average(), 0.0), (OceCost.cvar(0.8), None),
+                          (OceCost.entropic(3), None)):
+        full = oce_rcps_scan(cal_losses, opt_losses, math.inf, 0.2, lams, cost, fixed_t)[3]
+        bounds = [e.bound for e in full]
+        assert len(bounds) == G + 1  # alpha = inf: every column tested, no failure
+        alphas = {max(bounds)}  # reaches lambda = 0 with no failure
+        for j in edges:
+            alpha = max(bounds[j + 1:], default=0.0)
+            if bounds[j] > alpha:
+                alphas.add(alpha)  # first failure at column j
+            else:
+                assert cost.variant != "average"  # the staircase makes every column a record
+        alphas.update(rng.uniform(min(bounds), max(bounds), size=3).tolist())
+        for alpha in sorted(alphas):
+            out = select_oce_rcps(
+                cal, opt, ReliabilitySpec(alpha, 0.2), LambdaGrid(G), cost, MISS, fixed_t=fixed_t
+            )
+            lam_hat, t_by_lambda, feasible, trace = oce_rcps_scan(
+                cal_losses, opt_losses, alpha, 0.2, lams, cost, fixed_t
+            )
+            assert (out.lambda_hat, out.feasible) == (lam_hat, feasible)
+            assert out.t_by_lambda == t_by_lambda
+            assert list(out.t_by_lambda) == list(t_by_lambda)  # insertion order too
+            assert out.trace == trace
 
 
 def test_empty_cal_rejected():

@@ -235,6 +235,28 @@ def test_infinite_alpha_is_data_error(dataset_path, tmp_path, command):
     assert not any("Infinity" in p.read_text() for p in written)
 
 
+def test_sweep_checks_every_value_before_running(dataset_path, tmp_path):
+    outdir = tmp_path / "sweep"
+    code = run([
+        "sweep", "--vary", "alpha", "--values", "0.4,inf", *RUN, "--pool", dataset_path,
+        *POOL[2:], "--trials", "2", "--seed", "7", "--output-dir", outdir,
+    ])
+    assert code == 3
+    assert not (outdir / "alpha_0.4").exists()
+
+
+@pytest.mark.parametrize("command", ["trials", "sweep"])
+def test_bad_delta_reported_before_pool_is_read(tmp_path, capsys, command):
+    sweep = ["--vary", "delta", "--values", "0.2,1.5"] if command == "sweep" else []
+    code = run([
+        command, *sweep, *RUN, "--delta", "1.5", "--pool", tmp_path / "missing.jsonl",
+        "--trials", "2", "--seed", "7", "--output-dir", tmp_path / "out",
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "delta must lie in (0, 1)" in err and "missing.jsonl" not in err
+
+
 @pytest.mark.parametrize("command", ["trials", "sweep"])
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_nonpositive_trials_is_usage_error(dataset_path, tmp_path, command, trials):

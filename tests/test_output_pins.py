@@ -26,6 +26,9 @@ CALIBRATIONS = {
         "--method", "oce-rcps", "--risk", "entropic:1",
         "--bound", "hoeffding", "--t-mode", "fixed:0.3",
     ],
+    # long WSR traces (443 and 343 rows at G=1000) from the average and entropic costs
+    "cal-rcps": ["--method", "rcps", "--risk", "average"],
+    "cal-oce-rcps-entropic": ["--method", "oce-rcps", "--risk", "entropic:3"],
 }
 METHODS = ("oce-crc", "rcps", "oce-rcps")
 # miscoverage runs: 0/1 losses, so the entropic risk tells the methods apart
@@ -45,6 +48,10 @@ PINS = {
     "cal-oce-crc/trace.csv": "c0111c7bd9852efbe7b780e11d118ecef77946244ec0df29e9e990ab65e3bbf3",
     "cal-hoeffding-fixed/calibration.json": "227d20cf01f95ee245814a8c1c95ae9ea8765984c846b177208a92193c6e123f",
     "cal-hoeffding-fixed/trace.csv": "973dfeeeadaab9332c492a51571dbad3d2b32dd8d49d1dee7f53b9a10fd1c44a",
+    "cal-rcps/calibration.json": "9cbd5db810c48fbc5776fb98013f3a31758bdc6fb6dfe0abcb862d35ed199592",
+    "cal-rcps/trace.csv": "5c3060a9d989b7cb42634c3379d7a00586ff7509fad2c83ee27e0d5e248d06e5",
+    "cal-oce-rcps-entropic/calibration.json": "70cb5bf612dde0827c7c6f3b28707e1b9aec98ee012038eb698b6b5ccb19b01f",
+    "cal-oce-rcps-entropic/trace.csv": "715d19d00f8d12a4c67fb9c89da078e7a48e54c7e442122f60f36ed4d6ae2053",
     "evaluate.json": "4a4c8a316519bf4b6c24eff36e1c0176b131545e10222048f648c631a899a60b",
     "trials-miss-oce-crc/trials.csv": "12ba3fee0b01cebb2e70335062d17d8959f01ba136991f62c4d740037bf72af9",
     "trials-miss-oce-crc/summary.json": "c2191729f41ecb0efd7ed7892c150967b215511534f9a7208cb34237f4181f79",
