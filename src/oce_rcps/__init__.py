@@ -26,11 +26,7 @@ from .harness import ExperimentSummary, TrialConfig, TrialRecord, kde_density, r
 from .risk import (
     LossKind,
     OceCost,
-    PredictionSet,
-    ScoredExample,
     bound_B,
-    build_prediction_set,
-    compute_loss,
     empirical_objective,
     empirical_oce,
     phi_eval,

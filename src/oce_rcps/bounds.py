@@ -84,8 +84,7 @@ def _wsr_ucb(z: np.ndarray, delta: float) -> np.ndarray:
 def _hoeffding_ucb(z: np.ndarray, delta: float) -> np.ndarray:
     """mean + sqrt(ln(1/delta) / (2n)) of each row of a (k, n) block,
     capped at 1."""
-    means = np.array([np.mean(row) for row in z])
-    return np.minimum(means + math.sqrt(math.log(1.0 / delta) / (2.0 * z.shape[1])), 1.0)
+    return np.minimum(z.mean(axis=1) + math.sqrt(math.log(1.0 / delta) / (2.0 * z.shape[1])), 1.0)
 
 
 _UCB = {"wsr": _wsr_ucb, "hoeffding": _hoeffding_ucb}

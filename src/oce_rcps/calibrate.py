@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import oce_risk_ucb
+from .datagen import Dataset
 from .risk import LossKind, OceCost, bound_B, empirical_objective, empirical_oce, losses_at
 
 # grid columns bounded per oce_risk_ucb call in the descending scan
@@ -91,8 +92,8 @@ def _t_for_column(opt_col, cost: OceCost, fixed_t: float | None) -> float:
 
 
 def select_oce_crc(
-    cal: list,
-    opt: list,
+    cal: Dataset,
+    opt: Dataset | None,
     spec: ReliabilitySpec,
     grid: LambdaGrid,
     cost: OceCost,
@@ -105,7 +106,7 @@ def select_oce_crc(
         raise ValueError("calibration set must be nonempty")
     lams = grid.values
     cal_losses = losses_at(cal, loss, lams)
-    opt_losses = losses_at(opt, loss, lams) if fixed_t is None else None
+    opt_losses = None if fixed_t is not None or opt is None else losses_at(opt, loss, lams)
     n = len(cal)
     trace, t_by_lambda = [], {}
     for j, lam in enumerate(lams):
@@ -121,8 +122,8 @@ def select_oce_crc(
 
 
 def select_oce_rcps(
-    cal: list,
-    opt: list,
+    cal: Dataset,
+    opt: Dataset | None,
     spec: ReliabilitySpec,
     grid: LambdaGrid,
     cost: OceCost,
@@ -136,7 +137,7 @@ def select_oce_rcps(
         raise ValueError("calibration set must be nonempty")
     lams = grid.values
     cal_losses = losses_at(cal, loss, lams)
-    opt_losses = losses_at(opt, loss, lams) if fixed_t is None else None
+    opt_losses = None if fixed_t is not None or opt is None else losses_at(opt, loss, lams)
     trace, t_by_lambda = [], {}
     last_passing = None
     # bound a block of columns at once, then walk it downward to the first failure
@@ -167,7 +168,7 @@ def select_oce_rcps(
 
 
 def select_rcps(
-    cal: list,
+    cal: Dataset,
     spec: ReliabilitySpec,
     grid: LambdaGrid,
     loss: LossKind,
@@ -176,5 +177,5 @@ def select_rcps(
     """RCPS on the plain average risk: OCE-RCPS with identity cost, t = 0,
     and no held-out split."""
     return select_oce_rcps(
-        cal, [], spec, grid, OceCost.average(), loss, fixed_t=0.0, bound_method=bound_method
+        cal, None, spec, grid, OceCost.average(), loss, fixed_t=0.0, bound_method=bound_method
     )

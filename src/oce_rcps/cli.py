@@ -97,18 +97,19 @@ def _parse_t_mode(text: str):
 
 
 def _config_value(action: argparse.Action, value):
-    """A config-file value, checked as argparse checks the flag's text."""
+    """A config-file value or a --values entry, checked as argparse checks
+    the flag's text."""
     if action.nargs == 0:  # store_true flag
         if not isinstance(value, bool):
-            raise UsageError(f"config {action.dest}: expected true or false, got {value!r}")
+            raise UsageError(f"{action.dest}: expected true or false, got {value!r}")
         return value
     try:
         value = action.type(str(value)) if action.type else str(value)
     except ValueError:
-        raise UsageError(f"config {action.dest}: invalid {action.type.__name__} value {value!r}")
+        raise UsageError(f"{action.dest}: invalid {action.type.__name__} value {value!r}")
     if action.choices is not None and value not in action.choices:
         raise UsageError(
-            f"config {action.dest}: {value!r} is not one of {', '.join(action.choices)}"
+            f"{action.dest}: {value!r} is not one of {', '.join(action.choices)}"
         )
     return value
 
@@ -146,11 +147,14 @@ def _require(args, *names):
 
 
 def _gen_params(args) -> GeneratorParams:
-    return GeneratorParams(
-        m=args.m, rho=args.rho,
-        difficulty_a=args.difficulty_a, difficulty_b=args.difficulty_b,
-        sharpness=args.sharpness,
-    )
+    try:
+        return GeneratorParams(
+            m=args.m, rho=args.rho,
+            difficulty_a=args.difficulty_a, difficulty_b=args.difficulty_b,
+            sharpness=args.sharpness,
+        )
+    except ValueError as e:
+        raise UsageError(str(e))
 
 
 def _add_gen_flags(p):
@@ -174,6 +178,8 @@ def _add_run_flags(p):
 
 def _cmd_generate(args):
     _require(args, "count", "seed", "output")
+    if args.count < 1:
+        raise UsageError("--count must be >= 1")
     data = generate_dataset(_gen_params(args), args.count, args.seed)
     if args.output == "-":
         write_dataset(data, sys.stdout)
@@ -227,9 +233,9 @@ def _cmd_evaluate(args):
     except ValueError as e:
         raise UsageError(str(e))
     data = read_dataset_path(args.data)
-    losses = losses_at(data.examples, loss, [args.lam])[:, 0]
+    losses = losses_at(data, loss, [args.lam])[:, 0]
     value, t_star = empirical_oce(losses, cost)
-    rel = relative_set_sizes(data.examples, args.lam)
+    rel = relative_set_sizes(data, args.lam)
     payload = {
         "lambda": args.lam,
         "risk": cost.spelled(),
@@ -254,6 +260,8 @@ def _cmd_evaluate(args):
 def _load_pool(args):
     if args.pool:
         return read_dataset_path(args.pool)
+    if args.pool_size < 1:
+        raise UsageError("--pool-size must be >= 1")
     log.info("generating pool of %d examples (seed %d)", args.pool_size, args.pool_seed)
     return generate_dataset(_gen_params(args), args.pool_size, args.pool_seed)
 
@@ -322,7 +330,8 @@ def _cmd_trials(args):
 def _cmd_sweep(args):
     _require(args, "vary", "values")
     _require_trials(args)
-    values = [float(v) for v in str(args.values).split(",") if v.strip()]
+    action = next(a for a in args.parser._actions if a.dest == args.vary)
+    values = [_config_value(action, v) for v in str(args.values).split(",") if v.strip()]
     if not values:
         raise UsageError("--values must list at least one number")
     configs = []

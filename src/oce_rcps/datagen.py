@@ -15,12 +15,12 @@ for scores), so generation is reproducible and parallelizable per example.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .rng import beta_inverse_cdf, mix64, shuffle, uniforms
-from .risk import ScoredExample
 
 _MAX_MEMBERSHIP_ATTEMPTS = 10_000
 
@@ -46,8 +46,8 @@ class GeneratorParams:
             raise ValueError("m must be >= 1")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
-        if self.difficulty_a <= 0 or self.difficulty_b <= 0 or self.sharpness <= 0:
-            raise ValueError("Beta shapes and sharpness must be positive")
+        if not all(0.0 < v < np.inf for v in (self.difficulty_a, self.difficulty_b, self.sharpness)):
+            raise ValueError("Beta shapes and sharpness must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -65,18 +65,46 @@ class SplitSpec:
         return self.opt_size + self.cal_size + self.test_size
 
 
-@dataclass
+_Row = namedtuple("_Row", "scores truth")
+
+
+@dataclass(eq=False)
 class Dataset:
-    examples: list
-    m: int
+    """n examples over m elements: scores in [0, 1] as an (n, m) float64
+    array and the ground-truth positive sets as an (n, m) bool mask."""
+
+    scores: np.ndarray
+    truth: np.ndarray
     seed: int | None = None
     params: dict | None = None
 
+    def __post_init__(self):
+        self.scores = np.asarray(self.scores, dtype=np.float64)
+        self.truth = np.asarray(self.truth)
+        if self.scores.ndim != 2 or self.scores.shape[1] < 1:
+            raise ValueError("scores must be an (n, m) array with m >= 1")
+        if self.truth.shape != self.scores.shape:
+            raise ValueError("truth must have the shape of scores")
+        if self.truth.dtype != bool:
+            raise ValueError("truth must be a bool mask")
+        if not np.all((self.scores >= 0.0) & (self.scores <= 1.0)):  # NaN fails too
+            raise ValueError("scores must lie in [0, 1]")
+
+    @property
+    def m(self) -> int:
+        return self.scores.shape[1]
+
     def __len__(self) -> int:
-        return len(self.examples)
+        return self.scores.shape[0]
+
+    @property
+    def examples(self) -> list:
+        """Rows as (scores, truth indices) pairs, for reading; the benchmark's
+        output checks (perfbench/checks.py) rebuild their arrays from them."""
+        return [_Row(s, np.flatnonzero(t)) for s, t in zip(self.scores, self.truth)]
 
 
-def _generate_example(params: GeneratorParams, sub_seed: int) -> ScoredExample:
+def _generate_example(params: GeneratorParams, sub_seed: int):
     m = params.m  # draw 1: difficulty; membership attempt k: draws 2 + k*m ..; then scores
     d = float(beta_inverse_cdf(uniforms(sub_seed, 0, 1)[0], params.difficulty_a, params.difficulty_b))
     for attempt in range(_MAX_MEMBERSHIP_ATTEMPTS):
@@ -89,27 +117,31 @@ def _generate_example(params: GeneratorParams, sub_seed: int) -> ScoredExample:
     k = params.sharpness
     a = np.where(positive, 1.0 + k * (1.0 - d), 1.5)
     b = np.where(positive, 1.0 + k * d, 1.0 + k * (1.0 - d))
-    scores = np.clip(beta_inverse_cdf(u, a, b), 0.0, 1.0)
-    return ScoredExample(scores, frozenset(np.flatnonzero(positive).tolist()))
+    return np.clip(beta_inverse_cdf(u, a, b), 0.0, 1.0), positive
 
 
 def generate_dataset(params: GeneratorParams, count: int, seed: int) -> Dataset:
     if count < 1:
         raise ValueError("count must be >= 1")
-    examples = [_generate_example(params, mix64(seed, i)) for i in range(count)]
-    return Dataset(examples, params.m, seed=seed, params=asdict(params))
+    scores = np.empty((count, params.m))
+    truth = np.empty((count, params.m), dtype=bool)
+    for i in range(count):
+        scores[i], truth[i] = _generate_example(params, mix64(seed, i))
+    return Dataset(scores, truth, seed=seed, params=asdict(params))
 
 
 def split_dataset(data: Dataset, split: SplitSpec, seed: int):
-    """Seeded uniform permutation assigning disjoint index ranges."""
+    """Seeded uniform permutation assigning disjoint index ranges; returns
+    the (opt, cal, test) rows as three Datasets."""
     n = len(data)
     if split.total > n:
         raise ValueError(f"split sizes total {split.total} exceed dataset size {n}")
     indices = list(range(n))
     shuffle(indices, seed)
+    order = np.array(indices)
     a, b, c = split.opt_size, split.opt_size + split.cal_size, split.total
-    pick = lambda idx: [data.examples[i] for i in idx]
-    return pick(indices[:a]), pick(indices[a:b]), pick(indices[b:c])
+    pick = lambda rows: Dataset(data.scores[rows], data.truth[rows])
+    return pick(order[:a]), pick(order[a:b]), pick(order[b:c])
 
 
 def _format_score(s: float) -> str:
@@ -126,9 +158,9 @@ def write_dataset(data: Dataset, fp) -> None:
         "params": data.params,
     }
     fp.write(json.dumps(header) + "\n")
-    for ex in data.examples:
-        scores = ",".join(_format_score(s) for s in ex.scores)
-        truth = ",".join(str(i) for i in sorted(ex.truth))
+    for row_scores, row_truth in zip(data.scores, data.truth):
+        scores = ",".join(_format_score(s) for s in row_scores)
+        truth = ",".join(str(i) for i in np.flatnonzero(row_truth))
         fp.write('{"scores":[%s],"truth":[%s]}\n' % (scores, truth))
 
 
@@ -143,9 +175,9 @@ def read_dataset(fp) -> Dataset:
     if header.get("format") != "oce-rcps-dataset" or header.get("version") != 1:
         raise DatasetParseError(1, "not an oce-rcps-dataset version 1 file")
     m = header.get("m")
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:  # bool is a subclass of int, but true is not a size
         raise DatasetParseError(1, "header m must be a positive integer")
-    examples = []
+    score_rows, truth_rows = [], []
     for line_no, line in enumerate(fp, start=2):
         if not line.strip():
             continue
@@ -167,11 +199,18 @@ def read_dataset(fp) -> Dataset:
             raise DatasetParseError(line_no, "truth index out of range")
         if len(set(truth)) != len(truth):
             raise DatasetParseError(line_no, "duplicate truth index")
-        examples.append(ScoredExample(arr, frozenset(truth)))
+        mask = np.zeros(m, dtype=bool)
+        mask[truth] = True
+        score_rows.append(arr)
+        truth_rows.append(mask)
+    n = len(score_rows)
     count = header.get("count")
-    if isinstance(count, int) and count != len(examples):
-        raise DatasetParseError(1, f"header count {count} != {len(examples)} rows")
-    return Dataset(examples, m, seed=header.get("seed"), params=header.get("params"))
+    if count is not None and (type(count) is not int or count != n):
+        raise DatasetParseError(1, f"header count {count} != {n} rows")
+    return Dataset(
+        np.array(score_rows).reshape(n, m), np.array(truth_rows, dtype=bool).reshape(n, m),
+        seed=header.get("seed"), params=header.get("params"),
+    )
 
 
 def write_dataset_path(data: Dataset, path) -> None:

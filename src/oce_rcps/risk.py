@@ -1,4 +1,4 @@
-"""Prediction sets, monotone losses, and the OCE risk family.
+"""Prediction-set losses over a dataset, and the OCE risk family.
 
 A prediction set at threshold parameter ``lam`` keeps every element whose
 score is at least ``1 - lam``. Losses (miscoverage, FNR) are nonincreasing
@@ -23,36 +23,6 @@ _EXP_LIMIT = 709.0
 
 class InvalidExampleError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ScoredExample:
-    """Per-element scores in [0, 1] plus the ground-truth positive set."""
-
-    scores: np.ndarray
-    truth: frozenset
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "truth", frozenset(self.truth))
-        if scores.ndim != 1 or scores.size < 1:
-            raise InvalidExampleError("scores must be a nonempty 1-d vector")
-        if not np.all((scores >= 0.0) & (scores <= 1.0)):  # NaN fails too
-            raise InvalidExampleError("scores must lie in [0, 1]")
-        m = scores.size
-        if any((i < 0 or i >= m) for i in self.truth):
-            raise InvalidExampleError("truth index out of range")
-
-    @property
-    def m(self) -> int:
-        return self.scores.size
-
-
-@dataclass(frozen=True)
-class PredictionSet:
-    members: frozenset
-    lam: float
 
 
 @dataclass(frozen=True)
@@ -123,23 +93,6 @@ class OceCost:
         return f"{self.variant}:{self.beta:g}"
 
 
-def build_prediction_set(example: ScoredExample, lam: float) -> PredictionSet:
-    """All element indices whose score is >= 1 - lam (closed threshold)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-    members = frozenset(np.flatnonzero(example.scores >= 1.0 - lam).tolist())
-    return PredictionSet(members, lam)
-
-
-def compute_loss(kind: LossKind, example: ScoredExample, pset: PredictionSet) -> float:
-    """Miscoverage: 1 if truth not fully contained. FNR: missed fraction."""
-    if kind.variant == "fnr":
-        if not example.truth:
-            raise InvalidExampleError("FNR loss needs a nonempty truth set")
-        return len(example.truth - pset.members) / len(example.truth)
-    return 0.0 if example.truth <= pset.members else 1.0
-
-
 def phi_eval(cost: OceCost, u: float) -> float:
     if cost.variant == "average":
         return u
@@ -204,9 +157,8 @@ def empirical_oce(losses: np.ndarray, cost: OceCost) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Fast loss evaluation over threshold grids (the per-example objects above are
-# the reference semantics; these paths are used by calibrators and the
-# harness and are tested for agreement).
+# Loss evaluation over threshold grids (the per-example reference these are
+# tested against lives in the test oracles).
 
 def losses_at(dataset, kind: LossKind, lams) -> np.ndarray:
     """Loss matrix of shape (len(dataset), len(lams)).
@@ -218,13 +170,13 @@ def losses_at(dataset, kind: LossKind, lams) -> np.ndarray:
     """
     thresholds = 1.0 - np.atleast_1d(np.asarray(lams, dtype=np.float64))
     n = len(dataset)
-    truth = [ex.scores[np.fromiter(ex.truth, np.intp, len(ex.truth))] for ex in dataset]
-    sizes = np.fromiter(map(len, truth), np.intp, n)
+    sizes = dataset.truth.sum(axis=1)
     if kind.variant == "fnr" and not sizes.all():
         raise InvalidExampleError("FNR loss needs a nonempty truth set")
-    scores = np.concatenate(truth) if truth else np.empty(0)
+    rows, cols = np.nonzero(dataset.truth)
+    scores = dataset.scores[rows, cols]
     order = np.argsort(scores)
-    rows = np.repeat(np.arange(n), sizes)[order]
+    rows = rows[order]
     columns = np.argsort(thresholds)
     stops = np.searchsorted(scores[order], thresholds[columns], side="left")
     # column-major, so each column written here (and read by the selectors) is contiguous
@@ -245,7 +197,5 @@ def losses_at(dataset, kind: LossKind, lams) -> np.ndarray:
 def relative_set_sizes(dataset, lam: float) -> np.ndarray:
     """|prediction set| / max(|truth|, 1) per example at a single threshold;
     an empty truth set counts as 1, so its relative size is the set size."""
-    thr = 1.0 - lam
-    return np.array(
-        [np.count_nonzero(ex.scores >= thr) / max(len(ex.truth), 1) for ex in dataset]
-    )
+    members = np.count_nonzero(dataset.scores >= 1.0 - lam, axis=1)
+    return members / np.maximum(dataset.truth.sum(axis=1), 1)

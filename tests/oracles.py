@@ -1,13 +1,75 @@
-"""Slow reference implementations that the library is checked against."""
+"""Slow reference implementations that the library is checked against.
+
+The per-example classes here (a scored example, its prediction set and
+its loss) are the reference semantics of the columnar losses in
+``oce_rcps.risk``."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from oce_rcps.calibrate import TraceEntry, optimize_t
 from oce_rcps.datagen import GeneratorParams
-from oce_rcps.risk import ScoredExample, bound_B, empirical_objective, phi_eval, transformed_losses
+from oce_rcps.risk import (
+    InvalidExampleError,
+    LossKind,
+    bound_B,
+    empirical_objective,
+    phi_eval,
+    transformed_losses,
+)
 from oce_rcps.rng import _GAMMA, _MASK64, _finalize, beta_inverse_cdf
+
+
+@dataclass(frozen=True)
+class ScoredExample:
+    """Per-element scores in [0, 1] plus the ground-truth positive set."""
+
+    scores: np.ndarray
+    truth: frozenset
+
+    def __post_init__(self):
+        scores = np.asarray(self.scores, dtype=np.float64)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "truth", frozenset(self.truth))
+        if scores.ndim != 1 or scores.size < 1:
+            raise InvalidExampleError("scores must be a nonempty 1-d vector")
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):  # NaN fails too
+            raise InvalidExampleError("scores must lie in [0, 1]")
+        if any((i < 0 or i >= scores.size) for i in self.truth):
+            raise InvalidExampleError("truth index out of range")
+
+
+@dataclass(frozen=True)
+class PredictionSet:
+    members: frozenset
+    lam: float
+
+
+def as_examples(data) -> list:
+    """The rows of a Dataset as ScoredExamples."""
+    return [
+        ScoredExample(s, frozenset(np.flatnonzero(t).tolist()))
+        for s, t in zip(data.scores, data.truth)
+    ]
+
+
+def build_prediction_set(example: ScoredExample, lam: float) -> PredictionSet:
+    """All element indices whose score is >= 1 - lam (closed threshold)."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lambda must lie in [0, 1]")
+    members = frozenset(np.flatnonzero(example.scores >= 1.0 - lam).tolist())
+    return PredictionSet(members, lam)
+
+
+def compute_loss(kind: LossKind, example: ScoredExample, pset: PredictionSet) -> float:
+    """Miscoverage: 1 if truth not fully contained. FNR: missed fraction."""
+    if kind.variant == "fnr":
+        if not example.truth:
+            raise InvalidExampleError("FNR loss needs a nonempty truth set")
+        return len(example.truth - pset.members) / len(example.truth)
+    return 0.0 if example.truth <= pset.members else 1.0
 
 
 def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-6) -> float:

@@ -14,17 +14,15 @@ import pytest
 
 from oce_rcps.bounds import _wsr_ucb, betting_fractions, capital_process, oce_risk_ucb
 from oce_rcps.calibrate import LambdaGrid, ReliabilitySpec, optimize_t, select_oce_rcps, select_rcps
-from oce_rcps.datagen import GeneratorParams, SplitSpec, generate_dataset, split_dataset
+from oce_rcps.datagen import Dataset, GeneratorParams, SplitSpec, generate_dataset, split_dataset
 from oce_rcps.harness import TrialConfig, records_to_csv, run_trials
 from oce_rcps.risk import (
     LossKind,
     OceCost,
-    ScoredExample,
-    build_prediction_set,
-    compute_loss,
     empirical_objective,
     empirical_oce,
     losses_at,
+    relative_set_sizes,
 )
 from oracles import golden_section_t
 
@@ -104,12 +102,12 @@ def test_criterion_1_closed_form_oracle_equivalence():
 
 
 def _random_fixture(rng, n, m=10):
-    out = []
-    for _ in range(n):
-        scores = rng.uniform(size=m)
-        truth = rng.choice(m, size=rng.integers(1, m + 1), replace=False)
-        out.append(ScoredExample(scores, frozenset(truth.tolist())))
-    return out
+    scores = np.empty((n, m))
+    truth = np.zeros((n, m), dtype=bool)
+    for i in range(n):
+        scores[i] = rng.uniform(size=m)
+        truth[i, rng.choice(m, size=rng.integers(1, m + 1), replace=False)] = True
+    return Dataset(scores, truth)
 
 
 def test_criterion_2_identity_reduction():
@@ -169,13 +167,13 @@ def test_criterion_4_monotonicity_suite():
     rng = np.random.default_rng(104)
 
     for _ in range(100):  # nesting and loss monotonicity
-        ex = _random_fixture(rng, 1)[0]
+        data = _random_fixture(rng, 1)
         l1, l2 = sorted(rng.uniform(size=2))
-        small = build_prediction_set(ex, l1)
-        big = build_prediction_set(ex, l2)
-        assert small.members <= big.members
+        assert not np.any((data.scores >= 1.0 - l1) & (data.scores < 1.0 - l2))
+        assert relative_set_sizes(data, l1)[0] <= relative_set_sizes(data, l2)[0]
         for kind in (FNR, LossKind("miscoverage")):
-            assert compute_loss(kind, ex, small) >= compute_loss(kind, ex, big)
+            small, big = losses_at(data, kind, [l1, l2])[0]
+            assert small >= big
 
     for _ in range(50):  # capital monotone in R
         z = rng.uniform(size=rng.integers(1, 120))

@@ -12,25 +12,27 @@ from oce_rcps.calibrate import (
     select_oce_rcps,
     select_rcps,
 )
-from oce_rcps.risk import LossKind, OceCost, ScoredExample, empirical_objective, losses_at
+from oce_rcps.datagen import Dataset
+from oce_rcps.risk import LossKind, OceCost, empirical_objective, losses_at
 from oracles import golden_section_minimize, golden_section_t, oce_rcps_scan
 
 FNR = LossKind("fnr")
 MISS = LossKind("miscoverage")
 
 
-def singleton(score):
-    """One-element example whose miscoverage loss is 1{lambda < 1 - score}."""
-    return ScoredExample(np.array([score]), frozenset({0}))
+def singletons(scores):
+    """One-element examples, each with miscoverage loss 1{lambda < 1 - score}."""
+    scores = np.asarray(scores, dtype=float).reshape(-1, 1)
+    return Dataset(scores, np.ones(scores.shape, dtype=bool))
 
 
 def random_dataset(rng, n, m=8):
-    out = []
-    for _ in range(n):
-        scores = rng.uniform(size=m)
-        truth = rng.choice(m, size=rng.integers(1, m + 1), replace=False)
-        out.append(ScoredExample(scores, frozenset(truth.tolist())))
-    return out
+    scores = np.empty((n, m))
+    truth = np.zeros((n, m), dtype=bool)
+    for i in range(n):
+        scores[i] = rng.uniform(size=m)
+        truth[i, rng.choice(m, size=rng.integers(1, m + 1), replace=False)] = True
+    return Dataset(scores, truth)
 
 
 # ---------------------------------------------------------------- optimize_t
@@ -78,7 +80,7 @@ def test_golden_section_minimizer_quadratic():
 # ---------------------------------------------------------------- OCE-CRC
 
 def test_crc_worked_instance():
-    cal = [singleton(0.6), singleton(0.8)]
+    cal = singletons([0.6, 0.8])
     out = select_oce_crc(
         cal, cal, ReliabilitySpec(0.35, 0.2), LambdaGrid(1000),
         OceCost.average(), MISS, fixed_t=0.0,
@@ -90,7 +92,7 @@ def test_crc_worked_instance():
 
 
 def test_crc_passes_at_zero_when_alpha_large():
-    cal = [singleton(1.0)] * 4  # zero loss even at lambda = 0
+    cal = singletons([1.0] * 4)  # zero loss even at lambda = 0
     out = select_oce_crc(
         cal, cal, ReliabilitySpec(0.5, 0.2), LambdaGrid(10),
         OceCost.average(), MISS, fixed_t=0.0,
@@ -99,7 +101,7 @@ def test_crc_passes_at_zero_when_alpha_large():
 
 
 def test_crc_infeasible_at_alpha_zero():
-    cal = [singleton(0.5)] * 3
+    cal = singletons([0.5] * 3)
     out = select_oce_crc(
         cal, cal, ReliabilitySpec(0.0, 0.2), LambdaGrid(10),
         OceCost.average(), MISS, fixed_t=0.0,
@@ -138,14 +140,14 @@ def test_rcps_alpha_one_selects_zero():
 
 def test_rcps_zero_losses_above_threshold():
     # all truth scores are 0.5, so FNR is 0 for every lambda >= 0.5
-    cal = [ScoredExample(np.full(4, 0.5), frozenset({0, 1, 2, 3}))] * 800
+    cal = Dataset(np.full((800, 4), 0.5), np.ones((800, 4), dtype=bool))
     out = select_rcps(cal, ReliabilitySpec(0.1, 0.2), LambdaGrid(10), FNR)
     assert out.feasible
     assert out.lambda_hat <= 0.5
 
 
 def test_rcps_single_example_infeasible():
-    cal = [singleton(0.7)]
+    cal = singletons([0.7])
     out = select_rcps(cal, ReliabilitySpec(0.5, 0.5), LambdaGrid(10), MISS)
     assert not out.feasible and out.lambda_hat == 1.0
 
@@ -167,7 +169,7 @@ def test_oce_rcps_average_reduces_to_rcps():
         spec = ReliabilitySpec(rng.uniform(0.1, 0.9), rng.uniform(0.05, 0.4))
         grid = LambdaGrid(20)
         a = select_oce_rcps(
-            cal, [], spec, grid, OceCost.average(), FNR, fixed_t=0.0
+            cal, None, spec, grid, OceCost.average(), FNR, fixed_t=0.0
         )
         b = select_rcps(cal, spec, grid, FNR)
         assert a.lambda_hat == b.lambda_hat
@@ -218,17 +220,17 @@ def test_delta_monotonicity():
 
 
 def staircase(rng, G):
-    """Singletons whose miscoverage at lambda = j/G counts the examples with
-    k >= j, two per k < G, plus as many zero-loss ones: the mean loss rises
-    at every step of the descending scan."""
+    """Singleton scores whose miscoverage at lambda = j/G counts the examples
+    with k >= j, two per k < G, plus as many zero-loss ones: the mean loss
+    rises at every step of the descending scan."""
     scores = [1.0 - (k + 0.5) / G for k in range(G) for _ in range(2)] + [1.0] * (2 * G)
-    return [singleton(s) for s in rng.permutation(scores)]
+    return rng.permutation(scores)
 
 
 @pytest.mark.parametrize("G", [1, 7, 31, 32, 33, 100])
 def test_block_scan_matches_column_oracle(G):
     rng = np.random.default_rng(53 + G)
-    cal, opt = staircase(rng, G), staircase(rng, G)[: G + 5]
+    cal, opt = singletons(staircase(rng, G)), singletons(staircase(rng, G)[: G + 5])
     lams = LambdaGrid(G).values
     cal_losses, opt_losses = losses_at(cal, MISS, lams), losses_at(opt, MISS, lams)
     # first column of each block in scan order, and the last one
@@ -260,10 +262,11 @@ def test_block_scan_matches_column_oracle(G):
 
 
 def test_empty_cal_rejected():
+    empty = singletons([])
     with pytest.raises(ValueError):
-        select_rcps([], ReliabilitySpec(0.5, 0.2), LambdaGrid(5), FNR)
+        select_rcps(empty, ReliabilitySpec(0.5, 0.2), LambdaGrid(5), FNR)
     with pytest.raises(ValueError):
-        select_oce_crc([], [], ReliabilitySpec(0.5, 0.2), LambdaGrid(5), OceCost.average(), FNR)
+        select_oce_crc(empty, empty, ReliabilitySpec(0.5, 0.2), LambdaGrid(5), OceCost.average(), FNR)
 
 
 @pytest.mark.parametrize("alpha", [-0.1, math.nan, math.inf])
@@ -278,3 +281,10 @@ def test_grid_values_include_endpoints():
     assert np.all(np.diff(grid.values) > 0)
     with pytest.raises(ValueError):
         LambdaGrid(0)
+
+
+def test_opt_split_required_unless_t_fixed():
+    cal = random_dataset(np.random.default_rng(59), 10)
+    for select in (select_oce_crc, select_oce_rcps):
+        with pytest.raises(ValueError, match="opt split required"):
+            select(cal, None, ReliabilitySpec(0.5, 0.2), LambdaGrid(5), OceCost.cvar(0.8), FNR)

@@ -184,6 +184,7 @@ def test_config_unknown_key_rejected(tmp_path):
     ("grid", 20.5),
     ("alpha", "abc"),
     ("alpha", True),
+    ("values", "0.2,abc"),  # each --values entry is parsed as the --vary flag's value
 ])
 def test_config_values_checked_like_flags(dataset_path, tmp_path, key, value):
     conf = {
@@ -195,6 +196,21 @@ def test_config_values_checked_like_flags(dataset_path, tmp_path, key, value):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(conf))
     assert run(["sweep", "--config", path, "--output-dir", tmp_path / "out"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--count", "0"],
+    ["generate", "--m", "0"],
+    ["generate", "--rho", "1.5"],
+    ["generate", "--difficulty-a", "nan"],
+    ["trials", *RUN, *POOL[2:], "--trials", "2", "--m", "0"],
+    ["trials", *RUN, *POOL[2:], "--trials", "2", "--pool-size", "0"],
+])
+def test_bad_generator_flags_are_usage_errors(tmp_path, argv):
+    defaults = {"generate": ["--count", "5", "--seed", "1", "--output", tmp_path / "d.jsonl"],
+                "trials": ["--seed", "1", "--output-dir", tmp_path / "out"]}[argv[0]]
+    assert run([argv[0], *defaults, *argv[1:]]) == 2  # the last value of a flag wins
+    assert not any(tmp_path.iterdir())
 
 
 def test_calibrate_config_method_checked(dataset_path, tmp_path):

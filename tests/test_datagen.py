@@ -18,7 +18,6 @@ from oce_rcps.datagen import (
     write_dataset,
 )
 from oce_rcps.rng import draws, mix64, shuffle, uniforms
-from oce_rcps.risk import ScoredExample
 from oracles import SplitMix64, generate_example
 
 # below 0 and at or above 2^63 included: seeds are taken mod 2^64
@@ -47,25 +46,18 @@ def test_generation_seed_sensitive():
 
 def test_truth_sizes_and_score_range():
     data = generate_dataset(GeneratorParams(), 1000, seed=99)
-    sizes = [len(ex.truth) for ex in data.examples]
-    assert min(sizes) >= 1
+    sizes = data.truth.sum(axis=1)
+    assert sizes.min() >= 1
     # binomial mean 30 with sigma ~ sqrt(0.3*0.7*100*1000)/1000 ~ 0.145
     assert 29.0 <= float(np.mean(sizes)) <= 31.0
-    for ex in data.examples[:50]:
-        assert np.all(ex.scores >= 0.0) and np.all(ex.scores <= 1.0)
+    assert np.all(data.scores >= 0.0) and np.all(data.scores <= 1.0)
 
 
 def test_easy_examples_separate_scores():
     # difficulty concentrated near 0: positives should outscore negatives
     params = GeneratorParams(difficulty_a=0.2, difficulty_b=50.0)
     data = generate_dataset(params, 200, seed=5)
-    pos, neg = [], []
-    for ex in data.examples:
-        mask = np.zeros(ex.m, dtype=bool)
-        mask[list(ex.truth)] = True
-        pos.extend(ex.scores[mask])
-        neg.extend(ex.scores[~mask])
-    assert np.mean(pos) > np.mean(neg)
+    assert np.mean(data.scores[data.truth]) > np.mean(data.scores[~data.truth])
 
 
 def test_invalid_params_rejected():
@@ -75,17 +67,28 @@ def test_invalid_params_rejected():
         GeneratorParams(rho=0.0)
     with pytest.raises(ValueError):
         GeneratorParams(sharpness=-1)
+    for shape in (math.nan, math.inf):  # NaN or infinite shapes give NaN scores
+        with pytest.raises(ValueError):
+            GeneratorParams(difficulty_a=shape)
     with pytest.raises(ValueError):
         generate_dataset(GeneratorParams(), 0, seed=1)
 
 
 # ---------------------------------------------------------------- splitting
 
+def pool_rows(data: Dataset, part: Dataset) -> list:
+    """The pool index of each row of a split part (generated rows are distinct)."""
+    index = {row.tobytes(): i for i, row in enumerate(data.scores)}
+    rows = [index[row.tobytes()] for row in part.scores]
+    assert np.array_equal(part.truth, data.truth[rows])
+    return rows
+
+
 def test_split_disjoint_exact_cardinalities():
     data = generate_dataset(GeneratorParams(m=5), 1781, seed=3)
     opt, cal, test = split_dataset(data, SplitSpec(200, 800, 781), seed=7)
     assert (len(opt), len(cal), len(test)) == (200, 800, 781)
-    ids = [id(e) for e in opt + cal + test]
+    ids = [i for part in (opt, cal, test) for i in pool_rows(data, part)]
     assert len(set(ids)) == len(ids) == 1781
 
 
@@ -94,7 +97,15 @@ def test_split_seed_changes_partition():
     a = split_dataset(data, SplitSpec(10, 30, 20), seed=1)
     b = split_dataset(data, SplitSpec(10, 30, 20), seed=2)
     assert [len(x) for x in a] == [len(x) for x in b]
-    assert [id(e) for e in a[1]] != [id(e) for e in b[1]]
+    assert pool_rows(data, a[1]) != pool_rows(data, b[1])
+
+
+def test_split_keeps_the_shuffle_permutation():
+    data = generate_dataset(GeneratorParams(m=5), 60, seed=3)
+    order = list(range(60))
+    shuffle(order, 9)
+    parts = split_dataset(data, SplitSpec(10, 30, 20), seed=9)
+    assert [i for part in parts for i in pool_rows(data, part)] == order
 
 
 def test_split_degenerate_all_cal():
@@ -113,7 +124,8 @@ def test_split_deterministic():
     data = generate_dataset(GeneratorParams(m=5), 60, seed=3)
     a = split_dataset(data, SplitSpec(10, 30, 20), seed=9)
     b = split_dataset(data, SplitSpec(10, 30, 20), seed=9)
-    assert all([id(x) for x in pa] == [id(y) for y in pb] for pa, pb in zip(a, b))
+    for pa, pb in zip(a, b):
+        assert np.array_equal(pa.scores, pb.scores) and np.array_equal(pa.truth, pb.truth)
 
 
 # ---------------------------------------------------------------- JSONL io
@@ -124,7 +136,7 @@ def test_roundtrip_equality():
     back = read_dataset(io.StringIO(text))
     assert serialize(back) == text
     assert back.m == data.m and len(back) == len(data)
-    assert all(a.truth == b.truth for a, b in zip(data.examples, back.examples))
+    assert np.array_equal(back.truth, data.truth)
 
 
 def test_read_rejects_bad_score():
@@ -145,6 +157,17 @@ def test_read_rejects_bool_or_duplicate_truth(truth):
         '{"scores":[0.2,0.5,0.9],"truth":%s}\n' % truth
     )
     with pytest.raises(DatasetParseError, match="line 2"):
+        read_dataset(io.StringIO(text))
+
+
+@pytest.mark.parametrize("field", ['"m":true,"count":1', '"m":1,"count":true'])
+def test_read_rejects_bool_header_fields(field):
+    # bool is a subclass of int: true once read as m = 1 or count = 1
+    text = (
+        '{"format":"oce-rcps-dataset","version":1,%s,"seed":null,"params":null}\n'
+        '{"scores":[0.5],"truth":[0]}\n' % field
+    )
+    with pytest.raises(DatasetParseError, match="line 1"):
         read_dataset(io.StringIO(text))
 
 
@@ -262,7 +285,7 @@ def test_generation_matches_sequential_stream(seed, m, rho, count):
     # m = 1 with a small rho resamples the membership draws almost every time
     params = GeneratorParams(m=m, rho=rho)
     data = generate_dataset(params, count, seed)
-    for i, ex in enumerate(data.examples):
+    for i, (scores, truth) in enumerate(zip(data.scores, data.truth)):
         ref = generate_example(params, mix64(seed, i))
-        assert ex.truth == ref.truth
-        assert ex.scores.tobytes() == ref.scores.tobytes()
+        assert frozenset(np.flatnonzero(truth).tolist()) == ref.truth
+        assert scores.tobytes() == ref.scores.tobytes()

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oce_rcps.datagen import Dataset
 from oce_rcps.risk import (
     LOSS_MAX,
     InvalidExampleError,
     LossKind,
     OceCost,
-    ScoredExample,
     bound_B,
-    build_prediction_set,
-    compute_loss,
     empirical_objective,
     empirical_oce,
     losses_at,
@@ -21,6 +19,7 @@ from oce_rcps.risk import (
     relative_set_sizes,
     transformed_losses,
 )
+from oracles import ScoredExample, as_examples, build_prediction_set, compute_loss
 
 FNR = LossKind("fnr")
 MISS = LossKind("miscoverage")
@@ -28,6 +27,15 @@ MISS = LossKind("miscoverage")
 
 def example(scores, truth):
     return ScoredExample(np.asarray(scores, dtype=float), frozenset(truth))
+
+
+def dataset(scores, truths, m=None):
+    """Dataset from n score rows of one width m and n truth index sets."""
+    scores = np.asarray(scores, dtype=float).reshape(len(truths), -1 if truths else m)
+    mask = np.zeros(scores.shape, dtype=bool)
+    for row, truth in zip(mask, truths):
+        row[list(truth)] = True
+    return Dataset(scores, mask)
 
 
 # ---------------------------------------------------------------- sets
@@ -45,34 +53,32 @@ def test_build_prediction_set_closed_threshold():
     assert build_prediction_set(ex, 0.0).members == {0}
 
 
-scores_strategy = st.lists(
-    st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=20
-)
-
-
 @st.composite
-def examples_strategy(draw, nonempty_truth=False):
-    scores = draw(scores_strategy)
-    m = len(scores)
-    min_truth = 1 if nonempty_truth else 0
-    truth = draw(st.sets(st.integers(0, m - 1), min_size=min_truth, max_size=m))
-    return example(scores, truth)
+def datasets_strategy(draw, nonempty_truth=False):
+    """1 to 5 rows over one m per case: an (n, m) array holds no ragged rows."""
+    m = draw(st.integers(1, 20))
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=m, max_size=m)
+    truth = st.sets(st.integers(0, m - 1), min_size=1 if nonempty_truth else 0, max_size=m)
+    return dataset(draw(st.lists(row, min_size=n, max_size=n)),
+                   draw(st.lists(truth, min_size=n, max_size=n)))
 
 
-@given(examples_strategy(), st.floats(0, 1), st.floats(0, 1))
-def test_nesting(ex, l1, l2):
+@given(datasets_strategy(), st.floats(0, 1), st.floats(0, 1))
+def test_nesting(data, l1, l2):
     lo, hi = min(l1, l2), max(l1, l2)
-    assert build_prediction_set(ex, lo).members <= build_prediction_set(ex, hi).members
+    for ex in as_examples(data):
+        assert build_prediction_set(ex, lo).members <= build_prediction_set(ex, hi).members
+    assert np.all(relative_set_sizes(data, lo) <= relative_set_sizes(data, hi))
 
 
-@given(examples_strategy(nonempty_truth=True), st.floats(0, 1), st.floats(0, 1))
-def test_loss_monotone_in_lambda(ex, l1, l2):
+@given(datasets_strategy(nonempty_truth=True), st.floats(0, 1), st.floats(0, 1))
+def test_loss_monotone_in_lambda(data, l1, l2):
     lo, hi = min(l1, l2), max(l1, l2)
     for kind in (FNR, MISS):
-        loss_lo = compute_loss(kind, ex, build_prediction_set(ex, lo))
-        loss_hi = compute_loss(kind, ex, build_prediction_set(ex, hi))
-        assert loss_lo >= loss_hi
-        assert 0.0 <= loss_hi <= loss_lo <= LOSS_MAX
+        loss_lo, loss_hi = losses_at(data, kind, [lo, hi]).T
+        assert np.all(loss_lo >= loss_hi)
+        assert np.all((0.0 <= loss_hi) & (loss_lo <= LOSS_MAX))
 
 
 # ---------------------------------------------------------------- losses
@@ -112,57 +118,59 @@ def reference_rel_sizes(exs, lam):
 def test_fast_losses_match_reference():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        m = rng.integers(1, 30)
-        scores = rng.uniform(size=m)
-        truth = set(rng.choice(m, size=rng.integers(1, m + 1), replace=False).tolist())
-        ex = example(scores, truth)
+        m, n = rng.integers(1, 30), rng.integers(1, 6)
+        scores = rng.uniform(size=(n, m))
+        truths = [rng.choice(m, size=rng.integers(1, m + 1), replace=False) for _ in range(n)]
+        data = dataset(scores, truths)
+        exs = as_examples(data)
         lams = rng.uniform(size=7)
         for kind in (FNR, MISS):
-            assert np.array_equal(losses_at([ex], kind, lams), reference_losses(kind, [ex], lams))
+            assert np.array_equal(losses_at(data, kind, lams), reference_losses(kind, exs, lams))
         for l in lams:
-            assert relative_set_sizes([ex], l).tolist() == reference_rel_sizes([ex], l)
+            assert relative_set_sizes(data, l).tolist() == reference_rel_sizes(exs, l)
 
 
 @st.composite
 def grid_cases(draw):
-    """Examples of mixed m whose scores sit on the thresholds 1 - k/G (or
-    at 0 and 1), with a shuffled grid that repeats some lambdas."""
+    """Up to 6 examples over one m whose scores sit on the thresholds
+    1 - k/G (or at 0 and 1), with a shuffled grid that repeats some lambdas."""
     G = draw(st.integers(1, 12))
     grid = [k / G for k in range(G + 1)]
     levels = st.sampled_from(sorted({1.0 - lam for lam in grid} | {0.0, 1.0}))
-    exs = []
-    for _ in range(draw(st.integers(0, 6))):
-        scores = draw(st.lists(levels, min_size=1, max_size=8))
-        truth = draw(st.sets(st.integers(0, len(scores) - 1), max_size=len(scores)))
-        exs.append(example(scores, truth))
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 6))
+    scores = draw(st.lists(st.lists(levels, min_size=m, max_size=m), min_size=n, max_size=n))
+    truths = draw(st.lists(st.sets(st.integers(0, m - 1), max_size=m), min_size=n, max_size=n))
     lams = draw(st.permutations(grid + draw(st.lists(st.sampled_from(grid), max_size=4))))
-    return exs, lams
+    return dataset(scores, truths, m), lams
 
 
 @settings(deadline=None)
 @given(grid_cases())
 def test_fast_path_matches_reference_on_grid(case):
-    exs, lams = case
+    data, lams = case
+    exs = as_examples(data)
     for kind in (FNR, MISS):
         if kind == FNR and not all(ex.truth for ex in exs):
             with pytest.raises(InvalidExampleError):
-                losses_at(exs, kind, lams)
+                losses_at(data, kind, lams)
             continue
-        assert np.array_equal(losses_at(exs, kind, lams), reference_losses(kind, exs, lams))
+        assert np.array_equal(losses_at(data, kind, lams), reference_losses(kind, exs, lams))
     for l in lams:
-        assert relative_set_sizes(exs, l).tolist() == reference_rel_sizes(exs, l)
+        assert relative_set_sizes(data, l).tolist() == reference_rel_sizes(exs, l)
 
 
 def test_fast_path_empty_dataset():
+    empty = dataset([], [], m=3)
     for kind in (FNR, MISS):
-        assert losses_at([], kind, [0.2, 0.7]).shape == (0, 2)
-    assert relative_set_sizes([], 0.5).shape == (0,)
+        assert losses_at(empty, kind, [0.2, 0.7]).shape == (0, 2)
+    assert relative_set_sizes(empty, 0.5).shape == (0,)
 
 
 def test_relative_size_of_empty_truth_is_set_size():
-    exs = [example([0.9, 0.6, 0.1], set()), example([0.9, 0.6, 0.1], {0, 1})]
-    assert relative_set_sizes(exs, 0.5).tolist() == [2.0, 1.0]
-    assert losses_at(exs, MISS, [0.0, 0.5]).tolist() == [[0.0, 0.0], [1.0, 0.0]]
+    data = dataset([[0.9, 0.6, 0.1], [0.9, 0.6, 0.1]], [set(), {0, 1}])
+    assert relative_set_sizes(data, 0.5).tolist() == [2.0, 1.0]
+    assert losses_at(data, MISS, [0.0, 0.5]).tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
 
 # ---------------------------------------------------------------- phi
@@ -305,11 +313,18 @@ def test_objective_convex_in_t(cost):
 
 
 def test_invalid_examples_rejected():
-    with pytest.raises(InvalidExampleError):
-        example([1.2], {0})
-    with pytest.raises(InvalidExampleError):  # NaN compares false both ways
-        example([0.2, math.nan, 0.9], {1, 2})
-    with pytest.raises(InvalidExampleError):
-        example([0.5], {3})
-    with pytest.raises(InvalidExampleError):
-        example([], set())
+    ok = np.array([[0.2, 0.5], [0.9, 0.1]])
+    mask = np.array([[True, False], [False, True]])
+    Dataset(ok, mask)
+    for scores, truth in (
+        ([[0.2, 0.5], [0.9]], mask),  # ragged rows
+        (ok, mask[:, :1]),  # shapes differ
+        (ok[0], mask[0]),  # 1-d
+        (np.empty((2, 0)), np.empty((2, 0), dtype=bool)),  # m = 0
+        (ok, mask.astype(int)),  # truth not a bool mask
+        ([[0.2, math.nan]], [[True, False]]),  # NaN compares false both ways
+        ([[0.2, 1.2]], [[True, False]]),
+        ([[-0.1, 0.5]], [[True, False]]),
+    ):
+        with pytest.raises(ValueError):
+            Dataset(scores, truth)
