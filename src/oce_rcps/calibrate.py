@@ -3,9 +3,10 @@
 OCE-CRC picks the smallest grid threshold where
 (n/(n+1)) * empirical objective + B/(n+1) <= alpha, with the objective's
 t parameter optimized on a held-out split so it stays independent of the
-calibration data. RCPS-style rules instead demand that an upper confidence
-bound stays below alpha at the threshold and every larger one; the grid is
-scanned descending from 1 with early stop at the first failure.
+calibration data: it scans upward to the first pass. RCPS-style rules
+demand that an upper confidence bound stays below alpha at the threshold
+and every larger one: they scan downward from 1 to the first failure. One
+block scan serves both, one statistic call per block of grid columns.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from .bounds import oce_risk_ucb
 from .datagen import Dataset
 from .risk import LossKind, OceCost, bound_B, empirical_objective, empirical_oce, losses_at
 
-# grid columns bounded per oce_risk_ucb call in the descending scan
+# grid columns tested per statistic call, and the trace record of each
 _BLOCK = 32
+_TRACE = np.dtype([("lam", "f8"), ("bound", "f8"), ("passed", "?"), ("t", "f8")])
 
 
 @dataclass(frozen=True)
@@ -54,27 +56,20 @@ class LambdaGrid:
         return np.arange(self.resolution + 1) / self.resolution
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    lam: float
-    bound: float
-    passed: bool
-
-
 @dataclass
 class CalibrationOutcome:
+    """The selected threshold and the trace behind it: one record per tested
+    grid column, in scan order, with fields lam, bound, passed and t."""
+
     lambda_hat: float
-    t_by_lambda: dict
     feasible: bool
-    trace: list
+    trace: np.ndarray
 
 
 def optimize_t(opt_losses: np.ndarray, cost: OceCost) -> float:
-    """Minimizer of t + mean phi(loss - t) over the held-out losses.
-
-    Closed forms: average -> 0; entropic -> log-mean-exp; cvar -> the
-    ceil(beta*n)-th order statistic (lowest minimizer).
-    """
+    """Minimizer of t + mean phi(loss - t) over the held-out losses, in closed
+    form: average -> 0; entropic -> log-mean-exp; cvar -> the ceil(beta*n)-th
+    order statistic (lowest minimizer)."""
     opt_losses = np.asarray(opt_losses, dtype=np.float64)
     if opt_losses.size == 0:
         raise ValueError("opt losses must be nonempty")
@@ -83,12 +78,48 @@ def optimize_t(opt_losses: np.ndarray, cost: OceCost) -> float:
     return empirical_oce(opt_losses, cost)[1]
 
 
-def _t_for_column(opt_col, cost: OceCost, fixed_t: float | None) -> float:
-    if fixed_t is not None:
-        return fixed_t
-    if opt_col is None:
+def _scan(cal, opt, alpha, grid, cost, loss, fixed_t, statistic, upward) -> CalibrationOutcome:
+    """Test grid columns in blocks, upward to the first pass or downward to
+    the first failure; `statistic(block, ts)` maps an (n, k) block of
+    calibration losses and its k values of t to the k statistics."""
+    if len(cal) == 0:
+        raise ValueError("calibration set must be nonempty")
+    lams = grid.values
+    cal_losses = losses_at(cal, loss, lams)
+    if fixed_t is None and opt is None:
         raise ValueError("opt split required unless t is fixed")
-    return optimize_t(opt_col, cost)
+    opt_losses = None if fixed_t is not None else losses_at(opt, loss, lams)
+    tested = []
+
+    def test(lo, hi):
+        """Test columns lo..hi-1; True when the scan stops among them."""
+        block = np.empty(hi - lo, _TRACE)
+        block["lam"] = lams[lo:hi]
+        block["t"] = fixed_t if opt_losses is None else [
+            optimize_t(opt_losses[:, j], cost) for j in range(lo, hi)
+        ]
+        block["bound"] = statistic(cal_losses[:, lo:hi], block["t"])
+        block["passed"] = block["bound"] <= alpha
+        block = block if upward else block[::-1]
+        stops = np.flatnonzero(block["passed"] == upward)
+        tested.append(block[: stops[0] + 1] if stops.size else block)
+        return stops.size > 0
+
+    m = lams.size
+    for start in range(0, m, _BLOCK) if upward else range(m - _BLOCK, -_BLOCK, -_BLOCK):
+        lo, hi = max(start, 0), min(start + _BLOCK, m)
+        try:
+            stopped = test(lo, hi)
+        except OverflowError:
+            # an entropic column out of exp range fails the scan only once
+            # the scan reaches it, so retest the block column by column
+            cols = range(lo, hi) if upward else range(hi - 1, lo - 1, -1)
+            stopped = any(test(j, j + 1) for j in cols)
+        if stopped:
+            break
+    trace = np.concatenate(tested)
+    passing = trace["lam"][trace["passed"]]
+    return CalibrationOutcome(float(passing.min(initial=1.0)), passing.size > 0, trace)
 
 
 def select_oce_crc(
@@ -101,24 +132,16 @@ def select_oce_crc(
     fixed_t: float | None = None,
 ) -> CalibrationOutcome:
     """Smallest grid threshold passing the conformal average-risk test
-    (n/(n+1)) R_hat + B/(n+1) <= alpha. Ignores spec.delta."""
-    if len(cal) == 0:
-        raise ValueError("calibration set must be nonempty")
-    lams = grid.values
-    cal_losses = losses_at(cal, loss, lams)
-    opt_losses = None if fixed_t is not None or opt is None else losses_at(opt, loss, lams)
+    (n/(n+1)) R_hat + B/(n+1) <= alpha: upward scan, stop at the first
+    pass. Ignores spec.delta."""
     n = len(cal)
-    trace, t_by_lambda = [], {}
-    for j, lam in enumerate(lams):
-        t = _t_for_column(None if opt_losses is None else opt_losses[:, j], cost, fixed_t)
-        risk = empirical_objective(cal_losses[:, j], cost, t)
-        value = (n / (n + 1.0)) * risk + bound_B(cost, t) / (n + 1.0)
-        passed = value <= spec.alpha
-        t_by_lambda[float(lam)] = t
-        trace.append(TraceEntry(float(lam), float(value), passed))
-        if passed:
-            return CalibrationOutcome(float(lam), t_by_lambda, True, trace)
-    return CalibrationOutcome(1.0, t_by_lambda, False, trace)
+
+    def objective(block, ts):
+        risk = empirical_objective(block, cost, ts)
+        B = np.array([bound_B(cost, t) for t in ts.tolist()])
+        return (n / (n + 1.0)) * risk + B / (n + 1.0)
+
+    return _scan(cal, opt, spec.alpha, grid, cost, loss, fixed_t, objective, upward=True)
 
 
 def select_oce_rcps(
@@ -132,39 +155,10 @@ def select_oce_rcps(
     bound_method: str = "wsr",
 ) -> CalibrationOutcome:
     """Smallest grid threshold such that the OCE-risk UCB stays <= alpha
-    there and at every larger grid threshold (descending scan, early stop)."""
-    if len(cal) == 0:
-        raise ValueError("calibration set must be nonempty")
-    lams = grid.values
-    cal_losses = losses_at(cal, loss, lams)
-    opt_losses = None if fixed_t is not None or opt is None else losses_at(opt, loss, lams)
-    trace, t_by_lambda = [], {}
-    last_passing = None
-    # bound a block of columns at once, then walk it downward to the first failure
-    for stop in range(lams.size, 0, -_BLOCK):
-        start = max(stop - _BLOCK, 0)
-        ts = [
-            _t_for_column(None if opt_losses is None else opt_losses[:, j], cost, fixed_t)
-            for j in range(start, stop)
-        ]
-        ucbs = oce_risk_ucb(
-            cal_losses[:, start:stop], cost, np.array(ts), spec.delta, method=bound_method
-        )
-        for j in range(stop - 1, start - 1, -1):
-            lam = float(lams[j])
-            ucb = float(ucbs[j - start])
-            passed = ucb <= spec.alpha
-            t_by_lambda[lam] = ts[j - start]
-            trace.append(TraceEntry(lam, ucb, passed))
-            if not passed:
-                break
-            last_passing = lam
-        if not passed:
-            break
-    trace.reverse()
-    if last_passing is None:
-        return CalibrationOutcome(1.0, t_by_lambda, False, trace)
-    return CalibrationOutcome(last_passing, t_by_lambda, True, trace)
+    there and at every larger grid threshold: downward scan, stop at the
+    first failure."""
+    ucb = lambda block, ts: oce_risk_ucb(block, cost, ts, spec.delta, method=bound_method)
+    return _scan(cal, opt, spec.alpha, grid, cost, loss, fixed_t, ucb, upward=False)
 
 
 def select_rcps(

@@ -200,7 +200,7 @@ def _cmd_calibrate(args):
     payload = {
         "lambda_hat": outcome.lambda_hat,
         "feasible": outcome.feasible,
-        "t_by_lambda": {repr(k): v for k, v in outcome.t_by_lambda.items()},
+        "t_by_lambda": {repr(lam): t for lam, _, _, t in outcome.trace.tolist()},
         "method": config.method,
         "risk": config.cost.spelled(),
         "loss": config.loss.variant,
@@ -212,8 +212,8 @@ def _cmd_calibrate(args):
     (outdir / "calibration.json").write_text(json.dumps(payload, indent=2) + "\n")
     with open(outdir / "trace.csv", "w") as fp:
         fp.write("lambda,bound,passed\n")
-        for e in outcome.trace:
-            fp.write(f"{e.lam!r},{e.bound!r},{'true' if e.passed else 'false'}\n")
+        for lam, bound, passed, _ in np.sort(outcome.trace, order="lam").tolist():
+            fp.write(f"{lam!r},{bound!r},{'true' if passed else 'false'}\n")
     if not outcome.feasible:
         log.info("infeasible at alpha=%g; lambda_hat pinned to 1", args.alpha)
         if args.strict:
@@ -273,14 +273,13 @@ def _trial_config(args, test_size: int) -> TrialConfig:
         cost = OceCost.parse(args.risk)
         loss = LossKind(args.loss)
         grid = LambdaGrid(args.grid)
+        split = SplitSpec(args.opt_size, args.cal_size, test_size)
     except ValueError as e:
         raise UsageError(str(e))
-    fixed_t = _parse_t_mode(args.t_mode)
     config = TrialConfig(
         method=args.method, cost=cost, loss=loss,
-        alpha=args.alpha, delta=args.delta, grid=grid,
-        split=SplitSpec(args.opt_size, args.cal_size, test_size),
-        bound_method=args.bound, fixed_t=fixed_t,
+        alpha=args.alpha, delta=args.delta, grid=grid, split=split,
+        bound_method=args.bound, fixed_t=_parse_t_mode(args.t_mode),
     )
     config.spec()  # a bad alpha or delta is a data error before any pool is read
     return config
@@ -334,6 +333,9 @@ def _cmd_sweep(args):
     values = [_config_value(action, v) for v in str(args.values).split(",") if v.strip()]
     if not values:
         raise UsageError("--values must list at least one number")
+    subdirs = [f"{args.vary}_{value:g}" for value in values]
+    if len(set(subdirs)) < len(subdirs):
+        raise UsageError("--values entries must differ in their first six significant digits")
     configs = []
     for value in values:  # validate every grid point before the long run
         setattr(args, args.vary, value)
@@ -342,10 +344,9 @@ def _cmd_sweep(args):
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value, config in zip(values, configs):
+    for value, config, subdir in zip(values, configs, subdirs):
         records, summary = run_trials(pool, config, args.trials, args.seed, jobs=args.jobs)
-        sub = outdir / f"{args.vary}_{value:g}"
-        _emit_trials(sub, records, summary, args.no_timestamp)
+        _emit_trials(outdir / subdir, records, summary, args.no_timestamp)
         rows.append((value, summary))
     with open(outdir / "sweep_summary.csv", "w") as fp:
         fp.write(f"{args.vary},satisfaction_rate,mean_test_oce_risk,"

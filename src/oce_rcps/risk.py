@@ -41,7 +41,7 @@ class OceCost:
     """Cost function phi of the OCE family, with its parameter beta.
 
     variant "average":  phi(u) = u
-    variant "entropic": phi(u) = (exp(beta*u) - 1)/beta,  beta > 0
+    variant "entropic": phi(u) = (exp(beta*u) - 1)/beta,  finite beta > 0
     variant "cvar":     phi(u) = max(u, 0)/(1 - beta),    beta in [0, 1)
     """
 
@@ -53,8 +53,8 @@ class OceCost:
             if self.beta is not None:
                 raise ValueError("average cost takes no beta")
         elif self.variant == "entropic":
-            if self.beta is None or not self.beta > 0:
-                raise ValueError("entropic cost requires beta > 0")
+            if self.beta is None or not 0.0 < self.beta < math.inf:  # NaN fails too
+                raise ValueError("entropic cost requires a finite beta > 0")
         elif self.variant == "cvar":
             if self.beta is None or not (0.0 <= self.beta < 1.0):
                 raise ValueError("cvar cost requires beta in [0, 1)")
@@ -124,12 +124,16 @@ def bound_B(cost: OceCost, t: float) -> float:
     return t + phi_eval(cost, LOSS_MAX - t)
 
 
-def empirical_objective(losses: np.ndarray, cost: OceCost, t: float) -> float:
-    """t + mean phi(loss_i - t); convex in t."""
+def empirical_objective(losses: np.ndarray, cost: OceCost, t) -> float | np.ndarray:
+    """t + mean phi(loss_i - t), convex in t: a float for an (n,) vector and
+    a scalar t, k values for an (n, k) block with one t per column. Block
+    means run along contiguous rows, bit-equal to each column's own mean."""
     losses = np.asarray(losses, dtype=np.float64)
     if losses.size == 0:
         raise ValueError("losses must be nonempty")
-    return float(np.mean(transformed_losses(cost, t, losses)))
+    if losses.ndim == 1:
+        return float(np.mean(transformed_losses(cost, t, losses)))
+    return transformed_losses(cost, np.asarray(t)[:, None], np.ascontiguousarray(losses.T)).mean(axis=1)
 
 
 def empirical_oce(losses: np.ndarray, cost: OceCost) -> tuple[float, float]:

@@ -6,10 +6,11 @@ its loss) are the reference semantics of the columnar losses in
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from oce_rcps.calibrate import TraceEntry, optimize_t
+from oce_rcps.calibrate import optimize_t
 from oce_rcps.datagen import GeneratorParams
 from oce_rcps.risk import (
     InvalidExampleError,
@@ -202,22 +203,45 @@ def oce_risk_ucb(losses, cost, t: float, delta: float, method: str = "wsr") -> f
     return lo + (hi - lo) * ucb(z, delta)
 
 
+class Tested(NamedTuple):
+    """One tested grid column of a scan, as the fields of a selector's trace."""
+
+    lam: float
+    bound: float
+    passed: bool
+    t: float
+
+
+def oce_crc_scan(cal_losses, opt_losses, alpha, lams, cost, fixed_t=None):
+    """Ascending OCE-CRC scan, one column at a time, stopping at the first
+    pass; returns (lambda_hat, feasible, trace in scan order)."""
+    n = cal_losses.shape[0]
+    trace = []
+    for j, lam in enumerate(lams):
+        t = optimize_t(opt_losses[:, j], cost) if fixed_t is None else fixed_t
+        risk = empirical_objective(cal_losses[:, j], cost, t)
+        value = (n / (n + 1.0)) * risk + bound_B(cost, t) / (n + 1.0)
+        passed = value <= alpha
+        trace.append(Tested(float(lam), float(value), passed, t))
+        if passed:
+            return float(lam), True, trace
+    return 1.0, False, trace
+
+
 def oce_rcps_scan(cal_losses, opt_losses, alpha, delta, lams, cost, fixed_t=None, method="wsr"):
     """Descending OCE-RCPS scan, one column at a time, stopping at the first
-    failure; returns (lambda_hat, t_by_lambda, feasible, trace)."""
-    trace, t_by_lambda = [], {}
+    failure; returns (lambda_hat, feasible, trace in scan order)."""
+    trace = []
     last_passing = None
     for j in range(len(lams) - 1, -1, -1):
         lam = float(lams[j])
         t = optimize_t(opt_losses[:, j], cost) if fixed_t is None else fixed_t
         ucb = oce_risk_ucb(cal_losses[:, j], cost, t, delta, method)
-        t_by_lambda[lam] = t
         passed = ucb <= alpha
-        trace.append(TraceEntry(lam, float(ucb), passed))
+        trace.append(Tested(lam, float(ucb), passed, t))
         if not passed:
             break
         last_passing = lam
-    trace.reverse()
     if last_passing is None:
-        return 1.0, t_by_lambda, False, trace
-    return last_passing, t_by_lambda, True, trace
+        return 1.0, False, trace
+    return last_passing, True, trace

@@ -131,8 +131,7 @@ def test_criterion_2_identity_reduction():
         identical &= (
             a.lambda_hat == b.lambda_hat
             and a.feasible == b.feasible
-            and [(e.lam, e.bound, e.passed) for e in a.trace]
-            == [(e.lam, e.bound, e.passed) for e in b.trace]
+            and np.array_equal(a.trace, b.trace)
         )
     elapsed = time.monotonic() - start
     report(

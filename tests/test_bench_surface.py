@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oce_rcps import harness
+from oce_rcps import calibrate, harness
 from oce_rcps.datagen import GeneratorParams, SplitSpec, generate_dataset, split_dataset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -32,9 +32,9 @@ def _load(name, mp):
 def bench():
     with pytest.MonkeyPatch.context() as mp:
         checks = _load("checks", mp)
-        _load("clock", mp)  # workloads imports these two by name as well
-        _load("spans", mp)
-        yield checks, _load("workloads", mp)
+        _load("clock", mp)  # workloads imports clock and spans by name as well
+        spans = _load("spans", mp)
+        yield checks, _load("workloads", mp), spans
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +50,14 @@ def _configs(workloads):
 
 
 def test_pool_arrays_match_dataset(bench, pool):
-    checks, _ = bench
+    checks, _, _ = bench
     scores, truth = checks.pool_arrays(pool.examples, pool.m)
     assert np.array_equal(scores, pool.scores)
     assert np.array_equal(truth, pool.truth)
 
 
 def test_calibrate_once_matches_harness_select(bench, pool):
-    _, workloads = bench
+    _, workloads, _ = bench
     for seed, cfg in enumerate(_configs(workloads)):
         opt, cal, _ = split_dataset(pool, cfg.split, seed)
         want = harness.select(cal, opt, cfg).lambda_hat
@@ -65,7 +65,7 @@ def test_calibrate_once_matches_harness_select(bench, pool):
 
 
 def test_trial_matches_bench_reference(bench, pool):
-    checks, workloads = bench
+    checks, workloads, _ = bench
     scores, truth = checks.pool_arrays(pool.examples, pool.m)
     ledger = checks.Ledger()
     split = (SPLIT.opt_size, SPLIT.cal_size, SPLIT.test_size)
@@ -74,3 +74,26 @@ def test_trial_matches_bench_reference(bench, pool):
         ledger.record(rec, 7, cfg.grid.resolution)
         ledger.reference(rec, split, scores, truth, cfg.cost.spelled(), cfg.alpha)
     assert ledger.attempted > 0 and ledger.failures == []
+
+
+def test_select_counter_counts_tested_lambdas(bench, pool):
+    # calibrate.lambda_tested reads the selectors' trace; a counter that
+    # raises only blanks the metric in a benchmark run
+    _, workloads, spans = bench
+    for seed, cfg in enumerate(_configs(workloads)):
+        opt, cal, _ = split_dataset(pool, cfg.split, seed)
+        G, spec = cfg.grid.resolution, cfg.spec()
+        calls = {
+            "select_oce_crc": (cal, opt, spec, cfg.grid, cfg.cost, cfg.loss),
+            "select_oce_rcps": (cal, opt, spec, cfg.grid, cfg.cost, cfg.loss),
+            "select_rcps": (cal, spec, cfg.grid, cfg.loss),
+        }
+        for name, args in calls.items():
+            out = getattr(calibrate, name)(*args)
+            k = round(out.lambda_hat * G)
+            if name == "select_oce_crc":  # upward to the first pass
+                tested = k + 1 if out.feasible else G + 1
+            else:  # downward through the passes, then the first failure
+                tested = G - k + 1 + (k > 0) if out.feasible else 1
+            counts = spans._select_counts(args, {}, out)
+            assert counts == {"calibrate.lambda_tested": tested, "calibrate.grid_cols": G + 1}, name

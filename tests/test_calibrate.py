@@ -14,7 +14,7 @@ from oce_rcps.calibrate import (
 )
 from oce_rcps.datagen import Dataset
 from oce_rcps.risk import LossKind, OceCost, empirical_objective, losses_at
-from oracles import golden_section_minimize, golden_section_t, oce_rcps_scan
+from oracles import golden_section_minimize, golden_section_t, oce_crc_scan, oce_rcps_scan
 
 FNR = LossKind("fnr")
 MISS = LossKind("miscoverage")
@@ -88,7 +88,7 @@ def test_crc_worked_instance():
     # at lambda=0.4 both losses vanish: (2/3)*0 + 1/3 = 0.3333 <= 0.35
     assert out.lambda_hat == pytest.approx(0.4)
     assert out.feasible
-    assert out.trace[-1].bound == pytest.approx(1.0 / 3.0)
+    assert out.trace["bound"][-1] == pytest.approx(1.0 / 3.0)
 
 
 def test_crc_passes_at_zero_when_alpha_large():
@@ -108,7 +108,7 @@ def test_crc_infeasible_at_alpha_zero():
     )
     assert not out.feasible
     assert out.lambda_hat == 1.0
-    assert all(not e.passed for e in out.trace)
+    assert not out.trace["passed"].any()
 
 
 def test_crc_ignores_delta_bit_identical():
@@ -123,10 +123,7 @@ def test_crc_ignores_delta_bit_identical():
     ]
     for o in outs[1:]:
         assert o.lambda_hat == outs[0].lambda_hat
-        assert o.t_by_lambda == outs[0].t_by_lambda
-        assert [(e.lam, e.bound, e.passed) for e in o.trace] == [
-            (e.lam, e.bound, e.passed) for e in outs[0].trace
-        ]
+        assert np.array_equal(o.trace, outs[0].trace)  # lam, bound, passed and t
 
 
 # ---------------------------------------------------------------- RCPS family
@@ -174,9 +171,7 @@ def test_oce_rcps_average_reduces_to_rcps():
         b = select_rcps(cal, spec, grid, FNR)
         assert a.lambda_hat == b.lambda_hat
         assert a.feasible == b.feasible
-        assert [(e.lam, e.bound, e.passed) for e in a.trace] == [
-            (e.lam, e.bound, e.passed) for e in b.trace
-        ]
+        assert np.array_equal(a.trace, b.trace)
 
 
 def test_suffix_property():
@@ -189,9 +184,7 @@ def test_suffix_property():
         )
         if out.feasible:
             assert out.lambda_hat in set(LambdaGrid(25).values)
-            for e in out.trace:
-                if e.lam >= out.lambda_hat:
-                    assert e.passed
+            assert out.trace["passed"][out.trace["lam"] >= out.lambda_hat].all()
 
 
 def test_grid_refinement_monotonicity():
@@ -227,38 +220,70 @@ def staircase(rng, G):
     return rng.permutation(scores)
 
 
+def stop_alphas(bounds, upward, rng):
+    """Alphas at which a scan over `bounds` (in scan order) stops on the first
+    and on the last column of each block, or tests every column and does
+    not stop, plus three at random. A CRC scan stops at the first bound <=
+    alpha, an RCPS scan at the first bound > alpha."""
+    alphas = set()
+    edges = {p for b in range(0, len(bounds), _BLOCK) for p in (b, min(b + _BLOCK, len(bounds)) - 1)}
+    for p in sorted(edges):
+        if upward and bounds[p] < min(bounds[:p], default=math.inf):
+            alphas.add(bounds[p])
+        elif not upward and bounds[p] > max(bounds[:p], default=0.0):
+            alphas.add(max(bounds[:p], default=0.0))
+        else:
+            alphas.add(None)  # no alpha stops the scan there
+    alphas.add(np.nextafter(min(bounds), 0.0) if upward else max(bounds))  # no stop
+    alphas.update(rng.uniform(min(bounds), max(bounds), size=3).tolist())
+    return alphas
+
+
 @pytest.mark.parametrize("G", [1, 7, 31, 32, 33, 100])
 def test_block_scan_matches_column_oracle(G):
     rng = np.random.default_rng(53 + G)
     cal, opt = singletons(staircase(rng, G)), singletons(staircase(rng, G)[: G + 5])
     lams = LambdaGrid(G).values
     cal_losses, opt_losses = losses_at(cal, MISS, lams), losses_at(opt, MISS, lams)
-    # first column of each block in scan order, and the last one
-    edges = {j for stop in range(G + 1, 0, -_BLOCK) for j in (stop - 1, max(stop - _BLOCK, 0))}
-    for cost, fixed_t in ((OceCost.average(), 0.0), (OceCost.cvar(0.8), None),
-                          (OceCost.entropic(3), None)):
-        full = oce_rcps_scan(cal_losses, opt_losses, math.inf, 0.2, lams, cost, fixed_t)[3]
-        bounds = [e.bound for e in full]
-        assert len(bounds) == G + 1  # alpha = inf: every column tested, no failure
-        alphas = {max(bounds)}  # reaches lambda = 0 with no failure
-        for j in edges:
-            alpha = max(bounds[j + 1:], default=0.0)
-            if bounds[j] > alpha:
-                alphas.add(alpha)  # first failure at column j
-            else:
-                assert cost.variant != "average"  # the staircase makes every column a record
-        alphas.update(rng.uniform(min(bounds), max(bounds), size=3).tolist())
-        for alpha in sorted(alphas):
-            out = select_oce_rcps(
-                cal, opt, ReliabilitySpec(alpha, 0.2), LambdaGrid(G), cost, MISS, fixed_t=fixed_t
-            )
-            lam_hat, t_by_lambda, feasible, trace = oce_rcps_scan(
-                cal_losses, opt_losses, alpha, 0.2, lams, cost, fixed_t
-            )
-            assert (out.lambda_hat, out.feasible) == (lam_hat, feasible)
-            assert out.t_by_lambda == t_by_lambda
-            assert list(out.t_by_lambda) == list(t_by_lambda)  # insertion order too
-            assert out.trace == trace
+    oracles = (
+        (select_oce_crc, True, lambda alpha, cost, fixed_t: oce_crc_scan(
+            cal_losses, opt_losses, alpha, lams, cost, fixed_t)),
+        (select_oce_rcps, False, lambda alpha, cost, fixed_t: oce_rcps_scan(
+            cal_losses, opt_losses, alpha, 0.2, lams, cost, fixed_t)),
+    )
+    for select, upward, scan in oracles:
+        for cost, fixed_t in ((OceCost.average(), 0.0), (OceCost.cvar(0.8), None),
+                              (OceCost.entropic(3), None)):
+            # every column tested: no pass going up, no failure going down
+            full = scan(-math.inf if upward else math.inf, cost, fixed_t)[2]
+            assert len(full) == G + 1
+            alphas = stop_alphas([e.bound for e in full], upward, rng)
+            # the staircase makes every column a record for the average cost
+            assert None not in alphas or cost.variant != "average"
+            for alpha in sorted(alphas - {None}):
+                out = select(
+                    cal, opt, ReliabilitySpec(alpha, 0.2), LambdaGrid(G), cost, MISS,
+                    fixed_t=fixed_t,
+                )
+                lam_hat, feasible, trace = scan(alpha, cost, fixed_t)
+                assert (out.lambda_hat, out.feasible) == (lam_hat, feasible)
+                assert out.trace.tolist() == trace  # lam, bound, passed and t, in scan order
+
+
+def test_crc_entropic_overflow_past_the_stop_is_not_reached():
+    # miscoverage is 1 below lambda = 0.5, where t = 1 and the objective is 1,
+    # and 0 from there on, where t = 0 and exp(710 * (1 - t)) overflows
+    cal = singletons([0.5] * 10)
+    cost, grid = OceCost.entropic(710), LambdaGrid(10)
+    cal_losses = losses_at(cal, MISS, grid.values)
+    out = select_oce_crc(cal, cal, ReliabilitySpec(2.0, 0.2), grid, cost, MISS)
+    want = oce_crc_scan(cal_losses, cal_losses, 2.0, grid.values, cost)
+    assert (out.lambda_hat, out.feasible, out.trace.tolist()) == want
+    assert out.lambda_hat == 0.0
+    with pytest.raises(OverflowError):
+        oce_crc_scan(cal_losses, cal_losses, 0.5, grid.values, cost)
+    with pytest.raises(OverflowError):
+        select_oce_crc(cal, cal, ReliabilitySpec(0.5, 0.2), grid, cost, MISS)
 
 
 def test_empty_cal_rejected():

@@ -345,3 +345,47 @@ def test_entropic_overflow_is_data_error(dataset_path, tmp_path, capsys):
         "evaluate", "--data", dataset_path, "--lambda", "0.9",
         "--risk", "entropic:800", "--loss", "fnr",
     ]) == 0
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("trials", "--opt-size"), ("sweep", "--test-size"), ("calibrate", "--cal-size"),
+])
+def test_negative_split_size_is_usage_error(dataset_path, tmp_path, capsys, command, flag):
+    args = {
+        "calibrate": ["--data", dataset_path, "--opt-size", "30", "--cal-size", "100"],
+        "trials": ["--pool", dataset_path, *POOL[2:], "--trials", "2"],
+        "sweep": ["--vary", "delta", "--values", "0.2", "--pool", dataset_path, *POOL[2:],
+                  "--trials", "2"],
+    }[command]
+    code = run([command, *RUN, *args, flag, "-1", "--output-dir", tmp_path / "out"])
+    assert code == 2
+    assert "split sizes must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "trials", "evaluate"])
+def test_infinite_entropic_beta_is_usage_error(dataset_path, tmp_path, capsys, command):
+    # an infinite beta used to give NaN for t, the risk and the bounds
+    args = {
+        "calibrate": [*RUN, "--method", "oce-crc", "--data", dataset_path,
+                      "--opt-size", "30", "--cal-size", "100", "--output-dir", tmp_path / "out"],
+        "trials": [*RUN, "--pool", dataset_path, *POOL[2:], "--trials", "2", "--seed", "7",
+                   "--output-dir", tmp_path / "out"],
+        "evaluate": ["--data", dataset_path, "--lambda", "0.9", "--loss", "fnr"],
+    }[command]
+    assert run([command, *args, "--risk", "entropic:inf"]) == 2
+    captured = capsys.readouterr()
+    assert "finite beta > 0" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values", ["0.4000001,0.4000004", "0.3,0.4,0.3"])
+def test_sweep_values_sharing_a_directory_are_usage_errors(tmp_path, values):
+    outdir = tmp_path / "sweep"
+    code = run([
+        "sweep", "--vary", "alpha", "--values", values, *RUN,
+        "--pool", tmp_path / "missing.jsonl",  # rejected before the pool is read
+        "--trials", "2", "--seed", "7", "--output-dir", outdir,
+    ])
+    assert code == 2
+    assert not any(tmp_path.iterdir())
