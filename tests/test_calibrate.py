@@ -220,23 +220,24 @@ def staircase(rng, G):
     return rng.permutation(scores)
 
 
-def stop_alphas(bounds, upward, rng):
+def stop_alphas(bounds, upward):
     """Alphas at which a scan over `bounds` (in scan order) stops on the first
-    and on the last column of each block, or tests every column and does
-    not stop, plus three at random. A CRC scan stops at the first bound <=
-    alpha, an RCPS scan at the first bound > alpha."""
-    alphas = set()
-    edges = {p for b in range(0, len(bounds), _BLOCK) for p in (b, min(b + _BLOCK, len(bounds)) - 1)}
-    for p in sorted(edges):
-        if upward and bounds[p] < min(bounds[:p], default=math.inf):
-            alphas.add(bounds[p])
-        elif not upward and bounds[p] > max(bounds[:p], default=0.0):
-            alphas.add(max(bounds[:p], default=0.0))
+    or on the last column of a block, and whether every such column can be a
+    stop. A CRC scan stops at the first bound <= alpha, an RCPS scan at the
+    first bound > alpha."""
+    alphas, every_edge = set(), True
+    n = len(bounds)
+    for p in {p for b in range(0, n, _BLOCK) for p in (b, min(b + _BLOCK, n) - 1)}:
+        if upward:
+            alpha = bounds[p]
+            stops = alpha < min(bounds[:p], default=math.inf)
         else:
-            alphas.add(None)  # no alpha stops the scan there
-    alphas.add(np.nextafter(min(bounds), 0.0) if upward else max(bounds))  # no stop
-    alphas.update(rng.uniform(min(bounds), max(bounds), size=3).tolist())
-    return alphas
+            alpha = max(bounds[:p], default=0.0)
+            stops = bounds[p] > alpha
+        if stops:
+            alphas.add(alpha)
+        every_edge &= stops
+    return alphas, every_edge
 
 
 @pytest.mark.parametrize("G", [1, 7, 31, 32, 33, 100])
@@ -257,10 +258,13 @@ def test_block_scan_matches_column_oracle(G):
             # every column tested: no pass going up, no failure going down
             full = scan(-math.inf if upward else math.inf, cost, fixed_t)[2]
             assert len(full) == G + 1
-            alphas = stop_alphas([e.bound for e in full], upward, rng)
+            bounds = [e.bound for e in full]
+            alphas, every_edge = stop_alphas(bounds, upward)
             # the staircase makes every column a record for the average cost
-            assert None not in alphas or cost.variant != "average"
-            for alpha in sorted(alphas - {None}):
+            assert every_edge or cost.variant != "average"
+            alphas.add(np.nextafter(min(bounds), 0.0) if upward else max(bounds))  # no stop
+            alphas.update(rng.uniform(min(bounds), max(bounds), size=3).tolist())
+            for alpha in sorted(alphas):
                 out = select(
                     cal, opt, ReliabilitySpec(alpha, 0.2), LambdaGrid(G), cost, MISS,
                     fixed_t=fixed_t,
