@@ -79,9 +79,9 @@ def optimize_t(opt_losses: np.ndarray, cost: OceCost) -> float:
 
 
 def _scan(cal, opt, alpha, grid, cost, loss, fixed_t, statistic, upward) -> CalibrationOutcome:
-    """Test grid columns in blocks, upward to the first pass or downward to
-    the first failure; `statistic(block, ts)` maps an (n, k) block of
-    calibration losses and its k values of t to the k statistics."""
+    """Test grid columns in blocks counted from the scan's start, upward to the
+    first pass or downward to the first failure; `statistic(block, ts)` maps
+    an (n, k) calibration loss block and its k values of t to k statistics."""
     if len(cal) == 0:
         raise ValueError("calibration set must be nonempty")
     lams = grid.values
