@@ -11,6 +11,15 @@ A Hoeffding bound ships as an independent cross-check, and oce_risk_ucb
 lifts either bound to the OCE objective t + phi(loss - t) by affinely
 normalizing the transformed losses to [0, 1] using their analytic range.
 
+The WSR bound is the smallest rejected point u of the dyadic grid
+k/2^20 (or 1), found by bisection in 22 capital passes. Deciding whether
+the mapped bound lo + (hi - lo) u is <= alpha needs one pass:
+oce_risk_ucb_at_most finds the largest grid point g whose mapped value is
+<= alpha and accepts when g = 1 or g is rejected, which is exactly the
+comparison, since both the mapping and rejection are monotone in floating
+point. The selectors decide with it; the bisection runs only for bounds
+that are written out.
+
 Bounds are computed for a block of k sample columns at once, one t per
 column. Inside, the samples are laid out as a (k, n) array, one
 contiguous row per column, so the betting fractions, the capital process
@@ -58,11 +67,17 @@ def capital_process(z: np.ndarray, R: float | np.ndarray, etas: np.ndarray):
     return factors.max(axis=-1, initial=1.0)
 
 
+# the WSR bound is located on the dyadic grid k / _STEPS
+_STEPS = 2.0**20
+
+
 def _wsr_ucb(z: np.ndarray, delta: float) -> np.ndarray:
     """Betting-martingale UCB of each row of a (k, n) block:
     inf{R in [0,1] : max_i K_i(R) > 1/delta}, located by 20 bisection
     halvings and rounded up to the grid k/2^20 to be conservative; 1 for a
-    row where nothing in [0, 1] is rejected, 0 where R = 0 already is."""
+    row where nothing in [0, 1] is rejected, 0 where R = 0 already is.
+    Rejection is monotone in R, so this is the smallest rejected grid
+    point, or 1 when none is."""
     threshold = 1.0 / delta
     etas = betting_fractions(z, delta)
 
@@ -81,6 +96,50 @@ def _wsr_ucb(z: np.ndarray, delta: float) -> np.ndarray:
     return np.where(at_one, np.where(at_zero, 0.0, hi), 1.0)
 
 
+def _last_grid_point_at_most(lo: np.ndarray, span: np.ndarray, alpha: float) -> np.ndarray:
+    """Largest k in 0.._STEPS with lo + span * (k / _STEPS) <= alpha, per
+    entry, in that exact floating-point expression; -1 where none is.
+
+    The expression is nondecreasing in k, so the rounded real solution is
+    checked against it and, where rounding moved the answer further than
+    one step, bisected between the sentinels -1 and _STEPS + 1."""
+
+    def fits(k):
+        return lo + span * (k / _STEPS) <= alpha
+
+    # alpha clipped to just outside [lo, lo + span] keeps the quotient finite
+    near = np.clip(alpha, lo - span, lo + 2.0 * span)
+    guess = np.clip(np.floor(_STEPS * ((near - lo) / span)), -1.0, _STEPS)
+    below = np.maximum(guess - 1.0, -1.0)
+    above = np.minimum(guess + 2.0, _STEPS + 1.0)
+    bracketed = ((below < 0.0) | fits(np.maximum(below, 0.0))) & (
+        (above > _STEPS) | ~fits(np.minimum(above, _STEPS))
+    )
+    below = np.where(bracketed, below, -1.0)
+    above = np.where(bracketed, above, _STEPS + 1.0)
+    while np.any(above - below > 1.0):
+        mid = np.floor(0.5 * (below + above))
+        fit = fits(mid)
+        below = np.where(fit, mid, below)
+        above = np.where(fit, above, mid)
+    return below
+
+
+def _wsr_ucb_at_most(z: np.ndarray, delta: float, lo, span, alpha: float) -> np.ndarray:
+    """Exactly lo + span * _wsr_ucb(z, delta) <= alpha per row, with one
+    capital pass. With g the largest grid point where lo + span * g <= alpha,
+    the bound is <= alpha exactly when the smallest rejected grid point is
+    <= g: when g = 1, or when g itself is rejected (rejection is monotone
+    in R). No such g means the bound, at least lo, exceeds alpha."""
+    k = _last_grid_point_at_most(lo, span, alpha)
+    out = k == _STEPS
+    test = (k >= 0.0) & ~out
+    if test.any():
+        z = z[test]
+        out[test] = capital_process(z, k[test] / _STEPS, betting_fractions(z, delta)) > 1.0 / delta
+    return out
+
+
 def _hoeffding_ucb(z: np.ndarray, delta: float) -> np.ndarray:
     """mean + sqrt(ln(1/delta) / (2n)) of each row of a (k, n) block,
     capped at 1."""
@@ -88,6 +147,34 @@ def _hoeffding_ucb(z: np.ndarray, delta: float) -> np.ndarray:
 
 
 _UCB = {"wsr": _wsr_ucb, "hoeffding": _hoeffding_ucb}
+
+
+def _normalized(losses, cost: OceCost, t, delta: float, method: str):
+    """The checked inputs of a bound: the analytic range lo, hi of each
+    column's transformed loss, the mask of columns where hi > lo, and the
+    (k_live, n) block of those columns' transformed losses mapped to [0, 1]."""
+    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if not np.all((ts >= 0.0) & (ts <= LOSS_MAX)):  # NaN fails too
+        raise ValueError("t must lie in [0, LOSS_MAX]")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if method not in _UCB:
+        raise ValueError(f"unknown bound method: {method!r}")
+    losses = np.asarray(losses, dtype=np.float64)
+    if losses.size == 0:
+        raise ValueError("losses must be nonempty")
+    block = np.atleast_2d(losses.T)  # (k, n)
+    if ts.shape != block.shape[:1]:
+        raise ValueError("need one t per loss column")
+    lo = np.array([tj + phi_eval(cost, -tj) for tj in ts.tolist()])
+    hi = np.array([bound_B(cost, tj) for tj in ts.tolist()])
+    # where hi <= lo the transformed loss is the constant lo = hi
+    live = hi > lo
+    z = None
+    if live.any():
+        tl = transformed_losses(cost, ts[live, None], block[live])
+        z = np.clip((tl - lo[live, None]) / (hi - lo)[live, None], 0.0, 1.0)
+    return lo, hi, live, z
 
 
 def oce_risk_ucb(
@@ -107,28 +194,31 @@ def oce_risk_ucb(
     range [t + phi(-t), t + phi(LOSS_MAX - t)], bounded there, and mapped
     back. Requires t in [0, LOSS_MAX] so the range is well ordered.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if not np.all((ts >= 0.0) & (ts <= LOSS_MAX)):  # NaN fails too
-        raise ValueError("t must lie in [0, LOSS_MAX]")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    ucb = _UCB.get(method)
-    if ucb is None:
-        raise ValueError(f"unknown bound method: {method!r}")
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.size == 0:
-        raise ValueError("losses must be nonempty")
-    block = np.atleast_2d(losses.T)  # (k, n)
-    if ts.shape != block.shape[:1]:
-        raise ValueError("need one t per loss column")
-    lo = np.array([tj + phi_eval(cost, -tj) for tj in ts.tolist()])
-    hi = np.array([bound_B(cost, tj) for tj in ts.tolist()])
-    # where hi <= lo the transformed loss is the constant lo = hi
-    live = hi > lo
+    lo, hi, live, z = _normalized(losses, cost, t, delta, method)
     out = lo.copy()
-    if live.any():
+    if z is not None:
         lo, hi = lo[live], hi[live]
-        tl = transformed_losses(cost, ts[live, None], block[live])
-        z = np.clip((tl - lo[:, None]) / (hi - lo)[:, None], 0.0, 1.0)
-        out[live] = lo + (hi - lo) * ucb(z, delta)
-    return out if losses.ndim == 2 else float(out[0])
+        out[live] = lo + (hi - lo) * _UCB[method](z, delta)
+    return out if np.ndim(losses) == 2 else float(out[0])
+
+
+def oce_risk_ucb_at_most(
+    losses: np.ndarray,
+    cost: OceCost,
+    t: float | np.ndarray,
+    delta: float,
+    alpha: float,
+    method: str = "wsr",
+) -> bool | np.ndarray:
+    """Exactly `oce_risk_ucb(losses, cost, t, delta, method) <= alpha`, for
+    the same shapes, without bisecting: the WSR test takes one capital pass
+    per column, at the one grid point that decides it."""
+    lo, hi, live, z = _normalized(losses, cost, t, delta, method)
+    out = lo <= alpha
+    if z is not None:
+        lo, hi = lo[live], hi[live]
+        if method == "wsr":
+            out[live] = _wsr_ucb_at_most(z, delta, lo, hi - lo, alpha)
+        else:
+            out[live] = lo + (hi - lo) * _UCB[method](z, delta) <= alpha
+    return out if np.ndim(losses) == 2 else bool(out[0])

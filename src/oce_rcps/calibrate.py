@@ -6,7 +6,10 @@ t parameter optimized on a held-out split so it stays independent of the
 calibration data: it scans upward to the first pass. RCPS-style rules
 demand that an upper confidence bound stays below alpha at the threshold
 and every larger one: they scan downward from 1 to the first failure. One
-block scan serves both, one statistic call per block of grid columns.
+block scan serves both, one decision call per block of grid columns.
+RCPS-style scans decide each column with a one-pass test that is exactly
+"UCB <= alpha" and never compute the UCB itself; `trace_bounds` computes it
+for the tested columns when they are written out.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import oce_risk_ucb
+from .bounds import oce_risk_ucb, oce_risk_ucb_at_most
 from .datagen import Dataset
 from .risk import LossKind, OceCost, bound_B, empirical_objective, empirical_oce, losses_at
 
@@ -59,7 +62,8 @@ class LambdaGrid:
 @dataclass
 class CalibrationOutcome:
     """The selected threshold and the trace behind it: one record per tested
-    grid column, in scan order, with fields lam, bound, passed and t."""
+    grid column, in scan order, with fields lam, bound, passed and t. The
+    bound is NaN in the trace of an RCPS-style scan; `trace_bounds` gives it."""
 
     lambda_hat: float
     feasible: bool
@@ -78,10 +82,11 @@ def optimize_t(opt_losses: np.ndarray, cost: OceCost) -> float:
     return empirical_oce(opt_losses, cost)[1]
 
 
-def _scan(cal, opt, alpha, grid, cost, loss, fixed_t, statistic, upward) -> CalibrationOutcome:
+def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward) -> CalibrationOutcome:
     """Test grid columns in blocks counted from the scan's start, upward to the
-    first pass or downward to the first failure; `statistic(block, ts)` maps
-    an (n, k) calibration loss block and its k values of t to k statistics."""
+    first pass or downward to the first failure; `decide(block, ts)` maps an
+    (n, k) calibration loss block and its k values of t to the k bounds (or
+    NaN) and the k pass flags."""
     if len(cal) == 0:
         raise ValueError("calibration set must be nonempty")
     lams = grid.values
@@ -98,8 +103,7 @@ def _scan(cal, opt, alpha, grid, cost, loss, fixed_t, statistic, upward) -> Cali
         block["t"] = fixed_t if opt_losses is None else [
             optimize_t(opt_losses[:, j], cost) for j in range(lo, hi)
         ]
-        block["bound"] = statistic(cal_losses[:, lo:hi], block["t"])
-        block["passed"] = block["bound"] <= alpha
+        block["bound"], block["passed"] = decide(cal_losses[:, lo:hi], block["t"])
         block = block if upward else block[::-1]
         stops = np.flatnonzero(block["passed"] == upward)
         tested.append(block[: stops[0] + 1] if stops.size else block)
@@ -139,9 +143,10 @@ def select_oce_crc(
     def objective(block, ts):
         risk = empirical_objective(block, cost, ts)
         B = np.array([bound_B(cost, t) for t in ts.tolist()])
-        return (n / (n + 1.0)) * risk + B / (n + 1.0)
+        value = (n / (n + 1.0)) * risk + B / (n + 1.0)
+        return value, value <= spec.alpha
 
-    return _scan(cal, opt, spec.alpha, grid, cost, loss, fixed_t, objective, upward=True)
+    return _scan(cal, opt, grid, cost, loss, fixed_t, objective, upward=True)
 
 
 def select_oce_rcps(
@@ -156,9 +161,14 @@ def select_oce_rcps(
 ) -> CalibrationOutcome:
     """Smallest grid threshold such that the OCE-risk UCB stays <= alpha
     there and at every larger grid threshold: downward scan, stop at the
-    first failure."""
-    ucb = lambda block, ts: oce_risk_ucb(block, cost, ts, spec.delta, method=bound_method)
-    return _scan(cal, opt, spec.alpha, grid, cost, loss, fixed_t, ucb, upward=False)
+    first failure. The trace's bounds are NaN; see `trace_bounds`."""
+
+    def ucb_at_most_alpha(block, ts):
+        return np.nan, oce_risk_ucb_at_most(
+            block, cost, ts, spec.delta, spec.alpha, method=bound_method
+        )
+
+    return _scan(cal, opt, grid, cost, loss, fixed_t, ucb_at_most_alpha, upward=False)
 
 
 def select_rcps(
@@ -173,3 +183,19 @@ def select_rcps(
     return select_oce_rcps(
         cal, None, spec, grid, OceCost.average(), loss, fixed_t=0.0, bound_method=bound_method
     )
+
+
+def trace_bounds(
+    cal: Dataset,
+    trace: np.ndarray,
+    cost: OceCost,
+    loss: LossKind,
+    delta: float,
+    bound_method: str = "wsr",
+) -> np.ndarray:
+    """The OCE-risk UCB of each column in the trace of an RCPS-style
+    selector, which decided those columns without computing it: one bound
+    call over the tested columns only. Pass the selector's own cost (average
+    for `select_rcps`)."""
+    losses = losses_at(cal, loss, trace["lam"])
+    return oce_risk_ucb(losses, cost, trace["t"], delta, method=bound_method)

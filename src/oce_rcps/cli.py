@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibrate import LambdaGrid
+from .calibrate import LambdaGrid, trace_bounds
 from .datagen import (
     DatasetParseError,
     GeneratorParams,
@@ -190,11 +190,17 @@ def _cmd_generate(args):
 
 
 def _cmd_calibrate(args):
-    config = _trial_config(args, test_size=0)
+    config = _trial_config(args, test_size=None)
     _require(args, "data", "output_dir")
     data = read_dataset_path(args.data)
     opt, cal, _ = split_dataset(data, config.split, args.seed)
     outcome = select(cal, opt, config)
+    trace = np.sort(outcome.trace, order="lam")
+    if config.method != "oce-crc":  # RCPS-style scans decide without the bound
+        cost = OceCost.average() if config.method == "rcps" else config.cost
+        trace["bound"] = trace_bounds(
+            cal, trace, cost, config.loss, config.delta, config.bound_method
+        )
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -212,7 +218,7 @@ def _cmd_calibrate(args):
     (outdir / "calibration.json").write_text(json.dumps(payload, indent=2) + "\n")
     with open(outdir / "trace.csv", "w") as fp:
         fp.write("lambda,bound,passed\n")
-        for lam, bound, passed, _ in np.sort(outcome.trace, order="lam").tolist():
+        for lam, bound, passed, _ in trace.tolist():
             fp.write(f"{lam!r},{bound!r},{'true' if passed else 'false'}\n")
     if not outcome.feasible:
         log.info("infeasible at alpha=%g; lambda_hat pinned to 1", args.alpha)
@@ -266,20 +272,29 @@ def _load_pool(args):
     return generate_dataset(_gen_params(args), args.pool_size, args.pool_seed)
 
 
-def _trial_config(args, test_size: int) -> TrialConfig:
-    """The run flags as a TrialConfig; calibrate passes test_size 0."""
+def _trial_config(args, test_size: int | None) -> TrialConfig:
+    """The run flags as a TrialConfig; calibrate, which has no test split,
+    passes test_size None."""
     _require(args, "method", "risk", "loss", "alpha", "delta")
     try:
         cost = OceCost.parse(args.risk)
         loss = LossKind(args.loss)
         grid = LambdaGrid(args.grid)
-        split = SplitSpec(args.opt_size, args.cal_size, test_size)
+        split = SplitSpec(args.opt_size, args.cal_size, test_size or 0)
     except ValueError as e:
         raise UsageError(str(e))
+    fixed_t = _parse_t_mode(args.t_mode)
+    # an empty split that the run reads would fail only inside the first trial
+    if split.cal_size == 0:
+        raise UsageError("--cal-size must be >= 1")
+    if test_size == 0:
+        raise UsageError("--test-size must be >= 1")
+    if split.opt_size == 0 and fixed_t is None and args.method != "rcps":
+        raise UsageError("--opt-size must be >= 1 unless --method is rcps or --t-mode is fixed")
     config = TrialConfig(
         method=args.method, cost=cost, loss=loss,
         alpha=args.alpha, delta=args.delta, grid=grid, split=split,
-        bound_method=args.bound, fixed_t=_parse_t_mode(args.t_mode),
+        bound_method=args.bound, fixed_t=fixed_t,
     )
     config.spec()  # a bad alpha or delta is a data error before any pool is read
     return config

@@ -20,6 +20,10 @@ LOSS_MAX = 1.0
 # exp(x) overflows float64 just above x = 709.78
 _EXP_LIMIT = 709.0
 
+# entropic beta below which the empirical OCE uses log1p/expm1: above it
+# the plain log-mean-exp is within ~1e-12 and keeps its established bits
+_SMALL_BETA = 1e-4
+
 
 class InvalidExampleError(ValueError):
     pass
@@ -152,7 +156,16 @@ def empirical_oce(losses: np.ndarray, cost: OceCost) -> tuple[float, float]:
     if cost.variant == "entropic":
         # max-shifted log-mean-exp keeps exp in range
         hi = float(np.max(losses))
-        value = hi + math.log(np.mean(np.exp(cost.beta * (losses - hi)))) / cost.beta
+        beta = cost.beta
+        if beta >= _SMALL_BETA:
+            value = hi + math.log(np.mean(np.exp(beta * (losses - hi)))) / beta
+        else:
+            # the mean of exp rounds toward 1 here, losing ~1e-16/beta;
+            # log1p and expm1 keep those digits. The value moves with beta by
+            # at most beta * var/2, so a beta raised to 1e-100 changes it by
+            # less than 1e-100 and keeps beta * (loss - hi) out of underflow.
+            beta = max(beta, 1e-100)
+            value = hi + math.log1p(np.mean(np.expm1(beta * (losses - hi)))) / beta
         return value, value
     k = max(1, math.ceil(cost.beta * n))
     t_star = float(np.partition(losses, k - 1)[k - 1])

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 from oce_rcps.bounds import _wsr_ucb, betting_fractions, capital_process, oce_risk_ucb
-from oce_rcps.calibrate import LambdaGrid, ReliabilitySpec, optimize_t, select_oce_rcps, select_rcps
+from oce_rcps.calibrate import (
+    LambdaGrid,
+    ReliabilitySpec,
+    optimize_t,
+    select_oce_rcps,
+    select_rcps,
+    trace_bounds,
+)
 from oce_rcps.datagen import Dataset, GeneratorParams, SplitSpec, generate_dataset, split_dataset
 from oce_rcps.harness import TrialConfig, records_to_csv, run_trials
 from oce_rcps.risk import (
@@ -128,6 +135,8 @@ def test_criterion_2_identity_reduction():
         grid = LambdaGrid(25)
         a = select_oce_rcps(cal, opt, spec, grid, avg, FNR)
         b = select_rcps(cal, spec, grid, FNR)
+        for out in (a, b):  # the scans decide without the bounds; compare those too
+            out.trace["bound"] = trace_bounds(cal, out.trace, avg, FNR, spec.delta)
         identical &= (
             a.lambda_hat == b.lambda_hat
             and a.feasible == b.feasible

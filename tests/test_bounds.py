@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oce_rcps.bounds import _hoeffding_ucb, _wsr_ucb, betting_fractions, capital_process, oce_risk_ucb
+from oce_rcps.bounds import (
+    _STEPS,
+    _hoeffding_ucb,
+    _last_grid_point_at_most,
+    _wsr_ucb,
+    betting_fractions,
+    capital_process,
+    oce_risk_ucb,
+    oce_risk_ucb_at_most,
+)
 from oce_rcps.risk import OceCost, bound_B
 
 
@@ -173,22 +182,12 @@ COSTS = [OceCost.average(), OceCost.cvar(0.5), OceCost.cvar(0.9), OceCost.entrop
 KINDS = ("uniform", "grid", "zeros", "ones", "top")
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    data=st.data(),
-    n=st.integers(1, 60),
-    k=st.integers(1, 40),
-    delta=st.floats(0.01, 0.99),
-    cost=st.sampled_from(COSTS),
-    method=st.sampled_from(("wsr", "hoeffding")),
-    seed=st.integers(0, 2**32 - 1),
-    fortran=st.booleans(),
-)
-def test_block_bound_matches_scalar_oracle(data, n, k, delta, cost, method, seed, fortran):
-    rng = np.random.default_rng(seed)
+def draw_block(data, rng, n, k, extra_ts=()):
+    """An (n, k) loss block of the KINDS of column, and one t per column."""
     kinds = data.draw(st.lists(st.sampled_from(KINDS), min_size=k, max_size=k))
     ts = data.draw(st.lists(
-        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), min_size=k, max_size=k
+        st.one_of(st.just(0.0), st.just(1.0), *map(st.just, extra_ts), st.floats(0.0, 1.0)),
+        min_size=k, max_size=k,
     ))
     columns = []
     for j, kind in enumerate(kinds):
@@ -202,7 +201,23 @@ def test_block_bound_matches_scalar_oracle(data, n, k, delta, cost, method, seed
             columns.append(rng.uniform(size=n) * rng.uniform())
             if kind == "top":
                 ts[j] = 1.0
-    block = np.column_stack(columns)
+    return np.column_stack(columns), ts
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 60),
+    k=st.integers(1, 40),
+    delta=st.floats(0.01, 0.99),
+    cost=st.sampled_from(COSTS),
+    method=st.sampled_from(("wsr", "hoeffding")),
+    seed=st.integers(0, 2**32 - 1),
+    fortran=st.booleans(),
+)
+def test_block_bound_matches_scalar_oracle(data, n, k, delta, cost, method, seed, fortran):
+    rng = np.random.default_rng(seed)
+    block, ts = draw_block(data, rng, n, k)
     if fortran:  # the column-major layout the selectors pass
         block = np.asfortranarray(block)
     got = oce_risk_ucb(block, cost, np.array(ts), delta, method=method)
@@ -234,3 +249,40 @@ def test_wsr_block_returns_zero_like_scalar():
     got = _wsr_ucb(z, 0.1).tolist()
     assert got == [oracles.wsr_ucb(row, 0.1) for row in z]
     assert got[-1] == 0.0 and 0.0 < got[0] < 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.one_of(st.just(1), st.integers(1, 300)),
+    k=st.integers(1, 8),
+    delta=st.floats(0.01, 0.99),
+    cost=st.sampled_from(COSTS),
+    method=st.sampled_from(("wsr", "hoeffding")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decision_is_bound_at_most_alpha(data, n, k, delta, cost, method, seed):
+    # t just below LOSS_MAX leaves cvar a range of a few ulps, where the
+    # rounded grid point is far from the right one
+    block, ts = draw_block(data, np.random.default_rng(seed), n, k, extra_ts=(1.0 - 2**-52,))
+    ts = np.array(ts)
+    ucb = oce_risk_ucb(block, cost, ts, delta, method=method)
+    j = data.draw(st.integers(0, k - 1))
+    at = float(ucb[j])
+    for alpha in (at, np.nextafter(at, -math.inf), np.nextafter(at, math.inf),
+                  data.draw(st.floats(0.0, 2.0))):
+        got = oce_risk_ucb_at_most(block, cost, ts, delta, alpha, method=method)
+        assert got.tolist() == (ucb <= alpha).tolist()
+        single = oce_risk_ucb_at_most(block[:, j], cost, ts[j], delta, alpha, method=method)
+        assert type(single) is bool and single == (at <= alpha)
+
+
+@pytest.mark.parametrize("lo, span", [(0.3, 0.7), (1.0, 1e-16), (0.5, 3e-17), (0.0, 5e-324)])
+def test_last_grid_point_matches_exhaustive_search(lo, span):
+    values = lo + span * (np.arange(_STEPS + 1) / _STEPS)
+    rng = np.random.default_rng(9)
+    alphas = [lo, lo + span, np.nextafter(lo, -1.0), *values[rng.integers(0, _STEPS + 1, 5)]]
+    for alpha in alphas:
+        fits = np.flatnonzero(values <= alpha)
+        want = fits[-1] if fits.size else -1
+        assert _last_grid_point_at_most(np.array([lo]), np.array([span]), alpha)[0] == want

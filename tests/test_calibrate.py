@@ -11,6 +11,7 @@ from oce_rcps.calibrate import (
     select_oce_crc,
     select_oce_rcps,
     select_rcps,
+    trace_bounds,
 )
 from oce_rcps.datagen import Dataset
 from oce_rcps.risk import LossKind, OceCost, empirical_objective, losses_at
@@ -24,6 +25,15 @@ def singletons(scores):
     """One-element examples, each with miscoverage loss 1{lambda < 1 - score}."""
     scores = np.asarray(scores, dtype=float).reshape(-1, 1)
     return Dataset(scores, np.ones(scores.shape, dtype=bool))
+
+
+def bounded(out, cal, cost, loss, delta):
+    """The trace of an RCPS-style selector with the bounds its scan left
+    NaN filled in, as `cli calibrate` writes them."""
+    trace = out.trace.copy()
+    assert np.isnan(trace["bound"]).all()
+    trace["bound"] = trace_bounds(cal, trace, cost, loss, delta)
+    return trace
 
 
 def random_dataset(rng, n, m=8):
@@ -171,7 +181,10 @@ def test_oce_rcps_average_reduces_to_rcps():
         b = select_rcps(cal, spec, grid, FNR)
         assert a.lambda_hat == b.lambda_hat
         assert a.feasible == b.feasible
-        assert np.array_equal(a.trace, b.trace)
+        assert np.array_equal(
+            bounded(a, cal, OceCost.average(), FNR, spec.delta),
+            bounded(b, cal, OceCost.average(), FNR, spec.delta),
+        )
 
 
 def test_suffix_property():
@@ -271,7 +284,8 @@ def test_block_scan_matches_column_oracle(G):
                 )
                 lam_hat, feasible, trace = scan(alpha, cost, fixed_t)
                 assert (out.lambda_hat, out.feasible) == (lam_hat, feasible)
-                assert out.trace.tolist() == trace  # lam, bound, passed and t, in scan order
+                got = out.trace if upward else bounded(out, cal, cost, MISS, 0.2)
+                assert got.tolist() == trace  # lam, bound, passed and t, in scan order
 
 
 def test_crc_entropic_overflow_past_the_stop_is_not_reached():

@@ -74,6 +74,19 @@ def test_evaluate_stdout(dataset_path, capsys):
     assert payload["n"] == 200
 
 
+def test_evaluate_entropic_tiny_beta_is_the_mean(dataset_path, capsys):
+    # the entropic risk tends to the average risk as beta -> 0
+    risks = []
+    for risk in ("average", "entropic:1e-17"):
+        assert run([
+            "evaluate", "--data", dataset_path, "--lambda", "0.5",
+            "--risk", risk, "--loss", "fnr",
+        ]) == 0
+        risks.append(json.loads(capsys.readouterr().out)["test_oce_risk"])
+    assert 0.0 < risks[0] < 1.0
+    assert abs(risks[1] - risks[0]) < 1e-9
+
+
 def test_trials_emits_files(dataset_path, tmp_path):
     outdir = tmp_path / "trials"
     code = run([
@@ -361,6 +374,37 @@ def test_negative_split_size_is_usage_error(dataset_path, tmp_path, capsys, comm
     assert code == 2
     assert "split sizes must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,flag,extra", [
+    ("calibrate", "--cal-size", []), ("trials", "--cal-size", []), ("sweep", "--cal-size", []),
+    ("trials", "--test-size", []), ("sweep", "--test-size", []),
+    ("calibrate", "--opt-size", []), ("trials", "--opt-size", ["--method", "oce-crc"]),
+    ("sweep", "--opt-size", []),
+])
+def test_zero_split_size_is_usage_error(tmp_path, capsys, command, flag, extra):
+    # rejected before the (missing) data file is read
+    missing = tmp_path / "missing.jsonl"
+    args = {
+        "calibrate": ["--data", missing, "--opt-size", "30", "--cal-size", "100"],
+        "trials": ["--pool", missing, *POOL[2:], "--trials", "2", "--seed", "7"],
+        "sweep": ["--vary", "delta", "--values", "0.2", "--pool", missing, *POOL[2:],
+                  "--trials", "2", "--seed", "7"],
+    }[command]
+    code = run([command, *RUN, *extra, *args, flag, "0", "--output-dir", tmp_path / "out"])
+    assert code == 2
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra", [["--method", "rcps"], ["--t-mode", "fixed:0.3"]])
+def test_zero_opt_size_without_per_lambda_t(dataset_path, tmp_path, extra):
+    # rcps and a fixed t never read the held-out split
+    code = run([
+        "calibrate", *RUN, *extra, "--data", dataset_path, "--opt-size", "0",
+        "--cal-size", "100", "--output-dir", tmp_path / "out",
+    ])
+    assert code == 0
 
 
 @pytest.mark.parametrize("command", ["calibrate", "trials", "evaluate"])

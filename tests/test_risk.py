@@ -254,6 +254,16 @@ def test_empirical_oce_examples():
     assert t_star == 0.0
 
 
+@pytest.mark.parametrize("beta", [5e-324, 1e-300, 1e-17, 1e-9, 1e-6, 9.9e-5, 1e-4, 1e-2, 1.0])
+def test_entropic_oce_precise_for_small_beta(beta):
+    # [0, 0, 0, 1]: log((3 + e^beta) / 4) / beta, which is the mean 0.25 up
+    # to beta * var/2 with var = 3/16
+    value, t_star = empirical_oce([0.0, 0.0, 0.0, 1.0], OceCost.entropic(beta))
+    want = math.log1p(math.expm1(beta) / 4) / beta if beta >= 1e-9 else 0.25
+    assert value == t_star
+    assert abs(value - want) < 1e-9
+
+
 def brute_force_oce(losses, cost, grid=20001):
     ts = np.linspace(0.0, 1.0, grid)
     return min(empirical_objective(losses, cost, t) for t in ts)
