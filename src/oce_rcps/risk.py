@@ -161,9 +161,10 @@ def empirical_oce(losses: np.ndarray, cost: OceCost) -> tuple[float, float]:
             value = hi + math.log(np.mean(np.exp(beta * (losses - hi)))) / beta
         else:
             # the mean of exp rounds toward 1 here, losing ~1e-16/beta;
-            # log1p and expm1 keep those digits. The value moves with beta by
-            # at most beta * var/2, so a beta raised to 1e-100 changes it by
-            # less than 1e-100 and keeps beta * (loss - hi) out of underflow.
+            # log1p and expm1 keep those digits. The value lies between the
+            # mean and the mean + beta * (max - min)^2 / 8 (Hoeffding's lemma),
+            # so raising beta to 1e-100 moves it by less than 1e-100 on
+            # [0, LOSS_MAX] and keeps beta * (loss - hi) out of underflow.
             beta = max(beta, 1e-100)
             value = hi + math.log1p(np.mean(np.expm1(beta * (losses - hi)))) / beta
         return value, value
