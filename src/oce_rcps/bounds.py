@@ -12,7 +12,7 @@ lifts either bound to the OCE objective t + phi(loss - t) by affinely
 normalizing the transformed losses to [0, 1] using their analytic range.
 
 The WSR bound is the smallest rejected point u of the dyadic grid
-k/2^20 (or 1), found by bisection in 22 capital passes. Deciding whether
+k/2^20 (or 1), found by bisection in 21 capital passes. Deciding whether
 the mapped bound lo + (hi - lo) u is <= alpha needs one pass:
 oce_risk_ucb_at_most finds the largest grid point g whose mapped value is
 <= alpha and accepts when g = 1 or g is rejected, which is exactly the
@@ -71,29 +71,30 @@ def capital_process(z: np.ndarray, R: float | np.ndarray, etas: np.ndarray):
 _STEPS = 2.0**20
 
 
+def _bisect(holds, below, above) -> np.ndarray:
+    """Last grid index where the monotone test `holds` is true, per entry,
+    between `below` where it holds (or the sentinel -1) and `above` where it
+    fails (or _STEPS + 1). A bracketed entry is tested at `below` again."""
+    while np.any(above - below > 1.0):
+        mid = np.floor(0.5 * (below + above))
+        fit = holds(mid)
+        below = np.where(fit, mid, below)
+        above = np.where(fit, above, mid)
+    return below
+
+
 def _wsr_ucb(z: np.ndarray, delta: float) -> np.ndarray:
     """Betting-martingale UCB of each row of a (k, n) block:
-    inf{R in [0,1] : max_i K_i(R) > 1/delta}, located by 20 bisection
-    halvings and rounded up to the grid k/2^20 to be conservative; 1 for a
-    row where nothing in [0, 1] is rejected, 0 where R = 0 already is.
-    Rejection is monotone in R, so this is the smallest rejected grid
-    point, or 1 when none is."""
-    threshold = 1.0 / delta
+    inf{R in [0,1] : max_i K_i(R) > 1/delta}, rounded up to the grid
+    k/2^20 to be conservative: the smallest rejected grid point, or 1 for
+    a row where nothing in [0, 1] is rejected. Rejection is monotone in R,
+    so one bisection over the grid index finds it."""
     etas = betting_fractions(z, delta)
 
-    def rejected(R: np.ndarray) -> np.ndarray:
-        return capital_process(z, R, etas) > threshold
+    def kept(k):
+        return capital_process(z, k / _STEPS, etas) <= 1.0 / delta
 
-    k = z.shape[0]
-    at_one = rejected(np.ones(k))
-    at_zero = rejected(np.zeros(k))
-    lo, hi = np.zeros(k), np.ones(k)
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        r = rejected(mid)
-        hi = np.where(r, mid, hi)
-        lo = np.where(r, lo, mid)
-    return np.where(at_one, np.where(at_zero, 0.0, hi), 1.0)
+    return np.minimum(_bisect(kept, -1.0, _STEPS + 1.0) + 1.0, _STEPS) / _STEPS
 
 
 def _last_grid_point_at_most(lo: np.ndarray, span: np.ndarray, alpha: float) -> np.ndarray:
@@ -102,7 +103,7 @@ def _last_grid_point_at_most(lo: np.ndarray, span: np.ndarray, alpha: float) -> 
 
     The expression is nondecreasing in k, so the rounded real solution is
     checked against it and, where rounding moved the answer further than
-    one step, bisected between the sentinels -1 and _STEPS + 1."""
+    one step, the whole grid is bisected."""
 
     def fits(k):
         return lo + span * (k / _STEPS) <= alpha
@@ -117,12 +118,7 @@ def _last_grid_point_at_most(lo: np.ndarray, span: np.ndarray, alpha: float) -> 
     )
     below = np.where(bracketed, below, -1.0)
     above = np.where(bracketed, above, _STEPS + 1.0)
-    while np.any(above - below > 1.0):
-        mid = np.floor(0.5 * (below + above))
-        fit = fits(mid)
-        below = np.where(fit, mid, below)
-        above = np.where(fit, above, mid)
-    return below
+    return _bisect(fits, below, above)
 
 
 def _wsr_ucb_at_most(z: np.ndarray, delta: float, lo, span, alpha: float) -> np.ndarray:

@@ -42,6 +42,7 @@ from .harness import (
     run_trials,
     select,
     summary_to_dict,
+    write_csv,
 )
 from .risk import LossKind, OceCost, empirical_oce, losses_at, relative_set_sizes
 
@@ -217,9 +218,7 @@ def _cmd_calibrate(args):
     }
     (outdir / "calibration.json").write_text(json.dumps(payload, indent=2) + "\n")
     with open(outdir / "trace.csv", "w") as fp:
-        fp.write("lambda,bound,passed\n")
-        for lam, bound, passed, _ in trace.tolist():
-            fp.write(f"{lam!r},{bound!r},{'true' if passed else 'false'}\n")
+        write_csv(fp, ("lambda", "bound", "passed"), trace[["lam", "bound", "passed"]].tolist())
     if not outcome.feasible:
         log.info("infeasible at alpha=%g; lambda_hat pinned to 1", args.alpha)
         if args.strict:
@@ -318,8 +317,7 @@ def _emit_trials(outdir: Path, records, summary, no_timestamp: bool):
         except ValueError as e:
             log.info("kde for %s unavailable (%s); emitting raw values", name, e)
             with open(outdir / f"raw_{name}.csv", "w") as fp:
-                fp.write("value\n")
-                fp.writelines(f"{v!r}\n" for v in values)
+                write_csv(fp, ("value",), zip(values))
             continue
         with open(outdir / f"kde_{name}.csv", "w") as fp:
             kde_to_csv(series, fp)
@@ -358,17 +356,15 @@ def _cmd_sweep(args):
     pool = _load_pool(args)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    columns = (args.vary, "satisfaction_rate", "mean_test_oce_risk",
+               "median_test_oce_risk", "median_rel_size", "trials")
     rows = []
     for value, config, subdir in zip(values, configs, subdirs):
         records, summary = run_trials(pool, config, args.trials, args.seed, jobs=args.jobs)
         _emit_trials(outdir / subdir, records, summary, args.no_timestamp)
-        rows.append((value, summary))
+        rows.append([value] + [getattr(summary, c) for c in columns[1:]])
     with open(outdir / "sweep_summary.csv", "w") as fp:
-        fp.write(f"{args.vary},satisfaction_rate,mean_test_oce_risk,"
-                 "median_test_oce_risk,median_rel_size,trials\n")
-        for value, s in rows:
-            fp.write(f"{value!r},{s.satisfaction_rate!r},{s.mean_test_oce_risk!r},"
-                     f"{s.median_test_oce_risk!r},{s.median_rel_size!r},{s.trials}\n")
+        write_csv(fp, columns, rows)
     return 0
 
 

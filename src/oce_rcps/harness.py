@@ -14,6 +14,7 @@ import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -142,8 +143,8 @@ def _run_index(i: int) -> TrialRecord:
 def run_trials(pool: Dataset, config: TrialConfig, trials: int, master_seed: int, jobs: int = 1):
     """Run `trials` independent trials; returns (records, summary).
 
-    jobs > 1 fans trials out to worker processes; results are identical to
-    the sequential run because each trial derives its own seed.
+    jobs > 1 fans trials out to min(jobs, trials) worker processes; results
+    equal the sequential run's because each trial derives its own seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -151,7 +152,7 @@ def run_trials(pool: Dataset, config: TrialConfig, trials: int, master_seed: int
         records = [run_trial(pool, config, i, master_seed) for i in range(trials)]
     else:
         with ProcessPoolExecutor(
-            max_workers=jobs,
+            max_workers=min(jobs, trials),
             initializer=_init_worker,
             initargs=(pool, config, master_seed),
         ) as ex:
@@ -212,13 +213,12 @@ def kde_density(values, grid_points: int = 256) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # file emission
 
-TRIAL_CSV_COLUMNS = (
-    "trial_index", "seed", "method", "lambda_hat", "feasible",
-    "test_oce_risk", "satisfied", "mean_rel_size", "median_rel_size",
-)
+TRIAL_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord))
 
 
 def _cell(v) -> str:
+    if isinstance(v, np.generic):  # np.float64 is a float whose repr names numpy
+        v = v.item()
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -226,16 +226,19 @@ def _cell(v) -> str:
     return str(v)
 
 
+def write_csv(fp, columns, rows) -> None:
+    """The CSV format of every file the toolkit writes: a header line of
+    `columns`, then one line per row of cells, each spelled by `_cell`."""
+    fp.write(",".join(columns) + "\n")
+    fp.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
 def records_to_csv(records, fp) -> None:
-    fp.write(",".join(TRIAL_CSV_COLUMNS) + "\n")
-    for r in records:
-        fp.write(",".join(_cell(getattr(r, c)) for c in TRIAL_CSV_COLUMNS) + "\n")
+    write_csv(fp, TRIAL_CSV_COLUMNS, map(attrgetter(*TRIAL_CSV_COLUMNS), records))
 
 
 def kde_to_csv(series: np.ndarray, fp) -> None:
-    fp.write("x,density\n")
-    for x, d in series:
-        fp.write(f"{x!r},{d!r}\n")
+    write_csv(fp, ("x", "density"), series)
 
 
 def summary_to_dict(summary: ExperimentSummary) -> dict:

@@ -24,6 +24,10 @@ _EXP_LIMIT = 709.0
 # the plain log-mean-exp is within ~1e-12 and keeps its established bits
 _SMALL_BETA = 1e-4
 
+# every entropic beta is raised to this floor so beta * u cannot underflow;
+# phi grows with beta, so a risk or bound can only rise, by < 1e-100 on [0, 1]
+_BETA_FLOOR = 1e-100
+
 
 class InvalidExampleError(ValueError):
     pass
@@ -102,12 +106,13 @@ def phi_eval(cost: OceCost, u: float) -> float:
         return u
     if cost.variant == "cvar":
         return max(u, 0.0) / (1.0 - cost.beta)
-    bu = cost.beta * u
+    beta = max(cost.beta, _BETA_FLOOR)
+    bu = beta * u
     if bu > _EXP_LIMIT:
         raise OverflowError(
             f"entropic cost overflow: beta*u = {bu:.3g} exceeds exp limit"
         )
-    return math.expm1(bu) / cost.beta
+    return math.expm1(bu) / beta
 
 
 def transformed_losses(cost: OceCost, t: float, losses: np.ndarray) -> np.ndarray:
@@ -117,10 +122,11 @@ def transformed_losses(cost: OceCost, t: float, losses: np.ndarray) -> np.ndarra
         return losses.copy()
     if cost.variant == "cvar":
         return t + np.maximum(losses - t, 0.0) / (1.0 - cost.beta)
-    bu = cost.beta * (losses - t)
+    beta = max(cost.beta, _BETA_FLOOR)
+    bu = beta * (losses - t)
     if np.any(bu > _EXP_LIMIT):
         raise OverflowError("entropic cost overflow in transformed_losses")
-    return t + np.expm1(bu) / cost.beta
+    return t + np.expm1(bu) / beta
 
 
 def bound_B(cost: OceCost, t: float) -> float:
@@ -162,10 +168,8 @@ def empirical_oce(losses: np.ndarray, cost: OceCost) -> tuple[float, float]:
         else:
             # the mean of exp rounds toward 1 here, losing ~1e-16/beta;
             # log1p and expm1 keep those digits. The value lies between the
-            # mean and the mean + beta * (max - min)^2 / 8 (Hoeffding's lemma),
-            # so raising beta to 1e-100 moves it by less than 1e-100 on
-            # [0, LOSS_MAX] and keeps beta * (loss - hi) out of underflow.
-            beta = max(beta, 1e-100)
+            # mean and the mean + beta * (max - min)^2 / 8 (Hoeffding's lemma).
+            beta = max(beta, _BETA_FLOOR)
             value = hi + math.log1p(np.mean(np.expm1(beta * (losses - hi)))) / beta
         return value, value
     k = max(1, math.ceil(cost.beta * n))

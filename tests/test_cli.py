@@ -87,6 +87,24 @@ def test_evaluate_entropic_tiny_beta_is_the_mean(dataset_path, capsys):
     assert abs(risks[1] - risks[0]) < 1e-9
 
 
+@pytest.mark.parametrize("method", ["oce-rcps", "oce-crc"])
+def test_calibrate_subnormal_entropic_beta_picks_the_small_beta_lambda(tmp_path, method):
+    # at beta = 5e-324, beta * u underflows to 0 without the beta floor, so
+    # the bound (oce-rcps) or objective (oce-crc) lost its entropic cost
+    pool = tmp_path / "pool.jsonl"
+    assert run(["generate", "--count", 600, "--seed", 3, "--output", pool]) == 0
+    picks = []
+    for i, risk in enumerate(("entropic:5e-324", "entropic:1e-200")):
+        outdir = tmp_path / str(i)
+        assert run([
+            "calibrate", "--method", method, "--risk", risk, "--loss", "fnr",
+            "--alpha", 0.3, "--delta", 0.1, "--grid", 200, "--data", pool,
+            "--opt-size", 150, "--cal-size", 450, "--output-dir", outdir,
+        ]) == 0
+        picks.append(json.loads((outdir / "calibration.json").read_text())["lambda_hat"])
+    assert picks[0] == picks[1]
+
+
 def test_trials_emits_files(dataset_path, tmp_path):
     outdir = tmp_path / "trials"
     code = run([

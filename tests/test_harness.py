@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oce_rcps import harness
 from oce_rcps.calibrate import LambdaGrid
 from oce_rcps.datagen import GeneratorParams, SplitSpec, generate_dataset
 from oce_rcps.harness import (
@@ -70,6 +71,32 @@ def test_run_trials_parallel_matches_sequential(pool):
     seq, _ = run_trials(pool, config(), 8, master_seed=13, jobs=1)
     par, _ = run_trials(pool, config(), 8, master_seed=13, jobs=2)
     assert seq == par
+
+
+def test_run_trials_caps_workers_at_trial_count(pool, monkeypatch):
+    # a pool starts all max_workers processes at its first submit, so the
+    # fake records max_workers and maps in-process instead
+    seen = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            seen.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness, "_WORKER", {})
+    capped, _ = run_trials(pool, config(), 2, master_seed=13, jobs=5000)
+    assert len(seen) == 1 and 1 <= seen[0] <= 2
+    assert capped == run_trials(pool, config(), 2, master_seed=13, jobs=1)[0]
 
 
 def test_summarize_rates():

@@ -1,10 +1,11 @@
 """SHA-256 pins on the bytes the CLI writes.
 
 These files are the behaviour contract: the generated JSONL, `trials.csv`
-and `summary.json` (with `--no-timestamp`), `calibration.json`,
-`trace.csv`, and the JSON from `evaluate`. A refactor must leave every
-digest here unchanged; a pin moves only with a deliberate change to what
-the toolkit computes, explained in CHANGES.md.
+and `summary.json` (with `--no-timestamp`), the KDE CSVs of a `trials`
+run, `sweep_summary.csv`, `calibration.json`, `trace.csv`, and the JSON
+from `evaluate`. A refactor must leave every digest here unchanged; a
+pin moves only with a deliberate change to what the toolkit computes,
+explained in CHANGES.md.
 
 The digests were taken with Python 3.11, numpy 2.4.6 and scipy 1.17.1.
 The generated scores come from `scipy.special.betaincinv`, so another
@@ -13,6 +14,7 @@ downstream of them, without any change here.
 """
 
 import hashlib
+import math
 
 import pytest
 
@@ -42,6 +44,9 @@ PINS = {
     "trials-rcps/summary.json": "24e486c91d8d5f4e11da220a00aae85891f4d05d906e30901124662ad28d05ac",
     "trials-oce-rcps/trials.csv": "58e48d89cc10239cd2d394c9330b06410542225d9ad97e626f9e71d80114e295",
     "trials-oce-rcps/summary.json": "0d8783b6d7b637cc4039f5a8611ab95298f827347e863bf0ba4d755a020cbaaf",
+    "trials-oce-rcps/kde_risk.csv": "f5c214435567c4e6c2935bdd0cc8b705400afbaf81897453e57c0a8db90c4ad2",
+    "trials-oce-rcps/kde_rel_size.csv": "83aeb028cb3e950b7d569739c089e1a19ab641685308cbb9e15953452f015e3c",
+    "sweep/sweep_summary.csv": "941fd6284c554feed7c6e96989c87595ff795fee7c0bb8e57485a94a48916e6a",
     "cal-oce-rcps/calibration.json": "742a3284ff9a4c3087bb81dd3c72eb646e7a2a27f25d0e3f10906a89bb2a69e8",
     "cal-oce-rcps/trace.csv": "f07203658693b2cd7e26ab868135e468f775f64baa46671ca47470e6127a6c08",
     "cal-oce-crc/calibration.json": "5ae8f8fd0fb8f7b1923c2ddec083b6e03b0c5061a5fe6819cc6bfeab6a07d930",
@@ -84,6 +89,17 @@ def produce(root):
         )
         out[f"trials-{method}/trials.csv"] = outdir / "trials.csv"
         out[f"trials-{method}/summary.json"] = outdir / "summary.json"
+    for name in ("kde_risk.csv", "kde_rel_size.csv"):
+        out[f"trials-oce-rcps/{name}"] = root / "trials-oce-rcps" / name
+    outdir = root / "sweep"
+    _run(
+        "sweep", "--vary", "delta", "--values", "0.3,0.2",
+        "--method", "oce-rcps", "--risk", "cvar:0.9", *RUN,
+        "--grid", 100, "--pool", pool,
+        "--opt-size", 40, "--cal-size", 100, "--test-size", 60,
+        "--trials", 20, "--seed", 7, "--no-timestamp", "--output-dir", outdir,
+    )
+    out["sweep/sweep_summary.csv"] = outdir / "sweep_summary.csv"
     for method in METHODS:
         outdir = root / f"trials-miss-{method}"
         _run(
@@ -122,8 +138,14 @@ def produce(root):
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
-    paths = produce(tmp_path_factory.mktemp("pins"))
+def produced(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pins")
+    return root, produce(root)
+
+
+@pytest.fixture(scope="module")
+def digests(produced):
+    _, paths = produced
     return {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
 
 
@@ -134,3 +156,15 @@ def test_every_output_is_pinned(digests):
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_output_pin(digests, name):
     assert digests[name] == PINS[name]
+
+
+def test_every_kde_cell_is_a_float(produced):
+    root, _ = produced
+    files = sorted(root.rglob("kde_*.csv"))
+    assert len(files) >= 2
+    for path in files:
+        header, *rows = path.read_text().splitlines()
+        assert header == "x,density"
+        for row in rows:
+            x, density = row.split(",")
+            assert math.isfinite(float(x)) and math.isfinite(float(density))

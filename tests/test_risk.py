@@ -264,6 +264,17 @@ def test_entropic_oce_precise_for_small_beta(beta):
     assert abs(value - want) < 1e-9
 
 
+@pytest.mark.parametrize("beta", [5e-324, 1e-310])
+def test_entropic_cost_at_subnormal_beta_is_the_small_beta_limit(beta):
+    # beta * u underflows here; the beta -> 0 limit of phi(u) is u
+    cost = OceCost.entropic(beta)
+    for u in (-1.0, -0.25, 0.3, 1.0):
+        assert abs(phi_eval(cost, u) - u) < 1e-12
+    losses = np.linspace(0.0, 1.0, 11)
+    for t in (0.0, 0.25, 1.0):
+        assert np.max(np.abs(transformed_losses(cost, t, losses) - losses)) < 1e-12
+
+
 def brute_force_oce(losses, cost, grid=20001):
     ts = np.linspace(0.0, 1.0, grid)
     return min(empirical_objective(losses, cost, t) for t in ts)
