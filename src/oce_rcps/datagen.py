@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -71,12 +71,17 @@ _Row = namedtuple("_Row", "scores truth")
 @dataclass(eq=False)
 class Dataset:
     """n examples over m elements: scores in [0, 1] as an (n, m) float64
-    array and the ground-truth positive sets as an (n, m) bool mask."""
+    array and the ground-truth positive sets as an (n, m) bool mask. Both
+    arrays are read-only, so loss counts kept for them cannot go stale."""
 
     scores: np.ndarray
     truth: np.ndarray
     seed: int | None = None
     params: dict | None = None
+    # loss counts kept by risk.count_pool and shared with every part split
+    # from this dataset, and which of their rows this dataset's rows are
+    _counts: tuple | None = field(default=None, init=False, repr=False)
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
@@ -89,6 +94,12 @@ class Dataset:
             raise ValueError("truth must be a bool mask")
         if not np.all((self.scores >= 0.0) & (self.scores <= 1.0)):  # NaN fails too
             raise ValueError("scores must lie in [0, 1]")
+        self.scores.flags.writeable = self.truth.flags.writeable = False
+
+    def __setstate__(self, state):
+        # unpickling (as a spawned worker does with the pool) makes arrays writable
+        self.__dict__.update(state)
+        self.scores.flags.writeable = self.truth.flags.writeable = False
 
     @property
     def m(self) -> int:
@@ -132,7 +143,8 @@ def generate_dataset(params: GeneratorParams, count: int, seed: int) -> Dataset:
 
 def split_dataset(data: Dataset, split: SplitSpec, seed: int):
     """Seeded uniform permutation assigning disjoint index ranges; returns
-    the (opt, cal, test) rows as three Datasets."""
+    the (opt, cal, test) rows as three Datasets. The parts of a counted
+    dataset share its loss counts and know which of their rows they hold."""
     n = len(data)
     if split.total > n:
         raise ValueError(f"split sizes total {split.total} exceed dataset size {n}")
@@ -140,7 +152,13 @@ def split_dataset(data: Dataset, split: SplitSpec, seed: int):
     shuffle(indices, seed)
     order = np.array(indices)
     a, b, c = split.opt_size, split.opt_size + split.cal_size, split.total
-    pick = lambda rows: Dataset(data.scores[rows], data.truth[rows])
+
+    def pick(rows):
+        part = Dataset(data.scores[rows], data.truth[rows])
+        if data._counts is not None:
+            part._counts, part._rows = data._counts, data._rows[rows]
+        return part
+
     return pick(order[:a]), pick(order[a:b]), pick(order[b:c])
 
 
@@ -191,6 +209,9 @@ def read_dataset(fp) -> Dataset:
             raise DatasetParseError(line_no, "row needs scores and truth arrays")
         if len(scores) != m:
             raise DatasetParseError(line_no, f"expected {m} scores, got {len(scores)}")
+        # bool is a subclass of int, but true is not a score; nor is "0.5"
+        if not set(map(type, scores)) <= {int, float}:
+            raise DatasetParseError(line_no, "scores must be numbers")
         arr = np.asarray(scores, dtype=np.float64)
         if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
             raise DatasetParseError(line_no, "score outside [0, 1]")

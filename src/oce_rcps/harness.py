@@ -27,7 +27,7 @@ from .calibrate import (
     select_rcps,
 )
 from .datagen import Dataset, SplitSpec, split_dataset
-from .risk import LossKind, OceCost, empirical_oce, losses_at, relative_set_sizes
+from .risk import LossKind, OceCost, count_pool, empirical_oce, losses_at, relative_set_sizes
 from .rng import mix64
 
 METHODS = ("oce-crc", "rcps", "oce-rcps")
@@ -110,6 +110,7 @@ def select(cal, opt, config: TrialConfig) -> CalibrationOutcome:
 def run_trial(
     pool: Dataset, config: TrialConfig, trial_index: int, master_seed: int
 ) -> TrialRecord:
+    count_pool(pool, config.grid.values)
     seed = mix64(master_seed, trial_index)
     opt, cal, test = split_dataset(pool, config.split, seed)
     outcome = select(cal, opt, config)
@@ -148,6 +149,7 @@ def run_trials(pool: Dataset, config: TrialConfig, trials: int, master_seed: int
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    count_pool(pool, config.grid.values)  # before the workers fork, so they inherit the counts
     if jobs <= 1:
         records = [run_trial(pool, config, i, master_seed) for i in range(trials)]
     else:

@@ -176,6 +176,20 @@ def test_data_errors_exit_3(tmp_path):
     assert code == 3
 
 
+def test_evaluate_rejects_non_number_scores(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(
+        '{"format":"oce-rcps-dataset","version":1,"m":3,"count":1,"seed":null,"params":null}\n'
+        '{"scores":[true,"0.5",0.2],"truth":[0]}\n'
+    )
+    code = run([
+        "evaluate", "--data", bad, "--lambda", "0.5", "--risk", "average", "--loss", "fnr",
+        "--output", tmp_path / "evaluate.json",
+    ])
+    assert code == 3
+    assert not (tmp_path / "evaluate.json").exists()
+
+
 def test_config_file_equivalence(dataset_path, tmp_path):
     conf = tmp_path / "run.json"
     conf.write_text(json.dumps({

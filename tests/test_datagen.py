@@ -150,6 +150,17 @@ def test_read_rejects_bad_score():
             read_dataset(io.StringIO(text))
 
 
+@pytest.mark.parametrize("score", ["true", '"0.5"'])
+def test_read_rejects_bool_or_string_score(score):
+    # np.asarray once read true as 1.0 and "0.5" as 0.5
+    text = (
+        '{"format":"oce-rcps-dataset","version":1,"m":3,"count":1,"seed":null,"params":null}\n'
+        '{"scores":[%s,0.5,0.2],"truth":[0]}\n' % score
+    )
+    with pytest.raises(DatasetParseError, match="line 2: scores must be numbers"):
+        read_dataset(io.StringIO(text))
+
+
 @pytest.mark.parametrize("truth", ["[true]", "[2,2]"])
 def test_read_rejects_bool_or_duplicate_truth(truth):
     text = (

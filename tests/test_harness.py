@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oce_rcps import harness
+from oce_rcps import harness, risk
 from oce_rcps.calibrate import LambdaGrid
 from oce_rcps.datagen import GeneratorParams, SplitSpec, generate_dataset
 from oce_rcps.harness import (
@@ -73,10 +73,17 @@ def test_run_trials_parallel_matches_sequential(pool):
     assert seq == par
 
 
-def test_run_trials_caps_workers_at_trial_count(pool, monkeypatch):
-    # a pool starts all max_workers processes at its first submit, so the
-    # fake records max_workers and maps in-process instead
-    seen = []
+def record_walks(monkeypatch):
+    """The size of each dataset walked from here on."""
+    seen, walk = [], risk._walk_counts
+    monkeypatch.setattr(risk, "_walk_counts", lambda data, lams: seen.append(len(data)) or walk(data, lams))
+    return seen
+
+
+def map_in_process(monkeypatch, seen):
+    """Replace the worker pool by one that appends its max_workers to `seen`
+    and maps in-process: a real pool starts all its processes at the first
+    submit."""
 
     class InProcessPool:
         def __init__(self, max_workers, initializer, initargs):
@@ -94,6 +101,31 @@ def test_run_trials_caps_workers_at_trial_count(pool, monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(harness, "_WORKER", {})
+
+
+def test_trials_walk_the_pool_once_per_grid(monkeypatch):
+    pool = generate_dataset(GeneratorParams(m=40), 300, seed=2024)  # never counted
+    seen = record_walks(monkeypatch)
+    for i in range(3):
+        run_trial(pool, config(), i, master_seed=5)
+    for method in ("oce-rcps", "oce-crc", "rcps"):
+        run_trials(pool, config(method), 4, master_seed=5, jobs=1)
+    assert seen == [len(pool)]  # no split is walked
+    run_trials(pool, config(grid=LambdaGrid(20)), 2, master_seed=5, jobs=1)
+    assert seen == [len(pool)] * 2
+
+
+def test_run_trials_counts_the_pool_before_workers_start(monkeypatch):
+    pool = generate_dataset(GeneratorParams(m=40), 300, seed=2024)
+    seen = record_walks(monkeypatch)
+    map_in_process(monkeypatch, seen)
+    run_trials(pool, config(), 2, master_seed=13, jobs=2)
+    assert seen == [len(pool), 2]
+
+
+def test_run_trials_caps_workers_at_trial_count(pool, monkeypatch):
+    seen = []
+    map_in_process(monkeypatch, seen)
     capped, _ = run_trials(pool, config(), 2, master_seed=13, jobs=5000)
     assert len(seen) == 1 and 1 <= seen[0] <= 2
     assert capped == run_trials(pool, config(), 2, master_seed=13, jobs=1)[0]

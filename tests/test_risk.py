@@ -1,19 +1,24 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oce_rcps.datagen import Dataset
+from oce_rcps import risk
+from oce_rcps.calibrate import LambdaGrid
+from oce_rcps.datagen import Dataset, GeneratorParams, SplitSpec, generate_dataset, split_dataset
 from oce_rcps.risk import (
     LOSS_MAX,
     InvalidExampleError,
     LossKind,
     OceCost,
     bound_B,
+    count_pool,
     empirical_objective,
     empirical_oce,
+    loss_counts,
     losses_at,
     phi_eval,
     relative_set_sizes,
@@ -171,6 +176,116 @@ def test_relative_size_of_empty_truth_is_set_size():
     data = dataset([[0.9, 0.6, 0.1], [0.9, 0.6, 0.1]], [set(), {0, 1}])
     assert relative_set_sizes(data, 0.5).tolist() == [2.0, 1.0]
     assert losses_at(data, MISS, [0.0, 0.5]).tolist() == [[0.0, 0.0], [1.0, 0.0]]
+
+
+# ---------------------------------------------------------------- kept counts
+
+def uncounted(data):
+    """A copy of `data` that was never counted, so its losses are walked."""
+    return Dataset(np.array(data.scores), np.array(data.truth))
+
+
+def same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def record_walks(monkeypatch):
+    """The size of each dataset walked from here on."""
+    seen, walk = [], risk._walk_counts
+    monkeypatch.setattr(risk, "_walk_counts", lambda data, lams: seen.append(len(data)) or walk(data, lams))
+    return seen
+
+
+GRID = LambdaGrid(50).values
+
+
+@pytest.fixture(scope="module")
+def counted_pool():
+    pool = generate_dataset(GeneratorParams(m=30), 120, seed=8)
+    count_pool(pool, GRID)
+    return pool
+
+
+@pytest.mark.parametrize("m, dtype", [(255, np.uint8), (256, np.uint16), (300, np.uint16)])
+def test_counts_fit_their_dtype_at_the_boundary(m, dtype):
+    rng = np.random.default_rng(m)
+    truth = rng.uniform(size=(6, m)) < 0.5
+    truth[:2] = True  # every score lies below 1 - 0, so these rows count m at lam 0
+    data = Dataset(rng.uniform(size=(6, m)), truth)
+    lams = [0.0, 0.25, 0.5, 1.0]
+    exs = as_examples(data)
+    walked = loss_counts(data, lams)
+    count_pool(data, lams)
+    part = split_dataset(data, SplitSpec(2, 2, 2), seed=1)[1]
+    for counts in (walked, loss_counts(data, lams)):
+        assert counts.dtype == dtype
+        assert counts[:, 0].tolist() == truth.sum(axis=1).tolist()
+    for kind in (FNR, MISS):
+        assert np.array_equal(losses_at(data, kind, lams), reference_losses(kind, exs, lams))
+        assert same(losses_at(part, kind, lams), losses_at(uncounted(part), kind, lams))
+
+
+def test_counted_parts_read_any_columns_of_the_grid(counted_pool, monkeypatch):
+    rng = np.random.default_rng(5)
+    parts = (counted_pool, *split_dataset(counted_pool, SplitSpec(20, 60, 40), seed=3))
+    columns = (GRID, GRID[::-1], rng.choice(GRID, 17), [GRID[23]])
+    cases = [(p, kind, lams) for p in parts for kind in (FNR, MISS) for lams in columns]
+    expected = [losses_at(uncounted(p), kind, lams) for p, kind, lams in cases]
+    walks = record_walks(monkeypatch)
+    for (part, kind, lams), want in zip(cases, expected):
+        assert same(losses_at(part, kind, lams), want)
+        assert part._counts[1] is counted_pool._counts[1]  # read, not copied
+    assert walks == []
+
+
+def test_off_grid_lambda_is_walked(counted_pool, monkeypatch):
+    _, cal, _ = split_dataset(counted_pool, SplitSpec(20, 60, 40), seed=3)
+    for lams in ([0.013], [GRID[3], 0.013], [math.nan]):
+        want = losses_at(uncounted(cal), MISS, lams)
+        with monkeypatch.context() as patch:
+            walks = record_walks(patch)
+            assert same(losses_at(cal, MISS, lams), want)
+        assert walks == [len(cal)]
+
+
+def test_part_of_a_part_composes_rows(counted_pool, monkeypatch):
+    _, cal, _ = split_dataset(counted_pool, SplitSpec(20, 60, 40), seed=3)
+    parts = split_dataset(cal, SplitSpec(10, 30, 20), seed=4)
+    expected = [losses_at(uncounted(p), FNR, GRID) for p in parts]
+    walks = record_walks(monkeypatch)
+    for part, want in zip(parts, expected):
+        assert same(losses_at(part, FNR, GRID), want)
+    assert walks == []
+
+
+def test_pool_with_empty_truth_row_counts_for_both_losses():
+    rng = np.random.default_rng(9)
+    truth = rng.uniform(size=(6, 5)) < 0.5
+    truth[:, 0] = True
+    truth[4] = False
+    pool = Dataset(rng.uniform(size=(6, 5)), truth)
+    count_pool(pool, GRID)  # counting ignores the loss kind
+    held = 0
+    for part in split_dataset(pool, SplitSpec(2, 2, 2), seed=1):
+        assert same(losses_at(part, MISS, GRID), losses_at(uncounted(part), MISS, GRID))
+        if part.truth.any(axis=1).all():
+            assert same(losses_at(part, FNR, GRID), losses_at(uncounted(part), FNR, GRID))
+        else:
+            held += 1
+            with pytest.raises(InvalidExampleError):
+                losses_at(part, FNR, GRID)
+    assert held == 1
+
+
+def test_dataset_arrays_are_read_only(counted_pool):
+    part = split_dataset(counted_pool, SplitSpec(20, 60, 40), seed=3)[0]
+    copied = pickle.loads(pickle.dumps(part))
+    assert same(losses_at(copied, FNR, GRID), losses_at(part, FNR, GRID))
+    for data in (counted_pool, part, copied):
+        with pytest.raises(ValueError, match="read-only"):
+            data.scores[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            data.truth[0, 0] = True
 
 
 # ---------------------------------------------------------------- phi
