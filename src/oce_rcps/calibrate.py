@@ -8,19 +8,20 @@ demand that an upper confidence bound stays below alpha at the threshold
 and every larger one: they scan downward from 1 to the first failure. One
 block scan serves both, one decision call per block of grid columns.
 RCPS-style scans decide each column with a one-pass test that is exactly
-"UCB <= alpha" and never compute the UCB itself; `trace_bounds` computes it
-for the tested columns when they are written out.
+"UCB <= alpha" and never compute the UCB itself; the outcome's `bounds()`
+computes it for the tested columns when they are written out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import oce_risk_ucb, oce_risk_ucb_at_most
 from .datagen import Dataset
-from .risk import LossKind, OceCost, bound_B, empirical_objective, empirical_oce, losses_at
+from .risk import LossKind, OceCost, bound_B, count_pool, empirical_objective, empirical_oce, losses_at
 
 # grid columns tested per statistic call, and the trace record of each
 _BLOCK = 32
@@ -63,11 +64,20 @@ class LambdaGrid:
 class CalibrationOutcome:
     """The selected threshold and the trace behind it: one record per tested
     grid column, in scan order, with fields lam, bound, passed and t. The
-    bound is NaN in the trace of an RCPS-style scan; `trace_bounds` gives it."""
+    bound is NaN in the trace of an RCPS-style scan; `bounds()` gives it."""
 
     lambda_hat: float
     feasible: bool
     trace: np.ndarray
+    _ucb: Callable | None = field(default=None, repr=False)  # RCPS-style bound at (lams, ts)
+
+    def bounds(self) -> np.ndarray:
+        """Each trace row's bound, in trace order: the objective an OCE-CRC
+        scan stored, or the UCB an RCPS-style scan decided by, in one
+        `oce_risk_ucb` call that reads the calibration split's counts again."""
+        if self._ucb is None:
+            return self.trace["bound"].copy()
+        return self._ucb(self.trace["lam"], self.trace["t"])
 
 
 def optimize_t(opt_losses: np.ndarray, cost: OceCost) -> float:
@@ -82,17 +92,18 @@ def optimize_t(opt_losses: np.ndarray, cost: OceCost) -> float:
     return empirical_oce(opt_losses, cost)[1]
 
 
-def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward) -> CalibrationOutcome:
+def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward, ucb=None) -> CalibrationOutcome:
     """Test grid columns in blocks counted from the scan's start, upward to the
     first pass or downward to the first failure; `decide(block, ts)` maps an
     (n, k) calibration loss block and its k values of t to the k bounds (or
-    NaN) and the k pass flags."""
+    NaN) and the k pass flags. The outcome keeps `ucb` for its `bounds()`."""
     if len(cal) == 0:
         raise ValueError("calibration set must be nonempty")
-    lams = grid.values
-    cal_losses = losses_at(cal, loss, lams)
     if fixed_t is None and opt is None:
         raise ValueError("opt split required unless t is fixed")
+    lams = grid.values
+    count_pool(cal, lams)  # a part of a pool counted on this grid reads its counts
+    cal_losses = losses_at(cal, loss, lams)
     opt_losses = None if fixed_t is not None else losses_at(opt, loss, lams)
     tested = []
 
@@ -123,7 +134,7 @@ def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward) -> CalibrationOut
             break
     trace = np.concatenate(tested)
     passing = trace["lam"][trace["passed"]]
-    return CalibrationOutcome(float(passing.min(initial=1.0)), passing.size > 0, trace)
+    return CalibrationOutcome(float(passing.min(initial=1.0)), passing.size > 0, trace, ucb)
 
 
 def select_oce_crc(
@@ -161,14 +172,17 @@ def select_oce_rcps(
 ) -> CalibrationOutcome:
     """Smallest grid threshold such that the OCE-risk UCB stays <= alpha
     there and at every larger grid threshold: downward scan, stop at the
-    first failure. The trace's bounds are NaN; see `trace_bounds`."""
+    first failure. The trace's bounds are NaN; `bounds()` computes them."""
 
     def ucb_at_most_alpha(block, ts):
         return np.nan, oce_risk_ucb_at_most(
             block, cost, ts, spec.delta, spec.alpha, method=bound_method
         )
 
-    return _scan(cal, opt, grid, cost, loss, fixed_t, ucb_at_most_alpha, upward=False)
+    def ucb(lams, ts):
+        return oce_risk_ucb(losses_at(cal, loss, lams), cost, ts, spec.delta, method=bound_method)
+
+    return _scan(cal, opt, grid, cost, loss, fixed_t, ucb_at_most_alpha, upward=False, ucb=ucb)
 
 
 def select_rcps(
@@ -184,18 +198,3 @@ def select_rcps(
         cal, None, spec, grid, OceCost.average(), loss, fixed_t=0.0, bound_method=bound_method
     )
 
-
-def trace_bounds(
-    cal: Dataset,
-    trace: np.ndarray,
-    cost: OceCost,
-    loss: LossKind,
-    delta: float,
-    bound_method: str = "wsr",
-) -> np.ndarray:
-    """The OCE-risk UCB of each column in the trace of an RCPS-style
-    selector, which decided those columns without computing it: one bound
-    call over the tested columns only. Pass the selector's own cost (average
-    for `select_rcps`)."""
-    losses = losses_at(cal, loss, trace["lam"])
-    return oce_risk_ucb(losses, cost, trace["t"], delta, method=bound_method)

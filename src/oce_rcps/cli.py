@@ -12,6 +12,7 @@ outputs go to files or stdout only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibrate import LambdaGrid, trace_bounds
+from .calibrate import LambdaGrid
 from .datagen import (
     DatasetParseError,
     GeneratorParams,
@@ -35,6 +36,7 @@ from .datagen import (
     write_dataset_path,
 )
 from .harness import (
+    METHODS,
     TrialConfig,
     kde_density,
     kde_to_csv,
@@ -53,20 +55,16 @@ class UsageError(Exception):
     pass
 
 
-# hard defaults, applied after the config file overlay
+# hard defaults, applied after the config file overlay; most are the library's
 DEFAULTS = {
-    "m": 100,
-    "rho": 0.3,
-    "difficulty_a": 2.0,
-    "difficulty_b": 2.0,
-    "sharpness": 8.0,
-    "grid": 1000,
-    "bound": "wsr",
+    **dataclasses.asdict(GeneratorParams()),
+    "grid": LambdaGrid.resolution,
+    "bound": TrialConfig.bound_method,
     "t_mode": "per-lambda",
-    "opt_size": 200,
-    "cal_size": 800,
-    "test_size": 781,
-    "pool_size": 1781,
+    "opt_size": TrialConfig.split.opt_size,
+    "cal_size": TrialConfig.split.cal_size,
+    "test_size": TrialConfig.split.test_size,
+    "pool_size": TrialConfig.split.total,
     "pool_seed": 20240501,
     "jobs": 1,
     "strict": False,
@@ -167,12 +165,13 @@ def _add_gen_flags(p):
 
 
 def _add_run_flags(p):
-    p.add_argument("--method", choices=("oce-crc", "rcps", "oce-rcps"), default=None)
+    p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--risk", default=None, help="average | entropic:B | cvar:B")
     p.add_argument("--loss", choices=("fnr", "miscoverage"), default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None, help="grid resolution G (default 1000)")
+    p.add_argument("--grid", type=int, default=None,
+                   help=f"grid resolution G (default {LambdaGrid.resolution})")
     p.add_argument("--bound", choices=("wsr", "hoeffding"), default=None)
     p.add_argument("--t-mode", default=None, help="per-lambda | closed-form | fixed:VALUE")
 
@@ -196,12 +195,9 @@ def _cmd_calibrate(args):
     data = read_dataset_path(args.data)
     opt, cal, _ = split_dataset(data, config.split, args.seed)
     outcome = select(cal, opt, config)
-    trace = np.sort(outcome.trace, order="lam")
-    if config.method != "oce-crc":  # RCPS-style scans decide without the bound
-        cost = OceCost.average() if config.method == "rcps" else config.cost
-        trace["bound"] = trace_bounds(
-            cal, trace, cost, config.loss, config.delta, config.bound_method
-        )
+    trace = outcome.trace.copy()
+    trace["bound"] = outcome.bounds()
+    trace.sort(order="lam")
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {

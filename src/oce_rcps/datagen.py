@@ -212,7 +212,10 @@ def read_dataset(fp) -> Dataset:
         # bool is a subclass of int, but true is not a score; nor is "0.5"
         if not set(map(type, scores)) <= {int, float}:
             raise DatasetParseError(line_no, "scores must be numbers")
-        arr = np.asarray(scores, dtype=np.float64)
+        try:
+            arr = np.asarray(scores, dtype=np.float64)
+        except OverflowError:  # an integer beyond the double range
+            raise DatasetParseError(line_no, "score outside [0, 1]") from None
         if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
             raise DatasetParseError(line_no, "score outside [0, 1]")
         # bool is a subclass of int, but true is not an index

@@ -191,9 +191,10 @@ def summarize(records, alpha: float, config_echo: dict | None = None) -> Experim
 def kde_density(values, grid_points: int = 256) -> np.ndarray:
     """Gaussian kernel density estimate on an automatic grid.
 
-    Bandwidth h = 0.9 * min(std, IQR/1.34) * n^(-1/5), floored at
-    1e-6 * spread; the grid spans [min - 3h, max + 3h]. Returns an array
-    of (x, density) rows whose trapezoid integral is 1 within 1%.
+    Bandwidth h = 0.9 * min(std, IQR/1.34) * n^(-1/5), with std alone when
+    IQR is 0 (R's bw.nrd0), floored at 1e-6 * spread; the grid spans
+    [min - 3h, max + 3h]. Returns an array of (x, density) rows whose
+    trapezoid integral is 1 within 1%.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.size
@@ -204,7 +205,7 @@ def kde_density(values, grid_points: int = 256) -> np.ndarray:
         raise ValueError("kde needs nonzero sample spread")
     sigma = float(np.std(values, ddof=1))
     iqr = float(np.quantile(values, 0.75) - np.quantile(values, 0.25))
-    h = 0.9 * min(sigma, iqr / 1.34) * n ** (-0.2)
+    h = 0.9 * (min(sigma, iqr / 1.34) or sigma) * n ** (-0.2)
     h = max(h, 1e-6 * spread)
     xs = np.linspace(values.min() - 3.0 * h, values.max() + 3.0 * h, grid_points)
     dev = (xs[:, None] - values[None, :]) / h

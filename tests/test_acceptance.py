@@ -19,7 +19,6 @@ from oce_rcps.calibrate import (
     optimize_t,
     select_oce_rcps,
     select_rcps,
-    trace_bounds,
 )
 from oce_rcps.datagen import Dataset, GeneratorParams, SplitSpec, generate_dataset, split_dataset
 from oce_rcps.harness import TrialConfig, records_to_csv, run_trials
@@ -136,7 +135,7 @@ def test_criterion_2_identity_reduction():
         a = select_oce_rcps(cal, opt, spec, grid, avg, FNR)
         b = select_rcps(cal, spec, grid, FNR)
         for out in (a, b):  # the scans decide without the bounds; compare those too
-            out.trace["bound"] = trace_bounds(cal, out.trace, avg, FNR, spec.delta)
+            out.trace["bound"] = out.bounds()
         identical &= (
             a.lambda_hat == b.lambda_hat
             and a.feasible == b.feasible

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oce_rcps.bounds import oce_risk_ucb
 from oce_rcps.calibrate import (
     _BLOCK,
     LambdaGrid,
@@ -11,7 +12,6 @@ from oce_rcps.calibrate import (
     select_oce_crc,
     select_oce_rcps,
     select_rcps,
-    trace_bounds,
 )
 from oce_rcps.datagen import Dataset
 from oce_rcps.risk import LossKind, OceCost, empirical_objective, losses_at
@@ -27,12 +27,12 @@ def singletons(scores):
     return Dataset(scores, np.ones(scores.shape, dtype=bool))
 
 
-def bounded(out, cal, cost, loss, delta):
+def bounded(out):
     """The trace of an RCPS-style selector with the bounds its scan left
     NaN filled in, as `cli calibrate` writes them."""
     trace = out.trace.copy()
     assert np.isnan(trace["bound"]).all()
-    trace["bound"] = trace_bounds(cal, trace, cost, loss, delta)
+    trace["bound"] = out.bounds()
     return trace
 
 
@@ -181,10 +181,7 @@ def test_oce_rcps_average_reduces_to_rcps():
         b = select_rcps(cal, spec, grid, FNR)
         assert a.lambda_hat == b.lambda_hat
         assert a.feasible == b.feasible
-        assert np.array_equal(
-            bounded(a, cal, OceCost.average(), FNR, spec.delta),
-            bounded(b, cal, OceCost.average(), FNR, spec.delta),
-        )
+        assert np.array_equal(bounded(a), bounded(b))
 
 
 def test_suffix_property():
@@ -284,7 +281,7 @@ def test_block_scan_matches_column_oracle(G):
                 )
                 lam_hat, feasible, trace = scan(alpha, cost, fixed_t)
                 assert (out.lambda_hat, out.feasible) == (lam_hat, feasible)
-                got = out.trace if upward else bounded(out, cal, cost, MISS, 0.2)
+                got = out.trace if upward else bounded(out)
                 assert got.tolist() == trace  # lam, bound, passed and t, in scan order
 
 
@@ -302,6 +299,50 @@ def test_crc_entropic_overflow_past_the_stop_is_not_reached():
         oce_crc_scan(cal_losses, cal_losses, 0.5, grid.values, cost)
     with pytest.raises(OverflowError):
         select_oce_crc(cal, cal, ReliabilitySpec(0.5, 0.2), grid, cost, MISS)
+
+
+@pytest.mark.parametrize("method", ["wsr", "hoeffding"])
+@pytest.mark.parametrize("kind, cost, fixed_t", [
+    ("rcps", OceCost.average(), 0.0),
+    ("oce-rcps", OceCost.cvar(0.8), None),
+    ("oce-rcps", OceCost.entropic(3), None),
+    ("oce-rcps", OceCost.average(), None),
+    ("oce-rcps", OceCost.cvar(0.8), 0.3),
+])
+def test_rcps_bounds_are_the_ucb_of_the_tested_columns(kind, cost, fixed_t, method):
+    rng = np.random.default_rng(59)
+    cal, opt = random_dataset(rng, 200), random_dataset(rng, 25)
+    spec = ReliabilitySpec(0.8, 0.2)  # most scans cross a block boundary at G = 100
+    if kind == "rcps":
+        out = select_rcps(cal, spec, LambdaGrid(100), FNR, bound_method=method)
+    else:
+        out = select_oce_rcps(
+            cal, opt, spec, LambdaGrid(100), cost, FNR, fixed_t=fixed_t, bound_method=method
+        )
+    trace = out.trace.copy()
+    want = oce_risk_ucb(losses_at(cal, FNR, trace["lam"]), cost, trace["t"], 0.2, method)
+    assert len(trace) > 1 and np.isnan(trace["bound"]).all()
+    assert out.bounds().tolist() == want.tolist()
+    assert out.bounds().tolist() == want.tolist()  # a second call gives the same
+    assert out.trace.tobytes() == trace.tobytes()  # and the trace is left as it was
+
+
+def test_crc_bounds_are_the_stored_objectives():
+    rng = np.random.default_rng(61)
+    cal, opt = random_dataset(rng, 60), random_dataset(rng, 25)
+    out = select_oce_crc(cal, opt, ReliabilitySpec(0.3, 0.2), LambdaGrid(40), OceCost.cvar(0.8), FNR)
+    assert len(out.trace) > 1
+    # the overflow fixture's upward scan retests column by column and stops
+    # at its first column, short of the columns that overflow
+    single = singletons([0.5] * 10)
+    short = select_oce_crc(
+        single, single, ReliabilitySpec(2.0, 0.2), LambdaGrid(10), OceCost.entropic(710), MISS
+    )
+    for outcome in (out, short):
+        trace = outcome.trace.copy()
+        assert outcome.bounds().tolist() == trace["bound"].tolist()
+        outcome.bounds()[:] = -1.0  # a copy: the trace keeps its bounds
+        assert outcome.trace.tobytes() == trace.tobytes()
 
 
 def test_empty_cal_rejected():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from oce_rcps import risk
 from oce_rcps.cli import run_cli
 from oce_rcps.datagen import read_dataset_path
 
@@ -49,6 +50,27 @@ def test_calibrate_outputs(dataset_path, tmp_path):
     trace = (outdir / "trace.csv").read_text().splitlines()
     assert trace[0] == "lambda,bound,passed"
     assert len(trace) > 1
+
+
+@pytest.mark.parametrize("method, walks", [
+    ("oce-rcps", [(150, 1001), (40, 1001)]),
+    ("oce-crc", [(150, 1001), (40, 1001)]),
+    ("rcps", [(150, 1001)]),
+])
+def test_calibrate_walks_each_split_once(tmp_path, monkeypatch, method, walks):
+    # the trace's bounds read the counts the scan made, so no split is walked twice
+    pool = tmp_path / "pool.jsonl"
+    assert run(["generate", "--count", "200", "--seed", "1", "--output", pool]) == 0
+    seen, walk = [], risk._walk_counts
+    monkeypatch.setattr(
+        risk, "_walk_counts", lambda data, lams: seen.append((len(data), len(lams))) or walk(data, lams)
+    )
+    code = run([
+        "calibrate", "--method", method, "--risk", "cvar:0.9", "--loss", "fnr",
+        "--alpha", "0.4", "--delta", "0.2", "--data", pool,
+        "--opt-size", "40", "--cal-size", "150", "--seed", "3", "--output-dir", tmp_path / "cal",
+    ])
+    assert code == 0 and seen == walks
 
 
 def test_calibrate_strict_infeasible_exit_code(dataset_path, tmp_path):

@@ -150,6 +150,16 @@ def test_read_rejects_bad_score():
             read_dataset(io.StringIO(text))
 
 
+def test_read_rejects_score_beyond_double_range():
+    # np.asarray raised OverflowError, whose message names no line
+    text = (
+        '{"format":"oce-rcps-dataset","version":1,"m":2,"count":1,"seed":null,"params":null}\n'
+        '{"scores":[0.5,%s],"truth":[0]}\n' % ("9" * 401)
+    )
+    with pytest.raises(DatasetParseError, match="line 2: score outside"):
+        read_dataset(io.StringIO(text))
+
+
 @pytest.mark.parametrize("score", ["true", '"0.5"'])
 def test_read_rejects_bool_or_string_score(score):
     # np.asarray once read true as 1.0 and "0.5" as 0.5

@@ -183,6 +183,12 @@ def test_kde_integrates_to_one():
         assert 0.99 <= integral <= 1.01
 
 
+def test_kde_of_mostly_tied_values_integrates_to_one():
+    # more than half the values tie, so the IQR is 0 and std sets the bandwidth
+    series = kde_density([0.0] * 19 + [0.4])
+    assert 0.99 <= np.trapezoid(series[:, 1], series[:, 0]) <= 1.01
+
+
 def test_kde_rejects_degenerate_input():
     with pytest.raises(ValueError):
         kde_density([1.0])
