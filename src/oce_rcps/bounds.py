@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .risk import LOSS_MAX, OceCost, bound_B, phi_eval, transformed_losses
+from .risk import LOSS_MAX, OceCost, bound_B, phi, transformed_losses
 
 
 def betting_fractions(z: np.ndarray, delta: float) -> np.ndarray:
@@ -143,6 +143,7 @@ def _hoeffding_ucb(z: np.ndarray, delta: float) -> np.ndarray:
 
 
 _UCB = {"wsr": _wsr_ucb, "hoeffding": _hoeffding_ucb}
+BOUND_METHODS = tuple(_UCB)
 
 
 def _normalized(losses, cost: OceCost, t, delta: float, method: str):
@@ -162,8 +163,8 @@ def _normalized(losses, cost: OceCost, t, delta: float, method: str):
     block = np.atleast_2d(losses.T)  # (k, n)
     if ts.shape != block.shape[:1]:
         raise ValueError("need one t per loss column")
-    lo = np.array([tj + phi_eval(cost, -tj) for tj in ts.tolist()])
-    hi = np.array([bound_B(cost, tj) for tj in ts.tolist()])
+    lo = ts + phi(cost, -ts)
+    hi = bound_B(cost, ts)
     # where hi <= lo the transformed loss is the constant lo = hi
     live = hi > lo
     z = None

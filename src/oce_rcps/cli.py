@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .bounds import BOUND_METHODS
 from .calibrate import LambdaGrid
 from .datagen import (
     DatasetParseError,
@@ -46,7 +47,7 @@ from .harness import (
     summary_to_dict,
     write_csv,
 )
-from .risk import LossKind, OceCost, empirical_oce, losses_at, relative_set_sizes
+from .risk import LOSS_VARIANTS, LossKind, OceCost, empirical_oce, losses_at, relative_set_sizes
 
 log = logging.getLogger("oce_rcps")
 
@@ -167,12 +168,12 @@ def _add_gen_flags(p):
 def _add_run_flags(p):
     p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--risk", default=None, help="average | entropic:B | cvar:B")
-    p.add_argument("--loss", choices=("fnr", "miscoverage"), default=None)
+    p.add_argument("--loss", choices=LOSS_VARIANTS, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--grid", type=int, default=None,
                    help=f"grid resolution G (default {LambdaGrid.resolution})")
-    p.add_argument("--bound", choices=("wsr", "hoeffding"), default=None)
+    p.add_argument("--bound", choices=BOUND_METHODS, default=None)
     p.add_argument("--t-mode", default=None, help="per-lambda | closed-form | fixed:VALUE")
 
 
@@ -397,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--risk", default=None)
-    p.add_argument("--loss", choices=("fnr", "miscoverage"), default=None)
+    p.add_argument("--loss", choices=LOSS_VARIANTS, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--output", default=None, help="path or - for stdout")
     p.set_defaults(func=_cmd_evaluate, parser=p)

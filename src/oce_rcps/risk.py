@@ -29,6 +29,10 @@ _SMALL_BETA = 1e-4
 _BETA_FLOOR = 1e-100
 
 
+# the loss variants, in the order the CLI lists them
+LOSS_VARIANTS = ("fnr", "miscoverage")
+
+
 class InvalidExampleError(ValueError):
     pass
 
@@ -40,7 +44,7 @@ class LossKind:
     variant: str  # "miscoverage" | "fnr"
 
     def __post_init__(self):
-        if self.variant not in ("miscoverage", "fnr"):
+        if self.variant not in LOSS_VARIANTS:
             raise ValueError(f"unknown loss variant: {self.variant!r}")
 
 
@@ -101,18 +105,28 @@ class OceCost:
         return f"{self.variant}:{self.beta:g}"
 
 
-def phi_eval(cost: OceCost, u: float) -> float:
+def phi(cost: OceCost, u) -> np.ndarray:
+    """phi elementwise over an array u. The average and cvar costs are array
+    arithmetic; the entropic cost takes the scalar `math.expm1` per entry
+    (`np.expm1` rounds some values differently) and raises OverflowError
+    when an entry is past the exp range."""
+    u = np.asarray(u, dtype=np.float64)
     if cost.variant == "average":
         return u
     if cost.variant == "cvar":
-        return max(u, 0.0) / (1.0 - cost.beta)
+        return np.maximum(u, 0.0) / (1.0 - cost.beta)
     beta = max(cost.beta, _BETA_FLOOR)
     bu = beta * u
-    if bu > _EXP_LIMIT:
+    if np.any(bu > _EXP_LIMIT):
         raise OverflowError(
-            f"entropic cost overflow: beta*u = {bu:.3g} exceeds exp limit"
+            f"entropic cost overflow: beta*u = {bu.max():.3g} exceeds exp limit"
         )
-    return math.expm1(bu) / beta
+    return np.array([math.expm1(x) / beta for x in bu.ravel().tolist()]).reshape(u.shape)
+
+
+def phi_eval(cost: OceCost, u: float) -> float:
+    """phi at a single point."""
+    return float(phi(cost, u))
 
 
 def transformed_losses(cost: OceCost, t: float, losses: np.ndarray) -> np.ndarray:
@@ -129,9 +143,11 @@ def transformed_losses(cost: OceCost, t: float, losses: np.ndarray) -> np.ndarra
     return t + np.expm1(bu) / beta
 
 
-def bound_B(cost: OceCost, t: float) -> float:
-    """t + phi(LOSS_MAX - t): dominates the transformed loss on [0, LOSS_MAX]."""
-    return t + phi_eval(cost, LOSS_MAX - t)
+def bound_B(cost: OceCost, t):
+    """t + phi(LOSS_MAX - t), elementwise in t: dominates the transformed
+    loss on [0, LOSS_MAX]."""
+    t = np.asarray(t, dtype=np.float64)
+    return t + phi(cost, LOSS_MAX - t)
 
 
 def empirical_objective(losses: np.ndarray, cost: OceCost, t) -> float | np.ndarray:
@@ -229,7 +245,10 @@ def count_pool(dataset, lams) -> None:
     instead of walking. The counts hold for both loss kinds; a dataset
     already counted on this grid keeps its counts, and one counted on
     another grid is recounted."""
-    lams = np.unique(np.asarray(lams, dtype=np.float64))
+    lams = np.asarray(lams, dtype=np.float64)
+    if dataset._counts is not None and np.array_equal(dataset._counts[0], lams):
+        return  # the counted grid itself, as every scan passes it: no sort
+    lams = np.unique(lams)
     if dataset._counts is None or not np.array_equal(dataset._counts[0], lams):
         table = np.ascontiguousarray(_walk_counts(dataset, lams))  # rows contiguous
         dataset._counts, dataset._rows = (lams, table), np.arange(len(dataset))

@@ -10,13 +10,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from oce_rcps.calibrate import optimize_t
 from oce_rcps.datagen import GeneratorParams
 from oce_rcps.risk import (
     InvalidExampleError,
     LossKind,
     bound_B,
     empirical_objective,
+    empirical_oce,
     phi_eval,
     transformed_losses,
 )
@@ -218,7 +218,7 @@ def oce_crc_scan(cal_losses, opt_losses, alpha, lams, cost, fixed_t=None):
     n = cal_losses.shape[0]
     trace = []
     for j, lam in enumerate(lams):
-        t = optimize_t(opt_losses[:, j], cost) if fixed_t is None else fixed_t
+        t = empirical_oce(opt_losses[:, j], cost)[1] if fixed_t is None else fixed_t
         risk = empirical_objective(cal_losses[:, j], cost, t)
         value = (n / (n + 1.0)) * risk + bound_B(cost, t) / (n + 1.0)
         passed = value <= alpha
@@ -235,7 +235,7 @@ def oce_rcps_scan(cal_losses, opt_losses, alpha, delta, lams, cost, fixed_t=None
     last_passing = None
     for j in range(len(lams) - 1, -1, -1):
         lam = float(lams[j])
-        t = optimize_t(opt_losses[:, j], cost) if fixed_t is None else fixed_t
+        t = empirical_oce(opt_losses[:, j], cost)[1] if fixed_t is None else fixed_t
         ucb = oce_risk_ucb(cal_losses[:, j], cost, t, delta, method)
         passed = ucb <= alpha
         trace.append(Tested(lam, float(ucb), passed, t))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oce_rcps.bounds import oce_risk_ucb
 from oce_rcps.calibrate import (
@@ -14,7 +16,7 @@ from oce_rcps.calibrate import (
     select_rcps,
 )
 from oce_rcps.datagen import Dataset
-from oce_rcps.risk import LossKind, OceCost, empirical_objective, losses_at
+from oce_rcps.risk import LossKind, OceCost, empirical_objective, empirical_oce, losses_at
 from oracles import golden_section_minimize, golden_section_t, oce_crc_scan, oce_rcps_scan
 
 FNR = LossKind("fnr")
@@ -66,6 +68,60 @@ def test_optimize_t_entropic_log_mean_exp():
 def test_optimize_t_empty_rejected():
     with pytest.raises(ValueError):
         optimize_t(np.array([]), OceCost.average())
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+@pytest.mark.parametrize("cost", [OceCost.average(), OceCost.cvar(0.5), OceCost.entropic(3)])
+def test_optimize_t_empty_block_rejected(shape, cost):
+    with pytest.raises(ValueError):
+        optimize_t(np.empty(shape), cost)
+
+
+BLOCK_T_COSTS = [
+    OceCost.average(),
+    OceCost.cvar(0.0),
+    OceCost.cvar(0.5),
+    OceCost.cvar(0.9),
+    OceCost.cvar(float(np.nextafter(1.0, 0.0))),
+    *(OceCost.entropic(b) for b in (
+        1e-100, 1e-5, float(np.nextafter(1e-4, 0.0)), 1e-4, float(np.nextafter(1e-4, 1.0)), 3.0, 50.0,
+    )),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1, 2, 7, 33, 800]),
+    st.integers(1, 40),
+    st.sampled_from(BLOCK_T_COSTS),
+    st.sampled_from(["uniform", "tied", "constant"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_t_matches_the_column_oracle(n, k, cost, values, column_major, seed):
+    rng = np.random.default_rng(seed)
+    if values == "uniform":
+        block = rng.uniform(size=(n, k))
+    elif values == "tied":
+        block = rng.integers(0, 4, size=(n, k)) / 3.0  # FNR-like ratios with many ties
+    else:
+        block = np.full((n, k), rng.choice([0.0, 1.0, rng.uniform()]))
+    if column_major:  # as the scan's loss matrices are laid out
+        block = np.asfortranarray(block)
+    want = np.array([empirical_oce(block[:, j], cost)[1] for j in range(k)])
+    got = optimize_t(block, cost)
+    assert got.shape == (k,) and got.tobytes() == want.tobytes()
+    one = optimize_t(block[:, 0], cost)
+    assert type(one) is float and np.float64(one).tobytes() == want[:1].tobytes()
+
+
+@pytest.mark.parametrize("cost", BLOCK_T_COSTS, ids=lambda c: f"{c.variant}:{c.beta!r}")
+def test_block_t_matches_the_column_oracle_on_a_wide_block(cost):
+    # thousands of columns: enough for `np.log` or `np.log1p` over the
+    # means to round some of them differently from the scalar `math` log
+    block = np.asfortranarray(np.random.default_rng(67).uniform(size=(50, 3000)))
+    want = np.array([empirical_oce(block[:, j], cost)[1] for j in range(block.shape[1])])
+    assert optimize_t(block, cost).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -258,6 +258,25 @@ def test_part_of_a_part_composes_rows(counted_pool, monkeypatch):
     assert walks == []
 
 
+def test_count_on_the_counted_grid_is_a_no_op(monkeypatch):
+    pool = generate_dataset(GeneratorParams(m=30), 60, seed=8)
+    count_pool(pool, GRID)
+    part = split_dataset(pool, SplitSpec(10, 30, 20), seed=4)[1]
+    kept = pool._counts
+    walks = record_walks(monkeypatch)
+    sorts, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: sorts.append(1) or unique(*a, **kw))
+    for data in (pool, part):
+        count_pool(data, GRID)
+        assert data._counts is kept
+    assert sorts == [] and walks == []  # neither re-sorted nor walked
+    for data in (pool, part):
+        for copy in (GRID[::-1], np.concatenate([GRID, GRID[3:9]])):
+            count_pool(data, copy)
+            assert data._counts is kept
+    assert walks == []  # other spellings of the grid are sorted, not recounted
+
+
 def test_pool_with_empty_truth_row_counts_for_both_losses():
     rng = np.random.default_rng(9)
     truth = rng.uniform(size=(6, 5)) < 0.5
