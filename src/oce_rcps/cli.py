@@ -436,7 +436,7 @@ def run_cli(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (DatasetParseError, FileNotFoundError, ValueError, OverflowError) as e:
+    except (DatasetParseError, OSError, ValueError, OverflowError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
 

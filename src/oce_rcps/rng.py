@@ -22,7 +22,6 @@ so the draw count per example is fixed and platform independent.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import betaincinv
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
@@ -77,5 +76,8 @@ def shuffle(items: list, seed: int) -> None:
 
 def beta_inverse_cdf(u, a, b) -> np.ndarray:
     """Beta(a, b) variates from uniforms via the regularized incomplete
-    beta inverse. Vectorized over all arguments."""
+    beta inverse. Vectorized over all arguments. scipy is imported here,
+    not at module level, so a process that only reads data never loads it."""
+    from scipy.special import betaincinv
+
     return betaincinv(a, b, u)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oce_rcps
 from oce_rcps import risk
 from oce_rcps.cli import run_cli
 from oce_rcps.datagen import read_dataset_path
@@ -210,6 +215,73 @@ def test_evaluate_rejects_non_number_scores(tmp_path):
     ])
     assert code == 3
     assert not (tmp_path / "evaluate.json").exists()
+
+
+def test_evaluate_non_object_row_is_data_error(tmp_path, capsys):
+    # row.get once raised AttributeError: a traceback and exit 1
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(
+        '{"format":"oce-rcps-dataset","version":1,"m":2,"count":1,"seed":null,"params":null}\n'
+        "[1,2]\n"
+    )
+    code = run(["evaluate", "--data", bad, "--lambda", "0.5", "--risk", "average", "--loss", "fnr"])
+    assert code == 3
+    assert "line 2: row needs scores and truth arrays" in capsys.readouterr().err
+
+
+def test_data_that_is_a_directory_is_data_error(tmp_path, capsys):
+    code = run(["evaluate", "--data", tmp_path, "--lambda", "0.5", "--risk", "average",
+                "--loss", "fnr"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+def test_evaluate_output_that_is_a_directory_is_data_error(dataset_path, tmp_path, capsys):
+    code = run(["evaluate", "--data", dataset_path, "--lambda", "0.5", "--risk", "average",
+                "--loss", "fnr", "--output", tmp_path])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+def test_calibrate_output_dir_that_is_a_file_is_data_error(dataset_path, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = run(["calibrate", *RUN, "--data", dataset_path, "--opt-size", "30",
+                "--cal-size", "100", "--output-dir", taken])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+SCIPY_FREE = """
+import json, sys
+import oce_rcps
+assert "scipy" not in sys.modules, "import oce_rcps"
+from oce_rcps.cli import run_cli
+for argv in json.loads(sys.argv[1]):
+    assert run_cli(argv) == 0, argv[0]
+    assert "scipy" not in sys.modules, argv[0]
+"""
+
+
+def test_reading_commands_never_import_scipy(dataset_path, tmp_path):
+    # scipy is for generation only; calibrate, evaluate and trials --pool
+    # read their data and skip its import
+    data = str(dataset_path)
+    commands = [
+        ["calibrate", *RUN, "--data", data, "--opt-size", "30", "--cal-size", "100",
+         "--output-dir", str(tmp_path / "cal")],
+        ["evaluate", "--data", data, "--lambda", "0.5", "--risk", "cvar:0.8", "--loss", "fnr",
+         "--output", str(tmp_path / "evaluate.json")],
+        ["trials", *RUN, "--pool", data, *POOL[2:], "--trials", "2", "--seed", "1",
+         "--output-dir", str(tmp_path / "trials")],
+    ]
+    env = dict(os.environ)
+    src = str(Path(oce_rcps.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "trials" / "trials.csv").exists()
 
 
 def test_config_file_equivalence(dataset_path, tmp_path):

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oce_rcps import rng
+from oce_rcps import datagen, rng
 from oce_rcps.datagen import (
     Dataset,
     DatasetParseError,
@@ -224,6 +225,121 @@ def test_read_rejects_count_mismatch():
     )
     with pytest.raises(DatasetParseError):
         read_dataset(io.StringIO(text))
+
+
+@pytest.mark.parametrize("header", ["[1]", '"x"', "null"])
+def test_read_rejects_non_object_header(header):
+    # header.get once raised AttributeError, an uncaught traceback in the CLI
+    with pytest.raises(DatasetParseError, match="line 1: not an oce-rcps-dataset"):
+        read_dataset(io.StringIO(header + "\n" + '{"scores":[0.5],"truth":[0]}\n'))
+
+
+@pytest.mark.parametrize("row", ["[1,2]", "null", "3"])
+def test_read_rejects_non_object_row(row):
+    text = (
+        '{"format":"oce-rcps-dataset","version":1,"m":2,"count":2,"seed":null,"params":null}\n'
+        '{"scores":[0.5,0.2],"truth":[0]}\n' + row + "\n"
+    )
+    with pytest.raises(DatasetParseError, match="line 3: row needs scores and truth arrays"):
+        read_dataset(io.StringIO(text))
+
+
+def test_read_parses_each_line_on_its_own():
+    # Joined into one JSON array, lines 3 and 4 merge into one row (the
+    # extra key "x" swallows line 4) and line 5 splits into two, so the
+    # row count still matches the header: only a per-line parse fails.
+    row = '{"scores":[0.5,0.2],"truth":[0]}'
+    text = (
+        '{"format":"oce-rcps-dataset","version":1,"m":2,"count":4,"seed":null,"params":null}\n'
+        + row + "\n"
+        + '{"scores":[0.5,0.2],"truth":[1],"x":[{}\n'
+        + "{}]}\n"
+        + row + "," + row + "\n"
+    )
+    joined = json.loads("[" + ",".join(text.splitlines()[1:]) + "]")
+    assert len(joined) == 4
+    with pytest.raises(DatasetParseError, match="line 3: bad row") as exc:
+        read_dataset(io.StringIO(text))
+    assert exc.value.line_no == 3
+
+
+def _corrupt(kind, scores, truth, m):
+    """Corrupt one row's lists in place; returns the per-row check's message."""
+    if kind == "bool score":
+        scores[0] = True
+        return "scores must be numbers"
+    if kind == "string score":
+        scores[-1] = "0.5"
+        return "scores must be numbers"
+    if kind == "wrong length":
+        scores.append(0.5)
+        return f"expected {m} scores, got {m + 1}"
+    if kind in ("nan score", "score above 1", "negative score"):
+        scores[0] = {"nan score": math.nan, "score above 1": 1.5, "negative score": -0.25}[kind]
+        return "score outside [0, 1]"
+    if kind == "duplicate truth":
+        truth.extend([0, 0] if not truth else [truth[0]])
+        return "duplicate truth index"
+    truth.append({"bool truth": True, "negative truth": -1, "truth out of range": m}[kind])
+    return "truth index out of range"
+
+
+CORRUPTIONS = ("bool score", "string score", "nan score", "score above 1", "negative score",
+               "wrong length", "bool truth", "negative truth", "truth out of range",
+               "duplicate truth")
+
+
+@st.composite
+def jsonl_rows(draw):
+    """(m, rows, blank): JSON rows of a valid file, some with an extra key,
+    and which rows a blank line precedes."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    score = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))
+    rows = []
+    for _ in range(n):
+        row = {
+            "scores": draw(st.lists(score, min_size=m, max_size=m)),
+            "truth": draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m)),
+        }
+        if draw(st.booleans()):
+            row["x"] = [{}]
+        rows.append(row)
+    blank = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return m, rows, blank
+
+
+def _jsonl(m, rows, blank):
+    header = {"format": "oce-rcps-dataset", "version": 1, "m": m, "count": len(rows)}
+    lines, line_nos = [json.dumps(header)], []
+    for row, gap in zip(rows, blank):
+        if gap:
+            lines.append("")
+        lines.append(json.dumps(row))
+        line_nos.append(len(lines))
+    return "\n".join(lines) + "\n", line_nos
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@settings(max_examples=30, deadline=None)
+@given(file=jsonl_rows(), data=st.data())
+def test_bulk_checks_match_the_per_row_reference(kind, file, data):
+    m, rows, blank = file
+    text, line_nos = _jsonl(m, rows, blank)
+    got = read_dataset(io.StringIO(text))
+    want_scores, want_truth = datagen._checked_rows(line_nos, rows, m)
+    assert np.array_equal(got.scores, want_scores) and np.array_equal(got.truth, want_truth)
+
+    # one bad row among valid ones: the bulk checks must notice it, and the
+    # error names the per-row check's message and line
+    k = data.draw(st.integers(0, len(rows) - 1))
+    message = _corrupt(kind, rows[k]["scores"], rows[k]["truth"], m)
+    text, line_nos = _jsonl(m, rows, blank)
+    assert datagen._bulk_arrays(rows, m) is None
+    with pytest.raises(DatasetParseError) as exc:
+        read_dataset(io.StringIO(text))
+    assert exc.value.line_no == line_nos[k]
+    assert str(exc.value) == f"line {line_nos[k]}: {message}"
 
 
 # ---------------------------------------------------------------- rng
