@@ -7,7 +7,6 @@ from .calibrate import (
     CalibrationOutcome,
     LambdaGrid,
     ReliabilitySpec,
-    optimize_t,
     select_oce_crc,
     select_oce_rcps,
     select_rcps,
@@ -29,5 +28,6 @@ from .risk import (
     bound_B,
     empirical_objective,
     empirical_oce,
+    optimize_t,
     phi_eval,
 )

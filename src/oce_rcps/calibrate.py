@@ -14,7 +14,6 @@ computes it for the tested columns when they are written out.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -23,14 +22,13 @@ import numpy as np
 from .bounds import oce_risk_ucb, oce_risk_ucb_at_most
 from .datagen import Dataset
 from .risk import (
-    _BETA_FLOOR,
-    _SMALL_BETA,
     LossKind,
     OceCost,
     bound_B,
     count_pool,
     empirical_objective,
     losses_at,
+    optimize_t,
 )
 
 # grid columns tested per statistic call, and the trace record of each
@@ -88,36 +86,6 @@ class CalibrationOutcome:
         if self._ucb is None:
             return self.trace["bound"].copy()
         return self._ucb(self.trace["lam"], self.trace["t"])
-
-
-def optimize_t(opt_losses: np.ndarray, cost: OceCost) -> float | np.ndarray:
-    """Minimizer of t + mean phi(loss - t) over the held-out losses, in closed
-    form: average -> 0; entropic -> log-mean-exp; cvar -> the ceil(beta*n)-th
-    order statistic (lowest minimizer). A float for an (n,) vector, k values
-    for an (n, k) block, each bit-equal to `empirical_oce(column, cost)[1]`:
-    the block is laid out as contiguous (k, n) rows, so each row's
-    partition, max and mean run as for the column alone, and the entropic
-    log stays a scalar `math.log` (`np.log` rounds differently)."""
-    opt_losses = np.asarray(opt_losses, dtype=np.float64)
-    if opt_losses.size == 0:
-        raise ValueError("opt losses must be nonempty")
-    rows = np.ascontiguousarray(np.atleast_2d(opt_losses.T))  # (k, n)
-    k, n = rows.shape
-    if cost.variant == "average":
-        ts = np.zeros(k)
-    elif cost.variant == "cvar":
-        r = max(1, math.ceil(cost.beta * n))
-        ts = np.partition(rows, r - 1, axis=1)[:, r - 1]
-    else:
-        # the max-shifted log-mean-exp of empirical_oce, row by row
-        hi = rows.max(axis=1)
-        beta = max(cost.beta, _BETA_FLOOR)
-        if beta >= _SMALL_BETA:
-            log, mean = math.log, np.exp(beta * (rows - hi[:, None])).mean(axis=1)
-        else:
-            log, mean = math.log1p, np.expm1(beta * (rows - hi[:, None])).mean(axis=1)
-        ts = np.array([h + log(x) / beta for h, x in zip(hi.tolist(), mean.tolist())])
-    return ts if opt_losses.ndim == 2 else float(ts[0])
 
 
 def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward, ucb=None) -> CalibrationOutcome:

@@ -146,13 +146,16 @@ def _require(args, *names):
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _gen_params(args) -> GeneratorParams:
+def _generate(args, count: int, seed: int):
+    """The dataset the generator flags describe; flags GeneratorParams
+    rejects, or whose Beta shapes give no variate, are usage errors."""
     try:
-        return GeneratorParams(
+        params = GeneratorParams(
             m=args.m, rho=args.rho,
             difficulty_a=args.difficulty_a, difficulty_b=args.difficulty_b,
             sharpness=args.sharpness,
         )
+        return generate_dataset(params, count, seed)
     except ValueError as e:
         raise UsageError(str(e))
 
@@ -181,7 +184,7 @@ def _cmd_generate(args):
     _require(args, "count", "seed", "output")
     if args.count < 1:
         raise UsageError("--count must be >= 1")
-    data = generate_dataset(_gen_params(args), args.count, args.seed)
+    data = _generate(args, args.count, args.seed)
     if args.output == "-":
         write_dataset(data, sys.stdout)
     else:
@@ -265,7 +268,7 @@ def _load_pool(args):
     if args.pool_size < 1:
         raise UsageError("--pool-size must be >= 1")
     log.info("generating pool of %d examples (seed %d)", args.pool_size, args.pool_seed)
-    return generate_dataset(_gen_params(args), args.pool_size, args.pool_seed)
+    return _generate(args, args.pool_size, args.pool_seed)
 
 
 def _trial_config(args, test_size: int | None) -> TrialConfig:

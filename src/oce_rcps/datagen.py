@@ -139,6 +139,8 @@ def generate_dataset(params: GeneratorParams, count: int, seed: int) -> Dataset:
     truth = np.empty((count, params.m), dtype=bool)
     for i in range(count):
         scores[i], truth[i] = _generate_example(params, mix64(seed, i))
+    if np.isnan(scores).any():  # betaincinv gives NaN for shapes it cannot invert
+        raise ValueError(f"no Beta variate for the generator parameters {params}")
     return Dataset(scores, truth, seed=seed, params=asdict(params))
 
 

@@ -152,46 +152,66 @@ def bound_B(cost: OceCost, t):
 
 def empirical_objective(losses: np.ndarray, cost: OceCost, t) -> float | np.ndarray:
     """t + mean phi(loss_i - t), convex in t: a float for an (n,) vector and
-    a scalar t, k values for an (n, k) block with one t per column. Block
-    means run along contiguous rows, bit-equal to each column's own mean."""
+    a scalar t, k values for an (n, k) block with one t per column. A vector
+    is the block with k = 1; block means run along contiguous rows, bit-equal
+    to each column's own mean."""
     losses = np.asarray(losses, dtype=np.float64)
     if losses.size == 0:
         raise ValueError("losses must be nonempty")
-    if losses.ndim == 1:
-        return float(np.mean(transformed_losses(cost, t, losses)))
-    return transformed_losses(cost, np.asarray(t)[:, None], np.ascontiguousarray(losses.T)).mean(axis=1)
+    rows = np.ascontiguousarray(np.atleast_2d(losses.T))  # (k, n)
+    out = transformed_losses(cost, np.atleast_1d(t)[:, None], rows).mean(axis=1)
+    return out if losses.ndim == 2 else float(out[0])
 
 
-def empirical_oce(losses: np.ndarray, cost: OceCost) -> tuple[float, float]:
-    """Empirical OCE risk and its minimizing t.
-
-    average:  (mean, 0)
-    entropic: the log-mean-exp value, which is also the minimizer
-    cvar:     t* is the ceil(beta*n)-th order statistic (lowest minimizer)
-    """
-    losses = np.asarray(losses, dtype=np.float64)
-    n = losses.size
-    if n == 0:
-        raise ValueError("losses must be nonempty")
+def optimize_t(opt_losses: np.ndarray, cost: OceCost) -> float | np.ndarray:
+    """Minimizer of t + mean phi(loss - t) over the held-out losses, in closed
+    form: average -> 0; entropic -> log-mean-exp; cvar -> the ceil(beta*n)-th
+    order statistic (lowest minimizer). A float for an (n,) vector, k values
+    for an (n, k) block, each bit-equal to the call on its column alone:
+    the block is laid out as contiguous (k, n) rows, so each row's
+    partition, max and mean run as for the column alone, and the entropic
+    log stays a scalar `math.log` (`np.log` rounds differently)."""
+    opt_losses = np.asarray(opt_losses, dtype=np.float64)
+    if opt_losses.size == 0:
+        raise ValueError("opt losses must be nonempty")
+    rows = np.ascontiguousarray(np.atleast_2d(opt_losses.T))  # (k, n)
+    k, n = rows.shape
     if cost.variant == "average":
-        return float(np.mean(losses)), 0.0
-    if cost.variant == "entropic":
-        # max-shifted log-mean-exp keeps exp in range
-        hi = float(np.max(losses))
-        beta = cost.beta
+        ts = np.zeros(k)
+    elif cost.variant == "cvar":
+        r = max(1, math.ceil(cost.beta * n))
+        ts = np.partition(rows, r - 1, axis=1)[:, r - 1]
+    else:
+        # max-shifted log-mean-exp keeps exp in range, row by row
+        hi = rows.max(axis=1)
+        beta = max(cost.beta, _BETA_FLOOR)
         if beta >= _SMALL_BETA:
-            value = hi + math.log(np.mean(np.exp(beta * (losses - hi)))) / beta
+            log, mean = math.log, np.exp(beta * (rows - hi[:, None])).mean(axis=1)
         else:
             # the mean of exp rounds toward 1 here, losing ~1e-16/beta;
             # log1p and expm1 keep those digits. The value lies between the
             # mean and the mean + beta * (max - min)^2 / 8 (Hoeffding's lemma).
-            beta = max(beta, _BETA_FLOOR)
-            value = hi + math.log1p(np.mean(np.expm1(beta * (losses - hi)))) / beta
-        return value, value
-    k = max(1, math.ceil(cost.beta * n))
-    t_star = float(np.partition(losses, k - 1)[k - 1])
-    value = t_star + float(np.mean(np.maximum(losses - t_star, 0.0))) / (1.0 - cost.beta)
-    return value, t_star
+            log, mean = math.log1p, np.expm1(beta * (rows - hi[:, None])).mean(axis=1)
+        ts = np.array([h + log(x) / beta for h, x in zip(hi.tolist(), mean.tolist())])
+    return ts if opt_losses.ndim == 2 else float(ts[0])
+
+
+def empirical_oce(losses: np.ndarray, cost: OceCost) -> tuple[float, float]:
+    """Empirical OCE risk and its minimizing t from `optimize_t`.
+
+    average:  (mean, 0)
+    entropic: the log-mean-exp, which is both the value and the minimizer
+    cvar:     t + mean(max(loss - t, 0)) / (1 - beta)
+    """
+    losses = np.asarray(losses, dtype=np.float64)
+    if losses.size == 0:
+        raise ValueError("losses must be nonempty")
+    t = optimize_t(losses, cost)
+    if cost.variant == "average":
+        return float(np.mean(losses)), t
+    if cost.variant == "entropic":
+        return t, t
+    return t + float(np.mean(np.maximum(losses - t, 0.0))) / (1.0 - cost.beta), t
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +255,7 @@ def loss_counts(dataset, lams) -> np.ndarray:
             return table[dataset._rows]
         cols = np.searchsorted(grid, lams).clip(max=grid.size - 1)
         if np.array_equal(grid[cols], lams):
-            return table[dataset._rows][:, cols]
+            return table[np.ix_(dataset._rows, cols)]
     return _walk_counts(dataset, lams)
 
 

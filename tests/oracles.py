@@ -15,8 +15,6 @@ from oce_rcps.risk import (
     InvalidExampleError,
     LossKind,
     bound_B,
-    empirical_objective,
-    empirical_oce,
     phi_eval,
     transformed_losses,
 )
@@ -73,6 +71,36 @@ def compute_loss(kind: LossKind, example: ScoredExample, pset: PredictionSet) ->
     return 0.0 if example.truth <= pset.members else 1.0
 
 
+def closed_form_oce(losses, cost) -> tuple[float, float]:
+    """Empirical OCE risk of one loss vector and its minimizing t, each in
+    closed form: the mean and 0 for the average cost; the max-shifted
+    log-mean-exp for the entropic cost, both the value and the minimizer
+    (below beta = 1e-4 with log1p/expm1, and beta raised to 1e-100); for
+    CVaR the ceil(beta*n)-th order statistic t and t + mean(max(loss - t,
+    0)) / (1 - beta)."""
+    losses = np.asarray(losses, dtype=np.float64)
+    if cost.variant == "average":
+        return float(np.mean(losses)), 0.0
+    if cost.variant == "entropic":
+        hi = float(np.max(losses))
+        beta = cost.beta
+        if beta >= 1e-4:
+            value = hi + math.log(np.mean(np.exp(beta * (losses - hi)))) / beta
+        else:
+            beta = max(beta, 1e-100)
+            value = hi + math.log1p(np.mean(np.expm1(beta * (losses - hi)))) / beta
+        return value, value
+    k = max(1, math.ceil(cost.beta * losses.size))
+    t_star = float(np.partition(losses, k - 1)[k - 1])
+    value = t_star + float(np.mean(np.maximum(losses - t_star, 0.0))) / (1.0 - cost.beta)
+    return value, t_star
+
+
+def column_objective(losses, cost, t: float) -> float:
+    """t + mean phi(loss_i - t) of one loss vector at one t."""
+    return float(np.mean(transformed_losses(cost, t, losses)))
+
+
 def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-6) -> float:
     """Minimize a unimodal f on [lo, hi] to bracket width tol."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -94,7 +122,7 @@ def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-6) -> float
 
 def golden_section_t(opt_losses, cost) -> float:
     """Numerical minimizer of t + mean phi(loss - t) over t in [0, 1]."""
-    return golden_section_minimize(lambda t: empirical_objective(opt_losses, cost, t), 0.0, 1.0)
+    return golden_section_minimize(lambda t: column_objective(opt_losses, cost, t), 0.0, 1.0)
 
 
 class SplitMix64:
@@ -218,8 +246,8 @@ def oce_crc_scan(cal_losses, opt_losses, alpha, lams, cost, fixed_t=None):
     n = cal_losses.shape[0]
     trace = []
     for j, lam in enumerate(lams):
-        t = empirical_oce(opt_losses[:, j], cost)[1] if fixed_t is None else fixed_t
-        risk = empirical_objective(cal_losses[:, j], cost, t)
+        t = closed_form_oce(opt_losses[:, j], cost)[1] if fixed_t is None else fixed_t
+        risk = column_objective(cal_losses[:, j], cost, t)
         value = (n / (n + 1.0)) * risk + bound_B(cost, t) / (n + 1.0)
         passed = value <= alpha
         trace.append(Tested(float(lam), float(value), passed, t))
@@ -235,7 +263,7 @@ def oce_rcps_scan(cal_losses, opt_losses, alpha, delta, lams, cost, fixed_t=None
     last_passing = None
     for j in range(len(lams) - 1, -1, -1):
         lam = float(lams[j])
-        t = empirical_oce(opt_losses[:, j], cost)[1] if fixed_t is None else fixed_t
+        t = closed_form_oce(opt_losses[:, j], cost)[1] if fixed_t is None else fixed_t
         ucb = oce_risk_ucb(cal_losses[:, j], cost, t, delta, method)
         passed = ucb <= alpha
         trace.append(Tested(lam, float(ucb), passed, t))

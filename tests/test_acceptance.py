@@ -16,7 +16,6 @@ from oce_rcps.bounds import _wsr_ucb, betting_fractions, capital_process, oce_ri
 from oce_rcps.calibrate import (
     LambdaGrid,
     ReliabilitySpec,
-    optimize_t,
     select_oce_rcps,
     select_rcps,
 )
@@ -28,6 +27,7 @@ from oce_rcps.risk import (
     empirical_objective,
     empirical_oce,
     losses_at,
+    optimize_t,
     relative_set_sizes,
 )
 from oracles import golden_section_t

@@ -10,14 +10,13 @@ from oce_rcps.calibrate import (
     _BLOCK,
     LambdaGrid,
     ReliabilitySpec,
-    optimize_t,
     select_oce_crc,
     select_oce_rcps,
     select_rcps,
 )
 from oce_rcps.datagen import Dataset
-from oce_rcps.risk import LossKind, OceCost, empirical_objective, empirical_oce, losses_at
-from oracles import golden_section_minimize, golden_section_t, oce_crc_scan, oce_rcps_scan
+from oce_rcps.risk import LossKind, OceCost, empirical_objective, losses_at, optimize_t
+from oracles import closed_form_oce, golden_section_minimize, golden_section_t, oce_crc_scan, oce_rcps_scan
 
 FNR = LossKind("fnr")
 MISS = LossKind("miscoverage")
@@ -108,7 +107,7 @@ def test_block_t_matches_the_column_oracle(n, k, cost, values, column_major, see
         block = np.full((n, k), rng.choice([0.0, 1.0, rng.uniform()]))
     if column_major:  # as the scan's loss matrices are laid out
         block = np.asfortranarray(block)
-    want = np.array([empirical_oce(block[:, j], cost)[1] for j in range(k)])
+    want = np.array([closed_form_oce(block[:, j], cost)[1] for j in range(k)])
     got = optimize_t(block, cost)
     assert got.shape == (k,) and got.tobytes() == want.tobytes()
     one = optimize_t(block[:, 0], cost)
@@ -120,7 +119,7 @@ def test_block_t_matches_the_column_oracle_on_a_wide_block(cost):
     # thousands of columns: enough for `np.log` or `np.log1p` over the
     # means to round some of them differently from the scalar `math` log
     block = np.asfortranarray(np.random.default_rng(67).uniform(size=(50, 3000)))
-    want = np.array([empirical_oce(block[:, j], cost)[1] for j in range(block.shape[1])])
+    want = np.array([closed_form_oce(block[:, j], cost)[1] for j in range(block.shape[1])])
     assert optimize_t(block, cost).tobytes() == want.tobytes()
 
 

@@ -344,6 +344,11 @@ def test_config_values_checked_like_flags(dataset_path, tmp_path, key, value):
     ["generate", "--difficulty-a", "nan"],
     ["trials", *RUN, *POOL[2:], "--trials", "2", "--m", "0"],
     ["trials", *RUN, *POOL[2:], "--trials", "2", "--pool-size", "0"],
+    # valid flags whose Beta shapes betaincinv cannot invert
+    ["generate", "--sharpness", "1e300"],
+    ["generate", "--difficulty-a", "1e300"],
+    ["trials", *RUN, *POOL[2:], "--trials", "2", "--pool-size", "5", "--sharpness", "1e300"],
+    ["trials", *RUN, *POOL[2:], "--trials", "2", "--pool-size", "5", "--difficulty-a", "1e300"],
 ])
 def test_bad_generator_flags_are_usage_errors(tmp_path, argv):
     defaults = {"generate": ["--count", "5", "--seed", "1", "--output", tmp_path / "d.jsonl"],

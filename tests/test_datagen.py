@@ -75,6 +75,14 @@ def test_invalid_params_rejected():
         generate_dataset(GeneratorParams(), 0, seed=1)
 
 
+@pytest.mark.parametrize("field", ["sharpness", "difficulty_a", "difficulty_b"])
+def test_shapes_without_a_beta_variate_rejected(field):
+    # finite shapes that pass validation, but betaincinv returns NaN for them
+    params = GeneratorParams(**{field: 1e300})
+    with pytest.raises(ValueError, match=f"no Beta variate .*{field}=1e\\+300"):
+        generate_dataset(params, 5, seed=1)
+
+
 # ---------------------------------------------------------------- splitting
 
 def pool_rows(data: Dataset, part: Dataset) -> list:
