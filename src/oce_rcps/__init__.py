@@ -29,5 +29,4 @@ from .risk import (
     empirical_objective,
     empirical_oce,
     optimize_t,
-    phi_eval,
 )

@@ -13,20 +13,30 @@ normalizing the transformed losses to [0, 1] using their analytic range.
 
 The WSR bound is the smallest rejected point u of the dyadic grid
 k/2^20 (or 1), found by bisection in 21 capital passes. Deciding whether
-the mapped bound lo + (hi - lo) u is <= alpha needs one pass:
+the mapped bound lo + (hi - lo) u is <= alpha needs one grid point:
 oce_risk_ucb_at_most finds the largest grid point g whose mapped value is
 <= alpha and accepts when g = 1 or g is rejected, which is exactly the
 comparison, since both the mapping and rejection are monotone in floating
 point. The selectors decide with it; the bisection runs only for bounds
 that are written out.
 
+Whether g is rejected is known at the first row where the capital at g
+exceeds 1/delta, so the decision walks the rows in chunks, 32 rows and
+then twice as many each time, and a column leaves the walk at the chunk
+where its capital crosses; a column that never crosses runs to the last
+row. Each chunk carries the running sums, the last sig2 and the capital
+product over from the one before it, and only the rows walked are
+transformed and mapped to [0, 1].
+
 Bounds are computed for a block of k sample columns at once, one t per
 column. Inside, the samples are laid out as a (k, n) array, one
 contiguous row per column, so the betting fractions, the capital process
 and each bisection halving are one cumulative pass along the sample axis
 for all k columns. A single sample vector is the block with k = 1. The
-arithmetic of each column is the same as for that column alone:
-cumulative sums and products along an axis are sequential.
+arithmetic of each column is the same as for that column alone, and the
+same in a chunked walk as in one pass: cumulative sums and products
+along an axis are sequential, and a chunk's accumulation started from its
+carry repeats the whole pass's operations in the same order.
 """
 
 from __future__ import annotations
@@ -38,33 +48,103 @@ import numpy as np
 from .risk import LOSS_MAX, OceCost, bound_B, phi, transformed_losses
 
 
-def betting_fractions(z: np.ndarray, delta: float) -> np.ndarray:
-    """Predictable plug-in betting fractions along the last axis of z;
-    entry j uses only z[..., :j].
+def _accumulate(op, first, x: np.ndarray) -> np.ndarray:
+    """op accumulated in place along the last axis of x, from `first` (one
+    per row): x_1 becomes first op x_1 and each later x_j becomes x_{j-1}
+    op x_j, the operations of op.accumulate over [first, x_1, x_2, ...] in
+    the same order."""
+    x[..., :1] = op(np.asarray(first)[..., None], x[..., :1])
+    op.accumulate(x, axis=-1, out=x)
+    return x
+
+
+# the carry before any sample: no sum of z, no sum of squares, sig2_0 = 1/4
+_EMPTY = (0.0, 0.0, 0.25)
+
+
+def _fractions(z: np.ndarray, delta: float, n: int, start: int, carry):
+    """Betting fractions of the samples after the first `start` of a sample
+    of n, given as the (..., c) chunk z, and the carry after the chunk. The
+    carry after a prefix holds the running sums of z and of (z - mu)^2 over
+    it, and its last sig2 (1/4 for the empty prefix). Counting samples
+    from j = 1,
 
         mu_j    = (1/2 + sum_{i<=j} z_i) / (j + 1)
         sig2_j  = (1/4 + sum_{i<=j} (z_i - mu_i)^2) / (j + 1)
         eta_j   = min(1, sqrt(2 ln(1/delta) / (n sig2_{j-1})))
     """
-    n = z.shape[-1]
-    idx = np.arange(1, n + 1)
-    mu = (0.5 + np.cumsum(z, axis=-1)) / (idx + 1.0)
-    sig2 = (0.25 + np.cumsum((z - mu) ** 2, axis=-1)) / (idx + 1.0)
-    # shift: eta_j uses sig2_{j-1}; sig2_0 = 1/4 (prior only)
-    sig2_prev = np.concatenate((np.full(z.shape[:-1] + (1,), 0.25), sig2[..., :-1]), axis=-1)
-    etas = np.sqrt(2.0 * math.log(1.0 / delta) / (n * sig2_prev))
-    return np.minimum(etas, 1.0)
+    sum_z, sum_sq, sig2_last = carry
+    count = np.arange(start + 2.0, start + z.shape[-1] + 2.0)  # j + 1
+    # in place where a temporary would be a whole (k, n) block: at n = 800
+    # a fresh one can be a new mapping whose page faults cost more than the
+    # arithmetic on it
+    mu = _accumulate(np.add, sum_z, z.copy())
+    sum_z = mu[..., -1].copy()
+    mu += 0.5
+    mu /= count
+    sig2 = _accumulate(np.add, sum_sq, (z - mu) ** 2)
+    sum_sq = sig2[..., -1].copy()
+    sig2 += 0.25
+    sig2 /= count
+    # shift: eta_j uses sig2_{j-1}
+    etas = np.empty_like(sig2)
+    etas[..., :1] = np.asarray(sig2_last)[..., None]
+    etas[..., 1:] = sig2[..., :-1]
+    etas *= n
+    np.divide(2.0 * math.log(1.0 / delta), etas, out=etas)
+    np.sqrt(etas, out=etas)
+    np.minimum(etas, 1.0, out=etas)
+    return etas, (sum_z, sum_sq, sig2[..., -1])
+
+
+def betting_fractions(z: np.ndarray, delta: float) -> np.ndarray:
+    """Predictable plug-in betting fractions along the last axis of z;
+    entry j uses only z[..., :j]. The whole sample is one chunk from the
+    empty carry."""
+    return _fractions(z, delta, z.shape[-1], 0, _EMPTY)[0]
+
+
+def _capital(z: np.ndarray, R, etas: np.ndarray, first=1.0) -> np.ndarray:
+    """Running capital first * prod_{j<=i} (1 + eta_j (R - z_j)) along the
+    last axis of z, with one R and one `first` per row."""
+    factors = np.subtract(np.asarray(R, dtype=np.float64)[..., None], z)
+    factors *= etas
+    factors += 1.0
+    return _accumulate(np.multiply, first, factors)
 
 
 def capital_process(z: np.ndarray, R: float | np.ndarray, etas: np.ndarray):
     """Max over prefixes (including the empty prefix, capital 1) of
     prod_{j<=i} (1 + eta_j (R - z_j)), along the last axis of z, with one
     R per row of a (k, n) block. Nondecreasing in R."""
-    factors = np.subtract(np.asarray(R, dtype=np.float64)[..., None], z)
-    factors *= etas
-    factors += 1.0
-    np.cumprod(factors, axis=-1, out=factors)
-    return factors.max(axis=-1, initial=1.0)
+    return _capital(z, R, etas).max(axis=-1, initial=1.0)
+
+
+# rows of the decision walk's first chunk; each later chunk is twice as long
+_FIRST_CHUNK = 32
+
+
+def _crossed(unit, cols: np.ndarray, n: int, R: np.ndarray, delta: float) -> np.ndarray:
+    """Exactly capital_process(z, R, betting_fractions(z, delta)) > 1/delta
+    for the (k, n) block z = unit(cols), one R per column, reading only the
+    rows it needs: `unit(cols, rows)` gives those rows of some columns. A
+    column leaves the walk at the chunk where its capital first exceeds
+    1/delta."""
+    out = np.zeros(cols.size, dtype=bool)
+    left = np.arange(cols.size)  # the columns still walking
+    carry = tuple(np.full(cols.size, x) for x in _EMPTY)
+    capital = np.ones(cols.size)
+    start, size = 0, _FIRST_CHUNK
+    while start < n and left.size:
+        z = unit(cols[left], slice(start, start + size))
+        etas, carry = _fractions(z, delta, n, start, carry)
+        path = _capital(z, R[left], etas, capital)
+        up = (path > 1.0 / delta).any(axis=-1)
+        out[left[up]] = True
+        stay = ~up
+        left, capital, carry = left[stay], path[stay, -1], tuple(x[stay] for x in carry)
+        start, size = start + size, 2 * size
+    return out
 
 
 # the WSR bound is located on the dyadic grid k / _STEPS
@@ -121,18 +201,18 @@ def _last_grid_point_at_most(lo: np.ndarray, span: np.ndarray, alpha: float) -> 
     return _bisect(fits, below, above)
 
 
-def _wsr_ucb_at_most(z: np.ndarray, delta: float, lo, span, alpha: float) -> np.ndarray:
-    """Exactly lo + span * _wsr_ucb(z, delta) <= alpha per row, with one
-    capital pass. With g the largest grid point where lo + span * g <= alpha,
-    the bound is <= alpha exactly when the smallest rejected grid point is
-    <= g: when g = 1, or when g itself is rejected (rejection is monotone
-    in R). No such g means the bound, at least lo, exceeds alpha."""
+def _wsr_ucb_at_most(unit, cols, n: int, delta: float, lo, span, alpha: float) -> np.ndarray:
+    """Exactly lo + span * _wsr_ucb(z, delta) <= alpha per column of the
+    (k, n) block z = unit(cols), walking each column once. With g the
+    largest grid point where lo + span * g <= alpha, the bound is <= alpha
+    exactly when the smallest rejected grid point is <= g: when g = 1, or
+    when g itself is rejected (rejection is monotone in R). No such g means
+    the bound, at least lo, exceeds alpha."""
     k = _last_grid_point_at_most(lo, span, alpha)
     out = k == _STEPS
     test = (k >= 0.0) & ~out
     if test.any():
-        z = z[test]
-        out[test] = capital_process(z, k[test] / _STEPS, betting_fractions(z, delta)) > 1.0 / delta
+        out[test] = _crossed(unit, cols[test], n, k[test] / _STEPS, delta)
     return out
 
 
@@ -148,8 +228,13 @@ BOUND_METHODS = tuple(_UCB)
 
 def _normalized(losses, cost: OceCost, t, delta: float, method: str):
     """The checked inputs of a bound: the analytic range lo, hi of each
-    column's transformed loss, the mask of columns where hi > lo, and the
-    (k_live, n) block of those columns' transformed losses mapped to [0, 1]."""
+    column's transformed loss, the indices of the live columns, where
+    hi > lo, and `unit(cols, rows=all)`, the (len(cols), len(rows)) block
+    of those columns' transformed losses mapped to [0, 1].
+
+    With every loss in [0, LOSS_MAX], `bound_B` raises any entropic
+    OverflowError here, before a loss is transformed, so a walk that maps
+    only some rows cannot skip one."""
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not np.all((ts >= 0.0) & (ts <= LOSS_MAX)):  # NaN fails too
         raise ValueError("t must lie in [0, LOSS_MAX]")
@@ -163,15 +248,18 @@ def _normalized(losses, cost: OceCost, t, delta: float, method: str):
     block = np.atleast_2d(losses.T)  # (k, n)
     if ts.shape != block.shape[:1]:
         raise ValueError("need one t per loss column")
+    if not (block.min() >= 0.0 and block.max() <= LOSS_MAX):  # NaN fails too
+        raise ValueError("losses must lie in [0, LOSS_MAX]")
     lo = ts + phi(cost, -ts)
     hi = bound_B(cost, ts)
+    span = hi - lo
+
+    def unit(cols, rows=slice(None)):
+        tl = transformed_losses(cost, ts[cols, None], block[cols, rows])
+        return np.clip((tl - lo[cols, None]) / span[cols, None], 0.0, 1.0)
+
     # where hi <= lo the transformed loss is the constant lo = hi
-    live = hi > lo
-    z = None
-    if live.any():
-        tl = transformed_losses(cost, ts[live, None], block[live])
-        z = np.clip((tl - lo[live, None]) / (hi - lo)[live, None], 0.0, 1.0)
-    return lo, hi, live, z
+    return lo, hi, np.flatnonzero(hi > lo), unit
 
 
 def oce_risk_ucb(
@@ -191,11 +279,11 @@ def oce_risk_ucb(
     range [t + phi(-t), t + phi(LOSS_MAX - t)], bounded there, and mapped
     back. Requires t in [0, LOSS_MAX] so the range is well ordered.
     """
-    lo, hi, live, z = _normalized(losses, cost, t, delta, method)
+    lo, hi, live, unit = _normalized(losses, cost, t, delta, method)
     out = lo.copy()
-    if z is not None:
+    if live.size:
         lo, hi = lo[live], hi[live]
-        out[live] = lo + (hi - lo) * _UCB[method](z, delta)
+        out[live] = lo + (hi - lo) * _UCB[method](unit(live), delta)
     return out if np.ndim(losses) == 2 else float(out[0])
 
 
@@ -208,14 +296,16 @@ def oce_risk_ucb_at_most(
     method: str = "wsr",
 ) -> bool | np.ndarray:
     """Exactly `oce_risk_ucb(losses, cost, t, delta, method) <= alpha`, for
-    the same shapes, without bisecting: the WSR test takes one capital pass
-    per column, at the one grid point that decides it."""
-    lo, hi, live, z = _normalized(losses, cost, t, delta, method)
+    the same shapes, without bisecting: the WSR test walks each column's
+    capital at the one grid point that decides it, up to the row where it
+    crosses 1/delta."""
+    lo, hi, live, unit = _normalized(losses, cost, t, delta, method)
     out = lo <= alpha
-    if z is not None:
+    if live.size:
         lo, hi = lo[live], hi[live]
         if method == "wsr":
-            out[live] = _wsr_ucb_at_most(z, delta, lo, hi - lo, alpha)
+            n = np.shape(losses)[0]
+            out[live] = _wsr_ucb_at_most(unit, live, n, delta, lo, hi - lo, alpha)
         else:
-            out[live] = lo + (hi - lo) * _UCB[method](z, delta) <= alpha
+            out[live] = lo + (hi - lo) * _UCB[method](unit(live), delta) <= alpha
     return out if np.ndim(losses) == 2 else bool(out[0])

@@ -124,7 +124,10 @@ def _generate_example(params: GeneratorParams, sub_seed: int):
         if positive.any():
             break
     else:
-        raise RuntimeError("membership resampling did not terminate")
+        raise ValueError(
+            f"no positive label in {_MAX_MEMBERSHIP_ATTEMPTS} membership draws "
+            f"for the generator parameters {params}"
+        )
     u = uniforms(sub_seed, 1 + (attempt + 1) * m, m)
     k = params.sharpness
     a = np.where(positive, 1.0 + k * (1.0 - d), 1.5)

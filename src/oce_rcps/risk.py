@@ -124,11 +124,6 @@ def phi(cost: OceCost, u) -> np.ndarray:
     return np.array([math.expm1(x) / beta for x in bu.ravel().tolist()]).reshape(u.shape)
 
 
-def phi_eval(cost: OceCost, u: float) -> float:
-    """phi at a single point."""
-    return float(phi(cost, u))
-
-
 def transformed_losses(cost: OceCost, t: float, losses: np.ndarray) -> np.ndarray:
     """t + phi(loss - t) per loss; nondecreasing in loss for fixed t."""
     losses = np.asarray(losses, dtype=np.float64)

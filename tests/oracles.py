@@ -15,7 +15,7 @@ from oce_rcps.risk import (
     InvalidExampleError,
     LossKind,
     bound_B,
-    phi_eval,
+    phi,
     transformed_losses,
 )
 from oce_rcps.rng import _GAMMA, _MASK64, _finalize, beta_inverse_cdf
@@ -221,7 +221,7 @@ def hoeffding_ucb(z: np.ndarray, delta: float) -> float:
 
 def oce_risk_ucb(losses, cost, t: float, delta: float, method: str = "wsr") -> float:
     """UCB on the OCE objective of one loss column at one t."""
-    lo = t + phi_eval(cost, -t)
+    lo = t + float(phi(cost, -t))
     hi = bound_B(cost, t)
     if hi <= lo:
         return lo

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oce_rcps import bounds
 from oce_rcps.bounds import (
     _STEPS,
+    _crossed,
     _hoeffding_ucb,
     _last_grid_point_at_most,
     _wsr_ucb,
@@ -16,7 +18,7 @@ from oce_rcps.bounds import (
     oce_risk_ucb,
     oce_risk_ucb_at_most,
 )
-from oce_rcps.risk import OceCost, bound_B
+from oce_rcps.risk import OceCost, bound_B, phi, transformed_losses
 
 
 def wsr(z, delta):
@@ -116,6 +118,15 @@ def test_wsr_ucb_is_first_rejected_bisection_point():
 def test_oce_risk_ucb_validation():
     with pytest.raises(ValueError):
         oce_risk_ucb(np.array([]), OceCost.average(), 0.0, 0.1)
+    # unchecked, a NaN gives the bound 0 while the decision disagrees with it
+    for bad in (math.nan, -1e-300, 1.0 + 2**-52, math.inf):
+        for cost in (OceCost.average(), OceCost.entropic(3), OceCost.cvar(0.5)):
+            losses = np.zeros(201)
+            losses[100] = bad
+            with pytest.raises(ValueError, match=r"losses must lie in \[0, LOSS_MAX\]"):
+                oce_risk_ucb(losses, cost, 0.0, 0.1)
+            with pytest.raises(ValueError, match=r"losses must lie in \[0, LOSS_MAX\]"):
+                oce_risk_ucb_at_most(losses[:, None], cost, np.zeros(1), 0.1, 0.3)
     for delta in (0.0, 1.0, -0.1, 1.5, math.nan):
         with pytest.raises(ValueError):
             oce_risk_ucb(np.array([0.5]), OceCost.average(), 0.0, delta)
@@ -179,7 +190,7 @@ def test_oce_risk_ucb_block_needs_one_t_per_column():
 COSTS = [OceCost.average(), OceCost.cvar(0.5), OceCost.cvar(0.9), OceCost.entropic(1),
          OceCost.entropic(3)]
 # "top" keeps random samples but takes t = LOSS_MAX, where cvar's range is constant
-KINDS = ("uniform", "grid", "zeros", "ones", "top")
+KINDS = ("uniform", "grid", "zeros", "ones", "constant", "top")
 
 
 def draw_block(data, rng, n, k, extra_ts=()):
@@ -195,6 +206,8 @@ def draw_block(data, rng, n, k, extra_ts=()):
             columns.append(np.zeros(n))
         elif kind == "ones":
             columns.append(np.ones(n))
+        elif kind == "constant":
+            columns.append(np.full(n, rng.uniform()))
         elif kind == "grid":  # FNR-like values with ties
             columns.append(rng.integers(0, 11, size=n) / 10.0)
         else:
@@ -251,12 +264,42 @@ def test_wsr_block_returns_zero_like_scalar():
     assert got[-1] == 0.0 and 0.0 < got[0] < 1.0
 
 
+def crossing_row(z, R, delta):
+    """First row where the capital of the sample vector z at R exceeds
+    1/delta, from the oracle's one-pass capital; None if it never does."""
+    path = np.cumprod(1.0 + oracles.betting_fractions(z, delta) * (R - z))
+    above = np.flatnonzero(path > 1.0 / delta)
+    return int(above[0]) if above.size else None
+
+
+def grid_point_crossing_at(z, delta, row):
+    """The grid index g whose capital at g / 2^20 first exceeds 1/delta at
+    `row`, or None. The crossing row is nonincreasing in R, so the smallest
+    g crossing by `row` is the one, if any, that crosses there."""
+    def by_row(g):
+        at = crossing_row(z, g / _STEPS, delta)
+        return at is not None and at <= row
+
+    if not by_row(_STEPS):
+        return None
+    below, above = -1, int(_STEPS)
+    while above - below > 1:
+        mid = (below + above) // 2
+        below, above = (below, mid) if by_row(mid) else (mid, above)
+    return above if crossing_row(z, above / _STEPS, delta) == row else None
+
+
+# rows where a crossing is the last row of one chunk or the first of the next
+EDGE_ROWS = (31, 32, 95, 96, 223, 224)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
-    n=st.one_of(st.just(1), st.integers(1, 300)),
-    k=st.integers(1, 8),
-    delta=st.floats(0.01, 0.99),
+    n=st.one_of(st.sampled_from((1, 2, 33, 97, 225, 300)), st.integers(1, 300)),
+    k=st.one_of(st.just(1), st.integers(1, 8)),
+    delta=st.one_of(st.sampled_from((1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 2**-52)),
+                    st.floats(0.01, 0.99)),
     cost=st.sampled_from(COSTS),
     method=st.sampled_from(("wsr", "hoeffding")),
     seed=st.integers(0, 2**32 - 1),
@@ -269,8 +312,17 @@ def test_decision_is_bound_at_most_alpha(data, n, k, delta, cost, method, seed):
     ucb = oce_risk_ucb(block, cost, ts, delta, method=method)
     j = data.draw(st.integers(0, k - 1))
     at = float(ucb[j])
-    for alpha in (at, np.nextafter(at, -math.inf), np.nextafter(at, math.inf),
-                  data.draw(st.floats(0.0, 2.0))):
+    alphas = [at, np.nextafter(at, -math.inf), np.nextafter(at, math.inf),
+              data.draw(st.floats(0.0, 2.0))]
+    lo, hi = float(ts[j] + phi(cost, -ts[j])), float(bound_B(cost, ts[j]))
+    row = data.draw(st.sampled_from(EDGE_ROWS))
+    if method == "wsr" and hi > lo and row < n:
+        # an alpha whose decision point first crosses 1/delta at a chunk edge
+        z = np.clip((transformed_losses(cost, ts[j], block[:, j]) - lo) / (hi - lo), 0.0, 1.0)
+        g = grid_point_crossing_at(z, delta, row)
+        if g is not None:
+            alphas.append(lo + (hi - lo) * (g / _STEPS))
+    for alpha in alphas:
         got = oce_risk_ucb_at_most(block, cost, ts, delta, alpha, method=method)
         assert got.tolist() == (ucb <= alpha).tolist()
         single = oce_risk_ucb_at_most(block[:, j], cost, ts[j], delta, alpha, method=method)
@@ -286,3 +338,68 @@ def test_last_grid_point_matches_exhaustive_search(lo, span):
         fits = np.flatnonzero(values <= alpha)
         want = fits[-1] if fits.size else -1
         assert _last_grid_point_at_most(np.array([lo]), np.array([span]), alpha)[0] == want
+
+
+# ---------------------------------------------------------------- the walk
+
+def walk(z, R, delta):
+    """The walk over the rows of a (k, n) block of [0, 1] samples, and the
+    row ranges it mapped."""
+    reads = []
+
+    def unit(cols, rows):
+        reads.append((rows.start, min(rows.stop, z.shape[1])))
+        return z[cols, rows]
+
+    return _crossed(unit, np.arange(z.shape[0]), z.shape[1], np.asarray(R), delta), reads
+
+
+@pytest.mark.parametrize("first", [1, 3, 32])
+def test_walk_matches_one_capital_pass(monkeypatch, first):
+    monkeypatch.setattr(bounds, "_FIRST_CHUNK", first)
+    rng = np.random.default_rng(first)
+    for _ in range(300):
+        n, k = int(rng.integers(1, 400)), int(rng.integers(1, 12))
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            z = rng.uniform(size=(k, n)) * rng.uniform(size=(k, 1))
+        elif kind == 1:
+            z = rng.integers(0, 11, size=(k, n)) / 10.0
+        elif kind == 2:
+            z = np.repeat(rng.uniform(size=(k, 1)), n, axis=1)
+        else:
+            z = np.zeros((k, n))
+        R = rng.uniform(size=k)
+        delta = float(rng.choice([1e-9, 0.05, 0.2, 0.9, 1.0 - 1e-9]))
+        want = capital_process(z, R, betting_fractions(z, delta)) > 1.0 / delta
+        assert walk(z, R, delta)[0].tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("row", EDGE_ROWS)
+def test_walk_decides_a_crossing_at_a_chunk_edge(row):
+    rng = np.random.default_rng(row)
+    found = 0
+    for _ in range(20):
+        z = rng.uniform(size=300) * rng.uniform()
+        delta = float(rng.uniform(0.05, 0.5))
+        g = grid_point_crossing_at(z, delta, row)
+        if g is None:
+            continue
+        found += 1
+        R = np.array([g, g - 1]) / _STEPS  # crossing at `row`, and later or never
+        zz = np.stack([z, z])
+        got, _ = walk(zz, R, delta)
+        assert got.tolist() == (capital_process(zz, R, betting_fractions(zz, delta))
+                                > 1.0 / delta).tolist()
+        assert got[0]
+    assert found > 0
+
+
+def test_walk_maps_only_the_rows_it_needs():
+    # every column crosses in the first chunk, so no later row is mapped
+    z = np.zeros((4, 800))
+    got, reads = walk(z, np.full(4, 0.9), 0.2)
+    assert got.all() and reads == [(0, 32)]
+    # a column that never crosses runs to the last row, in doubling chunks
+    got, reads = walk(z[:1], np.zeros(1), 0.2)
+    assert not got[0] and reads == [(0, 32), (32, 96), (96, 224), (224, 480), (480, 800)]

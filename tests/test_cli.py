@@ -349,6 +349,9 @@ def test_config_values_checked_like_flags(dataset_path, tmp_path, key, value):
     ["generate", "--difficulty-a", "1e300"],
     ["trials", *RUN, *POOL[2:], "--trials", "2", "--pool-size", "5", "--sharpness", "1e300"],
     ["trials", *RUN, *POOL[2:], "--trials", "2", "--pool-size", "5", "--difficulty-a", "1e300"],
+    # a valid rho so small that no membership draw is ever positive
+    ["generate", "--m", "5", "--rho", "1e-300"],
+    ["trials", *RUN, *POOL[2:], "--trials", "2", "--pool-size", "5", "--m", "5", "--rho", "1e-300"],
 ])
 def test_bad_generator_flags_are_usage_errors(tmp_path, argv):
     defaults = {"generate": ["--count", "5", "--seed", "1", "--output", tmp_path / "d.jsonl"],

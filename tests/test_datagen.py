@@ -83,6 +83,13 @@ def test_shapes_without_a_beta_variate_rejected(field):
         generate_dataset(params, 5, seed=1)
 
 
+def test_rho_without_a_positive_draw_rejected():
+    # every membership attempt of an example draws no positive label
+    params = GeneratorParams(m=5, rho=1e-300)
+    with pytest.raises(ValueError, match="no positive label .*rho=1e-300"):
+        generate_dataset(params, 2, seed=1)
+
+
 # ---------------------------------------------------------------- splitting
 
 def pool_rows(data: Dataset, part: Dataset) -> list:

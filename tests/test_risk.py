@@ -20,7 +20,7 @@ from oce_rcps.risk import (
     empirical_oce,
     loss_counts,
     losses_at,
-    phi_eval,
+    phi,
     relative_set_sizes,
     transformed_losses,
 )
@@ -309,16 +309,16 @@ def test_dataset_arrays_are_read_only(counted_pool):
 
 # ---------------------------------------------------------------- phi
 
-def test_phi_eval_table():
-    assert phi_eval(OceCost.average(), 0.7) == 0.7
-    assert phi_eval(OceCost.entropic(3), 0.0) == 0.0
-    assert phi_eval(OceCost.entropic(3), 1.0) == pytest.approx((math.e**3 - 1) / 3)
-    assert phi_eval(OceCost.cvar(0.9), 0.05) == pytest.approx(0.5)
+def test_phi_table():
+    assert phi(OceCost.average(), 0.7) == 0.7
+    assert phi(OceCost.entropic(3), 0.0) == 0.0
+    assert phi(OceCost.entropic(3), 1.0) == pytest.approx((math.e**3 - 1) / 3)
+    assert phi(OceCost.cvar(0.9), 0.05) == pytest.approx(0.5)
 
 
 def test_phi_entropic_overflow_rejected():
     with pytest.raises(OverflowError):
-        phi_eval(OceCost.entropic(1000.0), 1.0)
+        phi(OceCost.entropic(1000.0), 1.0)
 
 
 def test_cost_parameter_validation():
@@ -446,7 +446,7 @@ def test_entropic_cost_at_subnormal_beta_is_the_small_beta_limit(beta):
     # beta * u underflows here; the beta -> 0 limit of phi(u) is u
     cost = OceCost.entropic(beta)
     for u in (-1.0, -0.25, 0.3, 1.0):
-        assert abs(phi_eval(cost, u) - u) < 1e-12
+        assert abs(phi(cost, u) - u) < 1e-12
     losses = np.linspace(0.0, 1.0, 11)
     for t in (0.0, 0.25, 1.0):
         assert np.max(np.abs(transformed_losses(cost, t, losses) - losses)) < 1e-12
