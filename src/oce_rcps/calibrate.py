@@ -20,16 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import oce_risk_ucb, oce_risk_ucb_at_most
-from .datagen import Dataset
-from .risk import (
-    LossKind,
-    OceCost,
-    bound_B,
-    count_pool,
-    empirical_objective,
-    losses_at,
-    optimize_t,
-)
+from .datagen import Dataset, count_pool
+from .risk import LossKind, OceCost, bound_B, empirical_objective, losses_at, optimize_t
 
 # grid columns tested per statistic call, and the trace record of each
 _BLOCK = 32

@@ -44,7 +44,6 @@ from .harness import (
     records_to_csv,
     run_trials,
     select,
-    summary_to_dict,
     write_csv,
 )
 from .risk import LOSS_VARIANTS, LossKind, OceCost, empirical_oce, losses_at, relative_set_sizes
@@ -303,7 +302,7 @@ def _emit_trials(outdir: Path, records, summary, no_timestamp: bool):
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "trials.csv", "w") as fp:
         records_to_csv(records, fp)
-    payload = summary_to_dict(summary)
+    payload = dataclasses.asdict(summary)
     payload["toolkit_version"] = __version__
     if not no_timestamp:
         payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")

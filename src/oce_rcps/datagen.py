@@ -79,8 +79,8 @@ class Dataset:
     truth: np.ndarray
     seed: int | None = None
     params: dict | None = None
-    # loss counts kept by risk.count_pool and shared with every part split
-    # from this dataset, and which of their rows this dataset's rows are
+    # loss counts kept by count_pool and shared with every part split from
+    # this dataset, and which of their rows this dataset's rows are
     _counts: tuple | None = field(default=None, init=False, repr=False)
     _rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -156,7 +156,7 @@ def split_dataset(data: Dataset, split: SplitSpec, seed: int):
         raise ValueError(f"split sizes total {split.total} exceed dataset size {n}")
     indices = list(range(n))
     shuffle(indices, seed)
-    order = np.array(indices)
+    order = np.array(indices, dtype=np.intp)  # integer indices even for an empty dataset
     a, b, c = split.opt_size, split.opt_size + split.cal_size, split.total
 
     def pick(rows):
@@ -166,6 +166,63 @@ def split_dataset(data: Dataset, split: SplitSpec, seed: int):
         return part
 
     return pick(order[:a]), pick(order[a:b]), pick(order[b:c])
+
+
+def _walk_counts(dataset: Dataset, lams) -> np.ndarray:
+    """The threshold walk behind `loss_counts`: sort every truth score once,
+    then add each threshold's newly passed scores per example with
+    `np.bincount`, visiting the thresholds in increasing order."""
+    thresholds = 1.0 - lams
+    n = len(dataset)
+    rows, cols = np.nonzero(dataset.truth)
+    scores = dataset.scores[rows, cols]
+    order = np.argsort(scores)
+    rows = rows[order]
+    columns = np.argsort(thresholds)
+    stops = np.searchsorted(scores[order], thresholds[columns], side="left")
+    out = np.empty((thresholds.size, n), np.min_scalar_type(dataset.m)).T
+    missed = np.zeros(n, dtype=np.intp)
+    start = 0
+    for j, stop in zip(columns, stops):
+        missed += np.bincount(rows[start:stop], minlength=n)
+        out[:, j] = missed
+        start = stop
+    return out
+
+
+def loss_counts(dataset: Dataset, lams) -> np.ndarray:
+    """How many truth scores of each example lie below the threshold 1 - lam:
+    an (len(dataset), len(lams)) matrix in `np.min_scalar_type(m)`.
+
+    A dataset counted by `count_pool`, or split from one, reads its rows of
+    the kept counts when every lam is on the counted grid, in any order;
+    otherwise its own truth scores are walked.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
+    if dataset._counts is not None:
+        grid, table = dataset._counts
+        if np.array_equal(lams, grid):
+            return table[dataset._rows]
+        cols = np.searchsorted(grid, lams).clip(max=grid.size - 1)
+        if np.array_equal(grid[cols], lams):
+            return table[np.ix_(dataset._rows, cols)]
+    return _walk_counts(dataset, lams)
+
+
+def count_pool(dataset: Dataset, lams) -> None:
+    """Count the dataset's losses on the strictly increasing grid `lams` (as
+    `LambdaGrid.values`; any other raises ValueError) once and keep the
+    counts on it, so that it and every part `split_dataset` takes from it
+    read them instead of walking. The counts hold for both loss kinds; a
+    dataset already counted on this grid keeps its counts, and one counted
+    on another grid is recounted."""
+    lams = np.asarray(lams, dtype=np.float64)
+    if dataset._counts is not None and np.array_equal(dataset._counts[0], lams):
+        return
+    if lams.ndim != 1 or np.isnan(lams).any() or not np.all(lams[1:] > lams[:-1]):
+        raise ValueError("a counted grid must be strictly increasing")
+    table = np.ascontiguousarray(_walk_counts(dataset, lams))  # rows contiguous
+    dataset._counts, dataset._rows = (lams, table), np.arange(len(dataset))
 
 
 def _format_score(s: float) -> str:

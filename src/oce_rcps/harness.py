@@ -26,8 +26,8 @@ from .calibrate import (
     select_oce_rcps,
     select_rcps,
 )
-from .datagen import Dataset, SplitSpec, split_dataset
-from .risk import LossKind, OceCost, count_pool, empirical_oce, losses_at, relative_set_sizes
+from .datagen import Dataset, SplitSpec, count_pool, split_dataset
+from .risk import LossKind, OceCost, empirical_oce, losses_at, relative_set_sizes
 from .rng import mix64
 
 METHODS = ("oce-crc", "rcps", "oce-rcps")
@@ -242,7 +242,3 @@ def records_to_csv(records, fp) -> None:
 
 def kde_to_csv(series: np.ndarray, fp) -> None:
     write_csv(fp, ("x", "density"), series)
-
-
-def summary_to_dict(summary: ExperimentSummary) -> dict:
-    return dataclasses.asdict(summary)

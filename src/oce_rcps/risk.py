@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import loss_counts
+
 LOSS_MAX = 1.0
 
 # exp(x) overflows float64 just above x = 709.78
@@ -213,65 +215,10 @@ def empirical_oce(losses: np.ndarray, cost: OceCost) -> tuple[float, float]:
 # Loss evaluation over threshold grids (the per-example reference these are
 # tested against lives in the test oracles).
 
-def _walk_counts(dataset, lams) -> np.ndarray:
-    """The threshold walk behind `loss_counts`: sort every truth score once,
-    then add each threshold's newly passed scores per example with
-    `np.bincount`, visiting the thresholds in increasing order."""
-    thresholds = 1.0 - lams
-    n = len(dataset)
-    rows, cols = np.nonzero(dataset.truth)
-    scores = dataset.scores[rows, cols]
-    order = np.argsort(scores)
-    rows = rows[order]
-    columns = np.argsort(thresholds)
-    stops = np.searchsorted(scores[order], thresholds[columns], side="left")
-    out = np.empty((thresholds.size, n), np.min_scalar_type(dataset.m)).T
-    missed = np.zeros(n, dtype=np.intp)
-    start = 0
-    for j, stop in zip(columns, stops):
-        missed += np.bincount(rows[start:stop], minlength=n)
-        out[:, j] = missed
-        start = stop
-    return out
-
-
-def loss_counts(dataset, lams) -> np.ndarray:
-    """How many truth scores of each example lie below the threshold 1 - lam:
-    an (len(dataset), len(lams)) matrix in `np.min_scalar_type(m)`.
-
-    A dataset counted by `count_pool`, or split from one, reads its rows of
-    the kept counts when every lam is on the counted grid, in any order;
-    otherwise its own truth scores are walked.
-    """
-    lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
-    if dataset._counts is not None:
-        grid, table = dataset._counts
-        if np.array_equal(lams, grid):
-            return table[dataset._rows]
-        cols = np.searchsorted(grid, lams).clip(max=grid.size - 1)
-        if np.array_equal(grid[cols], lams):
-            return table[np.ix_(dataset._rows, cols)]
-    return _walk_counts(dataset, lams)
-
-
-def count_pool(dataset, lams) -> None:
-    """Count the dataset's losses on the grid `lams` once and keep the counts
-    on it, so that it and every part `split_dataset` takes from it read them
-    instead of walking. The counts hold for both loss kinds; a dataset
-    already counted on this grid keeps its counts, and one counted on
-    another grid is recounted."""
-    lams = np.asarray(lams, dtype=np.float64)
-    if dataset._counts is not None and np.array_equal(dataset._counts[0], lams):
-        return  # the counted grid itself, as every scan passes it: no sort
-    lams = np.unique(lams)
-    if dataset._counts is None or not np.array_equal(dataset._counts[0], lams):
-        table = np.ascontiguousarray(_walk_counts(dataset, lams))  # rows contiguous
-        dataset._counts, dataset._rows = (lams, table), np.arange(len(dataset))
-
-
 def losses_at(dataset, kind: LossKind, lams) -> np.ndarray:
-    """Loss matrix of shape (len(dataset), len(lams)) from `loss_counts`:
-    FNR is the count over |truth|, miscoverage is min(count, 1)."""
+    """Loss matrix of shape (len(dataset), len(lams)) from the counts of
+    `datagen.loss_counts`: FNR is the count over |truth|, miscoverage is
+    min(count, 1)."""
     sizes = dataset.truth.sum(axis=1)
     if kind.variant == "fnr" and not sizes.all():
         raise InvalidExampleError("FNR loss needs a nonempty truth set")

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import oce_rcps
-from oce_rcps import risk
+from oce_rcps import datagen
 from oce_rcps.cli import run_cli
 from oce_rcps.datagen import read_dataset_path
 
@@ -66,9 +71,9 @@ def test_calibrate_walks_each_split_once(tmp_path, monkeypatch, method, walks):
     # the trace's bounds read the counts the scan made, so no split is walked twice
     pool = tmp_path / "pool.jsonl"
     assert run(["generate", "--count", "200", "--seed", "1", "--output", pool]) == 0
-    seen, walk = [], risk._walk_counts
+    seen, walk = [], datagen._walk_counts
     monkeypatch.setattr(
-        risk, "_walk_counts", lambda data, lams: seen.append((len(data), len(lams))) or walk(data, lams)
+        datagen, "_walk_counts", lambda data, lams: seen.append((len(data), len(lams))) or walk(data, lams)
     )
     code = run([
         "calibrate", "--method", method, "--risk", "cvar:0.9", "--loss", "fnr",
@@ -567,3 +572,126 @@ def test_sweep_values_sharing_a_directory_are_usage_errors(tmp_path, values):
     ])
     assert code == 2
     assert not any(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------- exit-code contract
+
+# flag values at the edges of what the parsers take; sizes that would ask
+# for a long run (a 20-digit --count, --trials, --grid, --m or --jobs) are
+# valid requests and are never drawn
+EDGES = ("nan", "inf", "-inf", "-0", "1e308", "5e-324", "1e-300", "12345678901234567890", "text", "")
+SMALL_EDGES = tuple(v for v in EDGES if v != "12345678901234567890")
+RISK_SPECS = (
+    "average", "average:1", "cvar", "cvar:", "cvar:nan", "cvar:-0", "cvar:1", "cvar:5e-324",
+    "cvar:0.9999999999999999", "cvar:1e-300", "entropic:nan", "entropic:inf", "entropic:-0",
+    "entropic:1e308", "entropic:5e-324", "entropic:1e-300", "entropic:text", "bogus:1",
+)
+T_MODES = ("per-lambda", "closed-form", "fixed:nan", "fixed:-0", "fixed:1e308", "fixed:5e-324", "fixed:")
+PATHS = ("missing", "directory", "pool.jsonl")  # the last is a file, also as an output directory
+SIZES = {"--count", "--trials", "--grid", "--m", "--jobs"}
+CHOICES = {"--method": ("rcps", "oce-crc", "bogus"), "--loss": ("miscoverage", "bogus"),
+           "--bound": ("hoeffding", "bogus"), "--risk": RISK_SPECS, "--t-mode": T_MODES}
+
+RUN_FLAGS = {
+    "--method": "oce-rcps", "--risk": "cvar:0.8", "--loss": "fnr", "--alpha": "0.4",
+    "--delta": "0.2", "--grid": "20", "--bound": "wsr", "--t-mode": "per-lambda",
+}
+BASES = {
+    "generate": {"--m": "5", "--rho": "0.3", "--difficulty-a": "2", "--difficulty-b": "2",
+                 "--sharpness": "8", "--count": "6", "--seed": "1", "--output": "out.jsonl"},
+    "calibrate": {**RUN_FLAGS, "--data": "pool.jsonl", "--opt-size": "10", "--cal-size": "30",
+                  "--seed": "3", "--output-dir": "cal"},
+    "evaluate": {"--data": "pool.jsonl", "--lambda": "0.9", "--risk": "cvar:0.8", "--loss": "fnr",
+                 "--alpha": "0.4", "--output": "eval.json"},
+    "trials": {**RUN_FLAGS, "--pool": "pool.jsonl", "--opt-size": "10", "--cal-size": "30",
+               "--test-size": "20", "--trials": "3", "--seed": "1", "--jobs": "1",
+               "--output-dir": "trials"},
+}
+PATH_FLAGS = {"--output", "--data", "--output-dir", "--pool"}
+JUNK_LINES = ("", "{", "null", "[]", '{"scores": [NaN], "truth": []}', '{"scores": [], "truth": [0]}',
+              '{"scores": "0.5", "truth": []}', '{"scores": [1e400], "truth": [0]}')
+
+
+@pytest.fixture(scope="module")
+def small_pool(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract") / "pool.jsonl"
+    assert run(["generate", "--m", "6", "--count", "60", "--seed", "2", "--output", path]) == 0
+    return path.read_text().splitlines(keepends=True)
+
+
+@st.composite
+def contract_calls(draw):
+    """A valid command with up to two flags set to edge values, on the
+    command line or through --config, and maybe a few corrupted pool lines."""
+    command = draw(st.sampled_from(sorted(BASES)))
+    flags = dict(BASES[command])
+    config = {}
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True)):
+        if flag in PATH_FLAGS:
+            value = draw(st.sampled_from(PATHS))
+        else:
+            value = draw(st.sampled_from(
+                CHOICES.get(flag, ()) + (SMALL_EDGES if flag in SIZES else EDGES)))
+        if draw(st.booleans()):
+            flags[flag] = value
+        else:
+            del flags[flag]
+            config[flag[2:].replace("-", "_")] = draw(st.sampled_from(config_values(value)))
+    corrupt = draw(st.one_of(st.just([]), st.lists(
+        st.tuples(st.integers(0, 60), st.sampled_from(JUNK_LINES)), min_size=1, max_size=3)))
+    return command, flags, config, corrupt
+
+
+def config_values(text):
+    """The config-file spellings of a flag value: its text, and its number."""
+    for parse in (int, float):
+        try:
+            return (text, parse(text))
+        except ValueError:
+            pass
+    return (text,)
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(call=contract_calls())
+@example(call=("generate", {**BASES["generate"], "--rho": "1e-300"}, {}, []))  # once a traceback
+def test_exit_codes_hold_for_edge_inputs(small_pool, call):
+    command, flags, config, corrupt = call
+    lines = list(small_pool)
+    for at, junk in corrupt:
+        lines[at % len(lines)] = junk + "\n"
+    argv = [command, *(item for pair in flags.items() for item in pair)]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative output paths, drawn text among them, land here
+        try:
+            Path("pool.jsonl").write_text("".join(lines))
+            Path("directory").mkdir()
+            if config:
+                Path("config.json").write_text(json.dumps(config))
+                argv += ["--config", "config.json"]
+            out = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out):
+                    code = run_cli(argv)
+            except SystemExit as e:  # argparse rejects a flag's text
+                assert e.code == 2
+                code = 2
+            assert code in (0, 1, 2, 3)
+            for path in Path(tmp).rglob("*.json"):
+                if path.name != "config.json":
+                    strict_json(path.read_text())
+            if Path("out.jsonl").is_file():  # what generate wrote
+                for line in Path("out.jsonl").read_text().splitlines():
+                    strict_json(line)
+            if code == 0 and command == "evaluate" and out.getvalue():
+                strict_json(out.getvalue())
+        finally:
+            os.chdir(cwd)

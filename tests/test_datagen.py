@@ -1,6 +1,8 @@
+import ast
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,3 +443,18 @@ def test_generation_matches_sequential_stream(seed, m, rho, count):
         ref = generate_example(params, mix64(seed, i))
         assert frozenset(np.flatnonzero(truth).tolist()) == ref.truth
         assert scores.tobytes() == ref.scores.tobytes()
+
+
+def test_only_datagen_touches_the_loss_counts():
+    # a Dataset's kept loss counts and its rows in them are read and
+    # written by datagen alone
+    private = {"_counts", "_rows"}
+    modules = sorted(Path(datagen.__file__).parent.glob("*.py"))
+    assert {"risk.py", "calibrate.py", "harness.py", "cli.py"} <= {p.name for p in modules}
+    found = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in modules if path.name != "datagen.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert found == []

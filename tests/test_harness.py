@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oce_rcps import harness, risk
+from oce_rcps import datagen, harness
 from oce_rcps.calibrate import LambdaGrid
 from oce_rcps.datagen import GeneratorParams, SplitSpec, generate_dataset
 from oce_rcps.harness import (
@@ -75,8 +75,8 @@ def test_run_trials_parallel_matches_sequential(pool):
 
 def record_walks(monkeypatch):
     """The size of each dataset walked from here on."""
-    seen, walk = [], risk._walk_counts
-    monkeypatch.setattr(risk, "_walk_counts", lambda data, lams: seen.append(len(data)) or walk(data, lams))
+    seen, walk = [], datagen._walk_counts
+    monkeypatch.setattr(datagen, "_walk_counts", lambda data, lams: seen.append(len(data)) or walk(data, lams))
     return seen
 
 

@@ -6,19 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oce_rcps import risk
+from oce_rcps import datagen
 from oce_rcps.calibrate import LambdaGrid
-from oce_rcps.datagen import Dataset, GeneratorParams, SplitSpec, generate_dataset, split_dataset
+from oce_rcps.datagen import (
+    Dataset,
+    GeneratorParams,
+    SplitSpec,
+    count_pool,
+    generate_dataset,
+    loss_counts,
+    split_dataset,
+)
 from oce_rcps.risk import (
     LOSS_MAX,
     InvalidExampleError,
     LossKind,
     OceCost,
     bound_B,
-    count_pool,
     empirical_objective,
     empirical_oce,
-    loss_counts,
     losses_at,
     phi,
     relative_set_sizes,
@@ -191,8 +197,8 @@ def same(a, b):
 
 def record_walks(monkeypatch):
     """The size of each dataset walked from here on."""
-    seen, walk = [], risk._walk_counts
-    monkeypatch.setattr(risk, "_walk_counts", lambda data, lams: seen.append(len(data)) or walk(data, lams))
+    seen, walk = [], datagen._walk_counts
+    monkeypatch.setattr(datagen, "_walk_counts", lambda data, lams: seen.append(len(data)) or walk(data, lams))
     return seen
 
 
@@ -258,23 +264,46 @@ def test_part_of_a_part_composes_rows(counted_pool, monkeypatch):
     assert walks == []
 
 
+def test_parts_of_an_empty_counted_pool_read_its_counts(monkeypatch):
+    pool = Dataset(np.empty((0, 3)), np.empty((0, 3), dtype=bool))
+    count_pool(pool, GRID)
+    part = split_dataset(pool, SplitSpec(0, 0, 0), seed=1)[1]
+    part_of_part = split_dataset(part, SplitSpec(0, 0, 0), seed=2)[1]
+    walks = record_walks(monkeypatch)
+    for data in (part, part_of_part):
+        assert data._counts is pool._counts
+        assert loss_counts(data, GRID).shape == (0, GRID.size)
+    assert walks == []
+
+
 def test_count_on_the_counted_grid_is_a_no_op(monkeypatch):
     pool = generate_dataset(GeneratorParams(m=30), 60, seed=8)
     count_pool(pool, GRID)
     part = split_dataset(pool, SplitSpec(10, 30, 20), seed=4)[1]
     kept = pool._counts
     walks = record_walks(monkeypatch)
-    sorts, unique = [], np.unique
-    monkeypatch.setattr(np, "unique", lambda *a, **kw: sorts.append(1) or unique(*a, **kw))
     for data in (pool, part):
         count_pool(data, GRID)
         assert data._counts is kept
-    assert sorts == [] and walks == []  # neither re-sorted nor walked
+    assert walks == []
+
+
+@pytest.mark.parametrize("counted", [False, True])
+def test_count_needs_a_strictly_increasing_grid(counted, monkeypatch):
+    pool = generate_dataset(GeneratorParams(m=30), 60, seed=8)
+    if counted:
+        count_pool(pool, GRID)
+    part = split_dataset(pool, SplitSpec(10, 30, 20), seed=4)[1]
+    walks = record_walks(monkeypatch)
+    bad = (GRID[::-1], np.concatenate([GRID[:9], GRID[8:]]), np.array([0.0, math.nan, 1.0]),
+           np.array([math.nan]), GRID[None, :])
     for data in (pool, part):
-        for copy in (GRID[::-1], np.concatenate([GRID, GRID[3:9]])):
-            count_pool(data, copy)
+        kept = data._counts
+        for lams in bad:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                count_pool(data, lams)
             assert data._counts is kept
-    assert walks == []  # other spellings of the grid are sorted, not recounted
+    assert walks == []
 
 
 def test_pool_with_empty_truth_row_counts_for_both_losses():
