@@ -27,7 +27,6 @@ from . import __version__
 from .bounds import BOUND_METHODS
 from .calibrate import LambdaGrid
 from .datagen import (
-    DatasetParseError,
     GeneratorParams,
     SplitSpec,
     generate_dataset,
@@ -118,7 +117,7 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     type and choices; unknown keys fail closed; then hard defaults fill
     anything still unset."""
     keys = {k for k in vars(args) if k not in ("func", "command", "config", "parser")}
-    if getattr(args, "config", None):
+    if args.config is not None:
         try:
             with open(args.config) as fp:
                 conf = json.load(fp)
@@ -201,8 +200,8 @@ def _cmd_calibrate(args):
     trace = outcome.trace.copy()
     trace["bound"] = outcome.bounds()
     trace.sort(order="lam")
+    os.makedirs(args.output_dir, exist_ok=True)
     outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     payload = {
         "lambda_hat": outcome.lambda_hat,
         "feasible": outcome.feasible,
@@ -254,15 +253,16 @@ def _cmd_evaluate(args):
         payload["alpha"] = args.alpha
         payload["satisfied"] = bool(value <= args.alpha)
     text = json.dumps(payload, indent=2) + "\n"
-    if args.output and args.output != "-":
-        Path(args.output).write_text(text)
-    else:
+    if args.output is None or args.output == "-":
         sys.stdout.write(text)
+    else:
+        with open(args.output, "w") as fp:
+            fp.write(text)
     return 0
 
 
 def _load_pool(args):
-    if args.pool:
+    if args.pool is not None:
         return read_dataset_path(args.pool)
     if args.pool_size < 1:
         raise UsageError("--pool-size must be >= 1")
@@ -298,8 +298,9 @@ def _trial_config(args, test_size: int | None) -> TrialConfig:
     return config
 
 
-def _emit_trials(outdir: Path, records, summary, no_timestamp: bool):
-    outdir.mkdir(parents=True, exist_ok=True)
+def _emit_trials(outdir, records, summary, no_timestamp: bool):
+    os.makedirs(outdir, exist_ok=True)
+    outdir = Path(outdir)
     with open(outdir / "trials.csv", "w") as fp:
         records_to_csv(records, fp)
     payload = dataclasses.asdict(summary)
@@ -333,7 +334,7 @@ def _cmd_trials(args):
     config = _trial_config(args, args.test_size)
     pool = _load_pool(args)
     records, summary = run_trials(pool, config, args.trials, args.seed, jobs=args.jobs)
-    _emit_trials(Path(args.output_dir), records, summary, args.no_timestamp)
+    _emit_trials(args.output_dir, records, summary, args.no_timestamp)
     log.info("satisfaction_rate=%.4f", summary.satisfaction_rate)
     return 0
 
@@ -353,8 +354,8 @@ def _cmd_sweep(args):
         setattr(args, args.vary, value)
         configs.append(_trial_config(args, args.test_size))
     pool = _load_pool(args)
+    os.makedirs(args.output_dir, exist_ok=True)
     outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     columns = (args.vary, "satisfaction_rate", "mean_test_oce_risk",
                "median_test_oce_risk", "median_rel_size", "trials")
     rows = []
@@ -374,17 +375,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="JSON config file; flags override it")
 
-    p = sub.add_parser("generate", help="emit a synthetic dataset as JSONL")
-    p.add_argument("--config", default=None, help="JSON config file; flags override it")
+    p = sub.add_parser("generate", parents=[common], help="emit a synthetic dataset as JSONL")
     _add_gen_flags(p)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", default=None, help="path or - for stdout")
     p.set_defaults(func=_cmd_generate, parser=p)
 
-    p = sub.add_parser("calibrate", help="select a threshold on one dataset")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("calibrate", parents=[common], help="select a threshold on one dataset")
     _add_run_flags(p)
     p.add_argument("--data", default=None, help="dataset JSONL")
     p.add_argument("--opt-size", type=int, default=None)
@@ -395,8 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="exit 1 when infeasible")
     p.set_defaults(func=_cmd_calibrate, parser=p)
 
-    p = sub.add_parser("evaluate", help="test metrics for a given threshold")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("evaluate", parents=[common], help="test metrics for a given threshold")
     p.add_argument("--data", default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--risk", default=None)
@@ -406,8 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate, parser=p)
 
     for name, fn in (("trials", _cmd_trials), ("sweep", _cmd_sweep)):
-        p = sub.add_parser(name, help=f"Monte Carlo {name}")
-        p.add_argument("--config", default=None)
+        p = sub.add_parser(name, parents=[common], help=f"Monte Carlo {name}")
         _add_run_flags(p)
         _add_gen_flags(p)
         p.add_argument("--pool", default=None, help="dataset JSONL; generated when absent")
@@ -438,7 +437,7 @@ def run_cli(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (DatasetParseError, OSError, ValueError, OverflowError) as e:
+    except (OSError, ValueError, OverflowError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
 

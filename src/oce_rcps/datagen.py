@@ -225,10 +225,6 @@ def count_pool(dataset: Dataset, lams) -> None:
     dataset._counts, dataset._rows = (lams, table), np.arange(len(dataset))
 
 
-def _format_score(s: float) -> str:
-    return format(s, ".9g")
-
-
 def write_dataset(data: Dataset, fp) -> None:
     header = {
         "format": "oce-rcps-dataset",
@@ -240,7 +236,7 @@ def write_dataset(data: Dataset, fp) -> None:
     }
     fp.write(json.dumps(header) + "\n")
     for row_scores, row_truth in zip(data.scores, data.truth):
-        scores = ",".join(_format_score(s) for s in row_scores)
+        scores = ",".join(format(s, ".9g") for s in row_scores)
         truth = ",".join(str(i) for i in np.flatnonzero(row_truth))
         fp.write('{"scores":[%s],"truth":[%s]}\n' % (scores, truth))
 

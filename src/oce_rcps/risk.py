@@ -35,10 +35,6 @@ _BETA_FLOOR = 1e-100
 LOSS_VARIANTS = ("fnr", "miscoverage")
 
 
-class InvalidExampleError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class LossKind:
     """Loss variant; both shipped losses are bounded by LOSS_MAX = 1."""
@@ -221,7 +217,7 @@ def losses_at(dataset, kind: LossKind, lams) -> np.ndarray:
     min(count, 1)."""
     sizes = dataset.truth.sum(axis=1)
     if kind.variant == "fnr" and not sizes.all():
-        raise InvalidExampleError("FNR loss needs a nonempty truth set")
+        raise ValueError("FNR loss needs a nonempty truth set")
     counts = loss_counts(dataset, lams)
     # built as (len(lams), n) and returned transposed: column-major, so each
     # column (as the selectors read them) is contiguous

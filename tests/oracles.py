@@ -12,7 +12,6 @@ import numpy as np
 
 from oce_rcps.datagen import GeneratorParams
 from oce_rcps.risk import (
-    InvalidExampleError,
     LossKind,
     bound_B,
     phi,
@@ -33,11 +32,11 @@ class ScoredExample:
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "truth", frozenset(self.truth))
         if scores.ndim != 1 or scores.size < 1:
-            raise InvalidExampleError("scores must be a nonempty 1-d vector")
+            raise ValueError("scores must be a nonempty 1-d vector")
         if not np.all((scores >= 0.0) & (scores <= 1.0)):  # NaN fails too
-            raise InvalidExampleError("scores must lie in [0, 1]")
+            raise ValueError("scores must lie in [0, 1]")
         if any((i < 0 or i >= scores.size) for i in self.truth):
-            raise InvalidExampleError("truth index out of range")
+            raise ValueError("truth index out of range")
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ def compute_loss(kind: LossKind, example: ScoredExample, pset: PredictionSet) ->
     """Miscoverage: 1 if truth not fully contained. FNR: missed fraction."""
     if kind.variant == "fnr":
         if not example.truth:
-            raise InvalidExampleError("FNR loss needs a nonempty truth set")
+            raise ValueError("FNR loss needs a nonempty truth set")
         return len(example.truth - pset.members) / len(example.truth)
     return 0.0 if example.truth <= pset.members else 1.0
 

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oce_rcps
-from oce_rcps import datagen
+from oce_rcps import cli, datagen
 from oce_rcps.cli import run_cli
 from oce_rcps.datagen import read_dataset_path
 
@@ -151,6 +151,20 @@ def test_trials_emits_files(dataset_path, tmp_path):
     assert "timestamp" not in summary
     assert summary["config"]["risk"] == "cvar:0.8"
     assert (outdir / "kde_risk.csv").exists() or (outdir / "raw_risk.csv").exists()
+
+
+def test_single_trial_writes_raw_values(dataset_path, tmp_path):
+    # one value has no kde: each series is written as its raw values
+    outdir = tmp_path / "trials"
+    assert run(["trials", *RUN, "--pool", dataset_path, *POOL[2:], "--trials", "1",
+                "--seed", "7", "--no-timestamp", "--output-dir", outdir]) == 0
+    assert not list(outdir.glob("kde_*.csv"))
+    header, row = (outdir / "trials.csv").read_text().splitlines()
+    record = dict(zip(header.split(","), row.split(",")))
+    for name, column in (("risk", "test_oce_risk"), ("rel_size", "median_rel_size")):
+        lines = (outdir / f"raw_{name}.csv").read_text().splitlines()
+        assert lines == ["value", record[column]]
+        assert lines[1] == repr(float(lines[1]))
 
 
 def test_trials_byte_identical_reruns(dataset_path, tmp_path):
@@ -319,6 +333,35 @@ def test_config_unknown_key_rejected(tmp_path):
     assert run(["trials", "--config", conf]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config"),  # no file
+    ("{", "cannot read config"),
+    ("[1]", "must hold a JSON object"),
+])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, text, message):
+    conf = tmp_path / "run.json"
+    if text is not None:
+        conf.write_text(text)
+    assert run(["trials", "--config", conf, "--output-dir", tmp_path / "out"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_store_true_key(dataset_path, tmp_path, capsys):
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"no_timestamp": True}))
+    outdir = tmp_path / "trials"
+    assert run(["trials", "--config", conf, *RUN, "--pool", dataset_path, *POOL[2:],
+                "--trials", "2", "--seed", "7", "--output-dir", outdir]) == 0
+    assert "timestamp" not in json.loads((outdir / "summary.json").read_text())
+    # a store-true key takes true or false, not the text argparse never sees
+    conf.write_text(json.dumps({"strict": "yes"}))
+    assert run(["calibrate", "--config", conf, *RUN, "--data", dataset_path,
+                "--opt-size", "30", "--cal-size", "100", "--output-dir", tmp_path / "cal"]) == 2
+    assert "strict: expected true or false" in capsys.readouterr().err
+    assert not (tmp_path / "cal").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("method", "bogus"),
     ("loss", "bogus"),
@@ -467,6 +510,14 @@ def test_evaluate_range_checked(dataset_path, capsys, flags):
     assert capsys.readouterr().out == ""
 
 
+def test_unknown_t_mode_is_usage_error(dataset_path, tmp_path, capsys):
+    code = run(["calibrate", *RUN, "--t-mode", "bogus", "--data", dataset_path,
+                "--opt-size", "30", "--cal-size", "100", "--output-dir", tmp_path / "out"])
+    assert code == 2
+    assert "bad t-mode: 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "t_mode", ["fixed:nan", "fixed:inf", "fixed:-inf", "fixed:abc", "fixed:1.5", "fixed:-0.1"]
 )
@@ -562,6 +613,15 @@ def test_infinite_entropic_beta_is_usage_error(dataset_path, tmp_path, capsys, c
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_values_listing_nothing_is_usage_error(tmp_path, capsys):
+    code = run(["sweep", "--vary", "alpha", "--values", ",", *RUN,
+                "--pool", tmp_path / "missing.jsonl", "--trials", "2", "--seed", "7",
+                "--output-dir", tmp_path / "sweep"])
+    assert code == 2
+    assert "--values must list at least one number" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("values", ["0.4000001,0.4000004", "0.3,0.4,0.3"])
 def test_sweep_values_sharing_a_directory_are_usage_errors(tmp_path, values):
     outdir = tmp_path / "sweep"
@@ -587,7 +647,8 @@ RISK_SPECS = (
     "entropic:1e308", "entropic:5e-324", "entropic:1e-300", "entropic:text", "bogus:1",
 )
 T_MODES = ("per-lambda", "closed-form", "fixed:nan", "fixed:-0", "fixed:1e308", "fixed:5e-324", "fixed:")
-PATHS = ("missing", "directory", "pool.jsonl")  # the last is a file, also as an output directory
+# "pool.jsonl" is a file, also as an output directory; "" names no file
+PATHS = ("missing", "directory", "pool.jsonl", "")
 SIZES = {"--count", "--trials", "--grid", "--m", "--jobs"}
 CHOICES = {"--method": ("rcps", "oce-crc", "bogus"), "--loss": ("miscoverage", "bogus"),
            "--bound": ("hoeffding", "bogus"), "--risk": RISK_SPECS, "--t-mode": T_MODES}
@@ -695,3 +756,61 @@ def test_exit_codes_hold_for_edge_inputs(small_pool, call):
                 strict_json(out.getvalue())
         finally:
             os.chdir(cwd)
+
+
+# ---------------------------------------------------------------- empty paths
+
+EMPTY_PATH_CASES = [
+    ("generate", "--output"), ("calibrate", "--data"), ("calibrate", "--output-dir"),
+    ("evaluate", "--data"), ("evaluate", "--output"), ("trials", "--pool"),
+    ("trials", "--output-dir"), ("sweep", "--pool"), ("sweep", "--output-dir"),
+]
+
+
+def base_flags(command):
+    if command == "sweep":
+        return {**BASES["trials"], "--vary": "delta", "--values": "0.2"}
+    return dict(BASES[command])
+
+
+def run_in(small_pool, command, flags, config):
+    """Run `command` in the working directory, which gets the pool and, when
+    given, the config file; -> (exit code, the files the run added)."""
+    Path("pool.jsonl").write_text("".join(small_pool))
+    argv = [command, *(item for pair in flags.items() for item in pair)]
+    if config is not None:
+        Path("config.json").write_text(json.dumps(config))
+        argv += ["--config", "config.json"]
+    before = set(Path().iterdir())
+    code = run_cli(argv)
+    return code, set(Path().iterdir()) - before
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, flag", EMPTY_PATH_CASES)
+def test_empty_path_fails_like_a_missing_one(small_pool, tmp_path, monkeypatch, capsys,
+                                             command, flag, via):
+    # "" is not the working directory: Path("") would read as "."
+    monkeypatch.chdir(tmp_path)
+    if command != "generate":  # an empty --pool must not fall back to a generated pool
+        monkeypatch.setattr(cli, "generate_dataset", lambda *a: pytest.fail("pool generated"))
+    flags, config = base_flags(command), None
+    if via == "flag":
+        flags[flag] = ""
+    else:
+        del flags[flag]
+        config = {flag[2:].replace("-", "_"): ""}
+    code, added = run_in(small_pool, command, flags, config)
+    assert code == 3
+    assert "''" in capsys.readouterr().err
+    assert added == set()
+
+
+@pytest.mark.parametrize("command", ["generate", "calibrate", "evaluate", "trials", "sweep"])
+def test_empty_config_path_is_usage_error(small_pool, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    flags = {**base_flags(command), "--config": ""}
+    code, added = run_in(small_pool, command, flags, None)
+    assert code == 2
+    assert "cannot read config" in capsys.readouterr().err
+    assert added == set()

@@ -151,6 +151,16 @@ def test_summarize_rejects_mixed_methods():
         summarize([], 0.2)
 
 
+def test_unknown_method_rejected():
+    with pytest.raises(ValueError, match="unknown method: 'bogus'"):
+        config(method="bogus")
+
+
+def test_run_trials_needs_a_trial(pool):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_trials(pool, config(), 0, 1)
+
+
 def test_summarize_consistency_with_records(pool):
     records, summary = run_trials(pool, config(), 12, master_seed=17)
     rate = np.mean([r.test_oce_risk <= 0.4 for r in records])

@@ -19,7 +19,6 @@ from oce_rcps.datagen import (
 )
 from oce_rcps.risk import (
     LOSS_MAX,
-    InvalidExampleError,
     LossKind,
     OceCost,
     bound_B,
@@ -112,7 +111,7 @@ def test_miscoverage_excluded_element():
 
 def test_fnr_empty_truth_rejected():
     ex = example([0.5], set())
-    with pytest.raises(InvalidExampleError):
+    with pytest.raises(ValueError, match="FNR loss needs a nonempty truth set"):
         compute_loss(FNR, ex, build_prediction_set(ex, 1.0))
 
 
@@ -163,7 +162,7 @@ def test_fast_path_matches_reference_on_grid(case):
     exs = as_examples(data)
     for kind in (FNR, MISS):
         if kind == FNR and not all(ex.truth for ex in exs):
-            with pytest.raises(InvalidExampleError):
+            with pytest.raises(ValueError, match="FNR loss needs a nonempty truth set"):
                 losses_at(data, kind, lams)
             continue
         assert np.array_equal(losses_at(data, kind, lams), reference_losses(kind, exs, lams))
@@ -320,7 +319,7 @@ def test_pool_with_empty_truth_row_counts_for_both_losses():
             assert same(losses_at(part, FNR, GRID), losses_at(uncounted(part), FNR, GRID))
         else:
             held += 1
-            with pytest.raises(InvalidExampleError):
+            with pytest.raises(ValueError, match="FNR loss needs a nonempty truth set"):
                 losses_at(part, FNR, GRID)
     assert held == 1
 
@@ -348,6 +347,23 @@ def test_phi_table():
 def test_phi_entropic_overflow_rejected():
     with pytest.raises(OverflowError):
         phi(OceCost.entropic(1000.0), 1.0)
+
+
+def test_transformed_losses_entropic_overflow_rejected():
+    # beta * u = 720 * (1 - 0) lies past exp's range
+    with pytest.raises(OverflowError, match="entropic cost overflow"):
+        transformed_losses(OceCost.entropic(720.0), 0.0, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LossKind("x"), "unknown loss variant"),
+    (lambda: OceCost("x"), "unknown cost variant"),
+    (lambda: OceCost.parse("cvar"), "cvar requires a parameter"),
+    (lambda: OceCost.parse("bogus:1"), "unknown risk spec"),
+])
+def test_unknown_names_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_cost_parameter_validation():
