@@ -12,13 +12,12 @@ lifts either bound to the OCE objective t + phi(loss - t) by affinely
 normalizing the transformed losses to [0, 1] using their analytic range.
 
 The WSR bound is the smallest rejected point u of the dyadic grid
-k/2^20 (or 1), found by bisection in 21 capital passes. Deciding whether
-the mapped bound lo + (hi - lo) u is <= alpha needs one grid point:
-oce_risk_ucb_at_most finds the largest grid point g whose mapped value is
-<= alpha and accepts when g = 1 or g is rejected, which is exactly the
-comparison, since both the mapping and rejection are monotone in floating
-point. The selectors decide with it; the bisection runs only for bounds
-that are written out.
+k/2^20 (or 1), found by bisection in 21 capital passes. The selectors
+decide whether a bound is <= alpha with oce_risk_ucb_at_most, the one
+place a bound becomes a decision: a Hoeffding decision compares its own
+bound, and a WSR decision tests the one grid point g that decides it, by
+the rule stated in that function's docstring. The bisection runs only for
+bounds that are written out.
 
 Whether g is rejected is known at the first row where the capital at g
 exceeds 1/delta, so the decision walks the rows in chunks, 32 rows and
@@ -201,21 +200,6 @@ def _last_grid_point_at_most(lo: np.ndarray, span: np.ndarray, alpha: float) -> 
     return _bisect(fits, below, above)
 
 
-def _wsr_ucb_at_most(unit, cols, n: int, delta: float, lo, span, alpha: float) -> np.ndarray:
-    """Exactly lo + span * _wsr_ucb(z, delta) <= alpha per column of the
-    (k, n) block z = unit(cols), walking each column once. With g the
-    largest grid point where lo + span * g <= alpha, the bound is <= alpha
-    exactly when the smallest rejected grid point is <= g: when g = 1, or
-    when g itself is rejected (rejection is monotone in R). No such g means
-    the bound, at least lo, exceeds alpha."""
-    k = _last_grid_point_at_most(lo, span, alpha)
-    out = k == _STEPS
-    test = (k >= 0.0) & ~out
-    if test.any():
-        out[test] = _crossed(unit, cols[test], n, k[test] / _STEPS, delta)
-    return out
-
-
 def _hoeffding_ucb(z: np.ndarray, delta: float) -> np.ndarray:
     """mean + sqrt(ln(1/delta) / (2n)) of each row of a (k, n) block,
     capped at 1."""
@@ -227,9 +211,9 @@ BOUND_METHODS = tuple(_UCB)
 
 
 def _normalized(losses, cost: OceCost, t, delta: float, method: str):
-    """The checked inputs of a bound: the analytic range lo, hi of each
-    column's transformed loss, the indices of the live columns, where
-    hi > lo, and `unit(cols, rows=all)`, the (len(cols), len(rows)) block
+    """The checked inputs of a bound: the analytic range [lo, lo + span] of
+    each column's transformed loss, the indices of the live columns, where
+    span > 0, and `unit(cols, rows=all)`, the (len(cols), len(rows)) block
     of those columns' transformed losses mapped to [0, 1].
 
     With every loss in [0, LOSS_MAX], `bound_B` raises any entropic
@@ -251,15 +235,14 @@ def _normalized(losses, cost: OceCost, t, delta: float, method: str):
     if not (block.min() >= 0.0 and block.max() <= LOSS_MAX):  # NaN fails too
         raise ValueError("losses must lie in [0, LOSS_MAX]")
     lo = ts + phi(cost, -ts)
-    hi = bound_B(cost, ts)
-    span = hi - lo
+    span = bound_B(cost, ts) - lo
 
     def unit(cols, rows=slice(None)):
         tl = transformed_losses(cost, ts[cols, None], block[cols, rows])
         return np.clip((tl - lo[cols, None]) / span[cols, None], 0.0, 1.0)
 
-    # where hi <= lo the transformed loss is the constant lo = hi
-    return lo, hi, np.flatnonzero(hi > lo), unit
+    # where span <= 0 the transformed loss is the constant lo
+    return lo, span, np.flatnonzero(span > 0.0), unit
 
 
 def oce_risk_ucb(
@@ -279,11 +262,9 @@ def oce_risk_ucb(
     range [t + phi(-t), t + phi(LOSS_MAX - t)], bounded there, and mapped
     back. Requires t in [0, LOSS_MAX] so the range is well ordered.
     """
-    lo, hi, live, unit = _normalized(losses, cost, t, delta, method)
+    lo, span, live, unit = _normalized(losses, cost, t, delta, method)
     out = lo.copy()
-    if live.size:
-        lo, hi = lo[live], hi[live]
-        out[live] = lo + (hi - lo) * _UCB[method](unit(live), delta)
+    out[live] = lo[live] + span[live] * _UCB[method](unit(live), delta)
     return out if np.ndim(losses) == 2 else float(out[0])
 
 
@@ -296,16 +277,23 @@ def oce_risk_ucb_at_most(
     method: str = "wsr",
 ) -> bool | np.ndarray:
     """Exactly `oce_risk_ucb(losses, cost, t, delta, method) <= alpha`, for
-    the same shapes, without bisecting: the WSR test walks each column's
-    capital at the one grid point that decides it, up to the row where it
+    the same shapes. A Hoeffding decision compares that bound.
+
+    The WSR decision needs no bisection. With g the largest grid point
+    whose mapped value lo + span * g is <= alpha, the bound is <= alpha
+    exactly when the smallest rejected grid point is <= g: when g = 1, or
+    when g itself is rejected. This is exact in floating point, since both
+    the mapping and rejection are monotone in the grid point. No such g
+    means the bound, at least lo, exceeds alpha. Whether g is rejected is
+    decided by walking each column's capital at g up to the row where it
     crosses 1/delta."""
-    lo, hi, live, unit = _normalized(losses, cost, t, delta, method)
-    out = lo <= alpha
-    if live.size:
-        lo, hi = lo[live], hi[live]
-        if method == "wsr":
-            n = np.shape(losses)[0]
-            out[live] = _wsr_ucb_at_most(unit, live, n, delta, lo, hi - lo, alpha)
-        else:
-            out[live] = lo + (hi - lo) * _UCB[method](unit(live), delta) <= alpha
+    if method != "wsr":
+        out = np.atleast_1d(oce_risk_ucb(losses, cost, t, delta, method)) <= alpha
+    else:
+        lo, span, live, unit = _normalized(losses, cost, t, delta, method)
+        out = lo <= alpha
+        k = _last_grid_point_at_most(lo[live], span[live], alpha)
+        test = (k >= 0.0) & (k < _STEPS)
+        out[live] = k == _STEPS
+        out[live[test]] = _crossed(unit, live[test], np.shape(losses)[0], k[test] / _STEPS, delta)
     return out if np.ndim(losses) == 2 else bool(out[0])

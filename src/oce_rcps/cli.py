@@ -225,8 +225,9 @@ def _cmd_calibrate(args):
 
 
 def _cmd_evaluate(args):
-    _require(args, "data", "risk", "loss", "lam")
-    if not 0.0 <= args.lam <= 1.0:  # NaN fails too
+    _require(args, "data", "risk", "loss", "lambda")
+    lam = getattr(args, "lambda")  # a Python keyword, so not an attribute name
+    if not 0.0 <= lam <= 1.0:  # NaN fails too
         raise UsageError("--lambda must lie in [0, 1]")
     if args.alpha is not None and not 0.0 <= args.alpha < math.inf:
         raise UsageError("--alpha must be a finite number >= 0")
@@ -236,11 +237,11 @@ def _cmd_evaluate(args):
     except ValueError as e:
         raise UsageError(str(e))
     data = read_dataset_path(args.data)
-    losses = losses_at(data, loss, [args.lam])[:, 0]
+    losses = losses_at(data, loss, [lam])[:, 0]
     value, t_star = empirical_oce(losses, cost)
-    rel = relative_set_sizes(data, args.lam)
+    rel = relative_set_sizes(data, lam)
     payload = {
-        "lambda": args.lam,
+        "lambda": lam,
         "risk": cost.spelled(),
         "loss": loss.variant,
         "n": len(data),
@@ -333,6 +334,7 @@ def _cmd_trials(args):
     _require_trials(args)
     config = _trial_config(args, args.test_size)
     pool = _load_pool(args)
+    os.makedirs(args.output_dir, exist_ok=True)
     records, summary = run_trials(pool, config, args.trials, args.seed, jobs=args.jobs)
     _emit_trials(args.output_dir, records, summary, args.no_timestamp)
     log.info("satisfaction_rate=%.4f", summary.satisfaction_rate)
@@ -398,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", parents=[common], help="test metrics for a given threshold")
     p.add_argument("--data", default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", type=float, default=None)
     p.add_argument("--risk", default=None)
     p.add_argument("--loss", choices=LOSS_VARIANTS, default=None)
     p.add_argument("--alpha", type=float, default=None)

@@ -159,6 +159,22 @@ def test_oce_risk_ucb_constant_range_short_circuit():
     assert ucb == 1.0
 
 
+@pytest.mark.parametrize("method", ["wsr", "hoeffding"])
+def test_block_with_no_live_column(method):
+    # cvar at t = LOSS_MAX in every column: lo = hi = 1, nothing to bound
+    rng = np.random.default_rng(10)
+    block, cost, delta = rng.uniform(size=(60, 5)), OceCost.cvar(0.9), 0.1
+    ucb = oce_risk_ucb(block, cost, np.ones(5), delta, method=method)
+    assert ucb.tolist() == [1.0] * 5
+    single = oce_risk_ucb(block[:, 0], cost, 1.0, delta, method=method)
+    assert type(single) is float and single == 1.0
+    for alpha in (1.0, np.nextafter(1.0, 0.0)):
+        got = oce_risk_ucb_at_most(block, cost, np.ones(5), delta, alpha, method=method)
+        assert got.tolist() == [1.0 <= alpha] * 5
+        single = oce_risk_ucb_at_most(block[:, 0], cost, 1.0, delta, alpha, method=method)
+        assert type(single) is bool and single == (1.0 <= alpha)
+
+
 def test_oce_risk_ucb_entropic_zero_losses():
     cost = OceCost.entropic(3)
     t = 0.5

@@ -271,6 +271,36 @@ def test_calibrate_output_dir_that_is_a_file_is_data_error(dataset_path, tmp_pat
     assert capsys.readouterr().err.startswith("data error:")
 
 
+def test_trials_output_dir_that_is_a_file_fails_before_the_run(
+    dataset_path, tmp_path, monkeypatch, capsys
+):
+    def never(*args, **kwargs):
+        raise AssertionError("run_trials ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_trials", never)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = run(["trials", *RUN, "--pool", dataset_path, *POOL[2:], "--trials", "2",
+                "--seed", "1", "--output-dir", taken])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+def test_evaluate_lambda_is_one_name(dataset_path, tmp_path, capsys):
+    base = ["evaluate", "--data", dataset_path, "--risk", "cvar:0.8", "--loss", "fnr"]
+    from_flag, from_config = tmp_path / "flag.json", tmp_path / "config.json"
+    assert run([*base, "--lambda", "0.5", "--output", from_flag]) == 0
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"lambda": 0.5}))
+    assert run([*base, "--config", conf, "--output", from_config]) == 0
+    assert from_flag.read_bytes() == from_config.read_bytes()
+    conf.write_text(json.dumps({"lam": 0.5}))
+    assert run([*base, "--config", conf]) == 2
+    assert "unknown config keys: ['lam']" in capsys.readouterr().err
+    assert run(base) == 2
+    assert "missing required option --lambda" in capsys.readouterr().err
+
+
 SCIPY_FREE = """
 import json, sys
 import oce_rcps
