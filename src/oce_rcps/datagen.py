@@ -241,76 +241,61 @@ def write_dataset(data: Dataset, fp) -> None:
         fp.write('{"scores":[%s],"truth":[%s]}\n' % (scores, truth))
 
 
-def _row_arrays(line_no: int, row, m: int):
-    """One row's checks, each stated once here: its scores and truth mask,
-    or the DatasetParseError of its line."""
-    row = row if isinstance(row, dict) else {}
-    scores, truth = row.get("scores"), row.get("truth")
-    if not isinstance(scores, list) or not isinstance(truth, list):
-        raise DatasetParseError(line_no, "row needs scores and truth arrays")
-    if len(scores) != m:
-        raise DatasetParseError(line_no, f"expected {m} scores, got {len(scores)}")
-    # bool is a subclass of int, but true is not a score; nor is "0.5"
-    if not set(map(type, scores)) <= {int, float}:
-        raise DatasetParseError(line_no, "scores must be numbers")
-    try:
-        arr = np.asarray(scores, dtype=np.float64)
-    except OverflowError:  # an integer beyond the double range
-        raise DatasetParseError(line_no, "score outside [0, 1]") from None
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
-        raise DatasetParseError(line_no, "score outside [0, 1]")
-    # bool is a subclass of int, but true is not an index
-    if any(type(i) is not int or i < 0 or i >= m for i in truth):
-        raise DatasetParseError(line_no, "truth index out of range")
-    if len(set(truth)) != len(truth):
-        raise DatasetParseError(line_no, "duplicate truth index")
-    mask = np.zeros(m, dtype=bool)
-    mask[truth] = True
-    return arr, mask
-
-
-def _bulk_arrays(rows: list, m: int):
-    """The checks of _row_arrays run once over all rows: the (n, m) scores
-    and truth mask if every row passes, else None."""
+def _arrays(rows: list, m: int):
+    """Each row check, stated once over all rows: the (n, m) scores and
+    truth mask, or ValueError with the message of the check that failed.
+    Every check is a per-row check, so the rows fail exactly when one of
+    them does, and on a single row the message is that row's."""
     n = len(rows)
     if not set(map(type, rows)) <= {dict}:
-        return None
+        rows = [row if isinstance(row, dict) else {} for row in rows]
     scores = [row.get("scores") for row in rows]
     truth = [row.get("truth") for row in rows]
     if not set(map(type, scores)) | set(map(type, truth)) <= {list}:
-        return None
-    if not set(map(len, scores)) <= {m}:
-        return None
+        raise ValueError("row needs scores and truth arrays")
+    lengths = set(map(len, scores)) - {m}
+    if lengths:
+        raise ValueError(f"expected {m} scores, got {lengths.pop()}")
+    # bool is a subclass of int, but true is not a score; nor is "0.5"
     if not set(map(type, chain.from_iterable(scores))) <= {int, float}:
-        return None
+        raise ValueError("scores must be numbers")
     try:
         arr = np.array(scores, dtype=np.float64).reshape(n, m)
-    except OverflowError:
-        return None
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        return None
+    except OverflowError:  # an integer beyond the double range
+        raise ValueError("score outside [0, 1]") from None
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
+        raise ValueError("score outside [0, 1]")
+    # bool is a subclass of int, but true is not an index
     flat = list(chain.from_iterable(truth))
     if flat and not (set(map(type, flat)) <= {int} and min(flat) >= 0 and max(flat) < m):
-        return None
+        raise ValueError("truth index out of range")
     sizes = np.fromiter(map(len, truth), dtype=np.intp, count=n)
     mask = np.zeros((n, m), dtype=bool)
     mask[np.repeat(np.arange(n), sizes), np.array(flat, dtype=np.intp)] = True
     if not np.array_equal(mask.sum(axis=1), sizes):  # a duplicate index sets one cell twice
-        return None
+        raise ValueError("duplicate truth index")
     return arr, mask
 
 
-def _checked_rows(line_nos: list, rows: list, m: int):
-    """The rows through _row_arrays one at a time: the (n, m) scores and
-    truth mask, or the DatasetParseError of the first bad line."""
-    per_row = [_row_arrays(line_no, row, m) for line_no, row in zip(line_nos, rows)]
-    return (np.array([s for s, _ in per_row], dtype=np.float64).reshape(len(rows), m),
-            np.array([t for _, t in per_row], dtype=bool).reshape(len(rows), m))
+def _checked(line_nos: list, rows: list, m: int):
+    """The rows' (n, m) scores and truth mask; when the rows fail, the
+    checks run again one row at a time and the first bad line's
+    DatasetParseError carries that row's message."""
+    try:
+        return _arrays(rows, m)
+    except ValueError:
+        for line_no, row in zip(line_nos, rows):
+            try:
+                _arrays([row], m)
+            except ValueError as e:
+                raise DatasetParseError(line_no, str(e)) from None
+        raise
 
 
 def read_dataset(fp) -> Dataset:
     """Parse one JSON value per line, then check all rows at once; when a
-    check fails, the per-row checks name the first bad line."""
+    check fails, the same checks on one row at a time name the first bad
+    line."""
     header_line = fp.readline()
     if not header_line:
         raise DatasetParseError(1, "empty file")
@@ -318,8 +303,9 @@ def read_dataset(fp) -> Dataset:
         header = json.loads(header_line)
     except json.JSONDecodeError as e:
         raise DatasetParseError(1, f"bad header: {e}") from e
+    # true and 1.0 equal 1, but neither is the version
     if (not isinstance(header, dict) or header.get("format") != "oce-rcps-dataset"
-            or header.get("version") != 1):
+            or type(header.get("version")) is not int or header["version"] != 1):
         raise DatasetParseError(1, "not an oce-rcps-dataset version 1 file")
     m = header.get("m")
     if type(m) is not int or m < 1:  # bool is a subclass of int, but true is not a size
@@ -331,10 +317,10 @@ def read_dataset(fp) -> Dataset:
         try:
             rows.append(json.loads(line))
         except json.JSONDecodeError as e:
-            _checked_rows(line_nos, rows, m)  # a bad row above this line is reported first
+            _checked(line_nos, rows, m)  # a bad row above this line is reported first
             raise DatasetParseError(line_no, f"bad row: {e}") from e
         line_nos.append(line_no)
-    arrays = _bulk_arrays(rows, m) or _checked_rows(line_nos, rows, m)
+    arrays = _checked(line_nos, rows, m)
     n = len(rows)
     count = header.get("count")
     if count is not None and (type(count) is not int or count != n):

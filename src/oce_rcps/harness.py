@@ -10,9 +10,9 @@ function, so trials parallelize without changing any output.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -153,7 +153,8 @@ def run_trials(pool: Dataset, config: TrialConfig, trials: int, master_seed: int
     if jobs <= 1:
         records = [run_trial(pool, config, i, master_seed) for i in range(trials)]
     else:
-        with ProcessPoolExecutor(
+        # concurrent.futures loads its process module on this first access
+        with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, trials),
             initializer=_init_worker,
             initargs=(pool, config, master_seed),

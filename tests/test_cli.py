@@ -305,16 +305,19 @@ SCIPY_FREE = """
 import json, sys
 import oce_rcps
 assert "scipy" not in sys.modules, "import oce_rcps"
+assert "concurrent.futures.process" not in sys.modules, "import oce_rcps"
 from oce_rcps.cli import run_cli
 for argv in json.loads(sys.argv[1]):
     assert run_cli(argv) == 0, argv[0]
     assert "scipy" not in sys.modules, argv[0]
+    assert "concurrent.futures.process" not in sys.modules, argv[0]
 """
 
 
 def test_reading_commands_never_import_scipy(dataset_path, tmp_path):
     # scipy is for generation only; calibrate, evaluate and trials --pool
-    # read their data and skip its import
+    # read their data and skip its import. Nor does a run with one job load
+    # the worker pool's modules.
     data = str(dataset_path)
     commands = [
         ["calibrate", *RUN, "--data", data, "--opt-size", "30", "--cal-size", "100",

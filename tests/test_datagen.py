@@ -210,6 +210,16 @@ def test_read_rejects_bool_header_fields(field):
         read_dataset(io.StringIO(text))
 
 
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_read_rejects_a_version_that_only_equals_1(version):
+    text = (
+        '{"format":"oce-rcps-dataset","version":%s,"m":1,"count":1,"seed":null,"params":null}\n'
+        '{"scores":[0.5],"truth":[0]}\n' % version
+    )
+    with pytest.raises(DatasetParseError, match="line 1: not an oce-rcps-dataset version 1 file"):
+        read_dataset(io.StringIO(text))
+
+
 def test_read_rejects_truth_out_of_range():
     text = (
         '{"format":"oce-rcps-dataset","version":1,"m":2,"count":1,"seed":null,"params":null}\n'
@@ -280,6 +290,30 @@ def test_read_parses_each_line_on_its_own():
     assert exc.value.line_no == 3
 
 
+_ROW = '{"scores":[0.5,0.2],"truth":[0]}'
+
+
+@pytest.mark.parametrize("lines, error", [
+    # the rows' first failing check is line 3's score type, but line 2 comes first
+    (['{"scores":[0.5,0.2],"truth":[5]}', '{"scores":[true,0.2],"truth":[0]}'],
+     "line 2: truth index out of range"),
+    # a bad row above a line that does not parse is reported first
+    ([_ROW, '{"scores":[1.2,0.2],"truth":[0]}', '{"scores":'], "line 3: score outside [0, 1]"),
+    ([_ROW, '{"scores":', '{"scores":[1.2,0.2],"truth":[0]}'], "line 3: bad row"),
+    # the named row's own length is reported
+    ([_ROW, '{"scores":[0.5],"truth":[0]}', '{"scores":[0.5,0.2,0.1],"truth":[0]}'],
+     "line 3: expected 2 scores, got 1"),
+])
+def test_the_first_bad_line_is_named(lines, error):
+    text = "\n".join(
+        ['{"format":"oce-rcps-dataset","version":1,"m":2,"count":3,"seed":null,"params":null}',
+         *lines]) + "\n"
+    with pytest.raises(DatasetParseError) as exc:
+        read_dataset(io.StringIO(text))
+    assert str(exc.value).startswith(error)
+    assert exc.value.line_no == int(error.split()[1][:-1])
+
+
 def _corrupt(kind, scores, truth, m):
     """Corrupt one row's lists in place; returns the per-row check's message."""
     if kind == "bool score":
@@ -344,7 +378,8 @@ def test_bulk_checks_match_the_per_row_reference(kind, file, data):
     m, rows, blank = file
     text, line_nos = _jsonl(m, rows, blank)
     got = read_dataset(io.StringIO(text))
-    want_scores, want_truth = datagen._checked_rows(line_nos, rows, m)
+    want_scores = np.array([row["scores"] for row in rows], dtype=np.float64)
+    want_truth = np.array([np.isin(np.arange(m), row["truth"]) for row in rows])
     assert np.array_equal(got.scores, want_scores) and np.array_equal(got.truth, want_truth)
 
     # one bad row among valid ones: the bulk checks must notice it, and the
@@ -352,7 +387,8 @@ def test_bulk_checks_match_the_per_row_reference(kind, file, data):
     k = data.draw(st.integers(0, len(rows) - 1))
     message = _corrupt(kind, rows[k]["scores"], rows[k]["truth"], m)
     text, line_nos = _jsonl(m, rows, blank)
-    assert datagen._bulk_arrays(rows, m) is None
+    with pytest.raises(ValueError):
+        datagen._arrays(rows, m)
     with pytest.raises(DatasetParseError) as exc:
         read_dataset(io.StringIO(text))
     assert exc.value.line_no == line_nos[k]

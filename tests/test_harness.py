@@ -99,7 +99,7 @@ def map_in_process(monkeypatch, seen):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(harness, "_WORKER", {})
 
 
