@@ -81,7 +81,7 @@ def _setup_logging():
 
 def _parse_t_mode(text: str):
     """-> fixed_t (None means per-lambda optimization)."""
-    if text in ("per-lambda", "closed-form"):
+    if text == "per-lambda":
         return None
     if text.startswith("fixed:"):
         try:
@@ -91,7 +91,7 @@ def _parse_t_mode(text: str):
         if not 0.0 <= t <= 1.0:  # NaN fails too
             raise UsageError(f"bad t-mode: {text!r} (fixed:VALUE needs a number in [0, 1])")
         return t
-    raise UsageError(f"bad t-mode: {text!r} (per-lambda | closed-form | fixed:VALUE)")
+    raise UsageError(f"bad t-mode: {text!r} (per-lambda | fixed:VALUE)")
 
 
 def _config_value(action: argparse.Action, value):
@@ -158,28 +158,8 @@ def _generate(args, count: int, seed: int):
         raise UsageError(str(e))
 
 
-def _add_gen_flags(p):
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--difficulty-a", type=float, default=None)
-    p.add_argument("--difficulty-b", type=float, default=None)
-    p.add_argument("--sharpness", type=float, default=None)
-
-
-def _add_run_flags(p):
-    p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--risk", default=None, help="average | entropic:B | cvar:B")
-    p.add_argument("--loss", choices=LOSS_VARIANTS, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None,
-                   help=f"grid resolution G (default {LambdaGrid.resolution})")
-    p.add_argument("--bound", choices=BOUND_METHODS, default=None)
-    p.add_argument("--t-mode", default=None, help="per-lambda | closed-form | fixed:VALUE")
-
-
 def _cmd_generate(args):
-    _require(args, "count", "seed", "output")
+    _require(args, "count", "output")
     if args.count < 1:
         raise UsageError("--count must be >= 1")
     data = _generate(args, args.count, args.seed)
@@ -202,16 +182,12 @@ def _cmd_calibrate(args):
     trace.sort(order="lam")
     os.makedirs(args.output_dir, exist_ok=True)
     outdir = Path(args.output_dir)
+    echo = config.echo()
     payload = {
         "lambda_hat": outcome.lambda_hat,
         "feasible": outcome.feasible,
         "t_by_lambda": {repr(lam): t for lam, _, _, t in outcome.trace.tolist()},
-        "method": config.method,
-        "risk": config.cost.spelled(),
-        "loss": config.loss.variant,
-        "alpha": config.alpha,
-        "delta": config.delta,
-        "grid": config.grid.resolution,
+        **{key: echo[key] for key in ("method", "risk", "loss", "alpha", "delta", "grid")},
         "toolkit_version": __version__,
     }
     (outdir / "calibration.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -325,7 +301,7 @@ def _emit_trials(outdir, records, summary, no_timestamp: bool):
 
 
 def _require_trials(args):
-    _require(args, "trials", "seed", "output_dir")
+    _require(args, "trials", "output_dir")
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
 
@@ -377,54 +353,63 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON config file; flags override it")
+    # every flag defaults to None, so the config file and then DEFAULTS fill
+    # what the command line leaves unset; a flag that several subcommands
+    # share is declared once, on a parent parser
+    common, scored, run, data, output, gen = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6)
+    )
+    common.add_argument("--config", help="JSON config file; flags override it")
+    scored.add_argument("--risk", help="average | entropic:B | cvar:B")
+    scored.add_argument("--loss", choices=LOSS_VARIANTS)
+    scored.add_argument("--alpha", type=float)
+    run.add_argument("--method", choices=METHODS)
+    run.add_argument("--delta", type=float)
+    run.add_argument("--grid", type=int,
+                     help=f"grid resolution G (default {LambdaGrid.resolution})")
+    run.add_argument("--bound", choices=BOUND_METHODS)
+    run.add_argument("--t-mode", help="per-lambda | fixed:VALUE")
+    run.add_argument("--opt-size", type=int)
+    run.add_argument("--cal-size", type=int)
+    run.add_argument("--output-dir")
+    data.add_argument("--data", help="dataset JSONL")
+    output.add_argument("--output", help="path or - for stdout")
+    gen.add_argument("--m", type=int)
+    gen.add_argument("--rho", type=float)
+    gen.add_argument("--difficulty-a", type=float)
+    gen.add_argument("--difficulty-b", type=float)
+    gen.add_argument("--sharpness", type=float)
 
-    p = sub.add_parser("generate", parents=[common], help="emit a synthetic dataset as JSONL")
-    _add_gen_flags(p)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", default=None, help="path or - for stdout")
+    p = sub.add_parser("generate", parents=[common, gen, output],
+                       help="emit a synthetic dataset as JSONL")
+    p.add_argument("--count", type=int)
+    p.add_argument("--seed", type=int, help="generation seed (default 0)")
     p.set_defaults(func=_cmd_generate, parser=p)
 
-    p = sub.add_parser("calibrate", parents=[common], help="select a threshold on one dataset")
-    _add_run_flags(p)
-    p.add_argument("--data", default=None, help="dataset JSONL")
-    p.add_argument("--opt-size", type=int, default=None)
-    p.add_argument("--cal-size", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="split seed (default 0)")
-    p.add_argument("--output-dir", default=None)
-    p.add_argument("--strict", action="store_true", default=None,
-                   help="exit 1 when infeasible")
+    p = sub.add_parser("calibrate", parents=[common, scored, run, data],
+                       help="select a threshold on one dataset")
+    p.add_argument("--seed", type=int, help="split seed (default 0)")
+    p.add_argument("--strict", action="store_true", default=None, help="exit 1 when infeasible")
     p.set_defaults(func=_cmd_calibrate, parser=p)
 
-    p = sub.add_parser("evaluate", parents=[common], help="test metrics for a given threshold")
-    p.add_argument("--data", default=None)
-    p.add_argument("--lambda", type=float, default=None)
-    p.add_argument("--risk", default=None)
-    p.add_argument("--loss", choices=LOSS_VARIANTS, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--output", default=None, help="path or - for stdout")
+    p = sub.add_parser("evaluate", parents=[common, scored, data, output],
+                       help="test metrics for a given threshold")
+    p.add_argument("--lambda", type=float)
     p.set_defaults(func=_cmd_evaluate, parser=p)
 
     for name, fn in (("trials", _cmd_trials), ("sweep", _cmd_sweep)):
-        p = sub.add_parser(name, parents=[common], help=f"Monte Carlo {name}")
-        _add_run_flags(p)
-        _add_gen_flags(p)
-        p.add_argument("--pool", default=None, help="dataset JSONL; generated when absent")
-        p.add_argument("--pool-size", type=int, default=None)
-        p.add_argument("--pool-seed", type=int, default=None)
-        p.add_argument("--opt-size", type=int, default=None)
-        p.add_argument("--cal-size", type=int, default=None)
-        p.add_argument("--test-size", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--jobs", type=int, default=None)
+        p = sub.add_parser(name, parents=[common, scored, run, gen], help=f"Monte Carlo {name}")
+        p.add_argument("--pool", help="dataset JSONL; generated when absent")
+        p.add_argument("--pool-size", type=int)
+        p.add_argument("--pool-seed", type=int)
+        p.add_argument("--test-size", type=int)
+        p.add_argument("--trials", type=int)
+        p.add_argument("--seed", type=int, help="master seed (default 0)")
+        p.add_argument("--jobs", type=int)
         p.add_argument("--no-timestamp", action="store_true", default=None)
-        p.add_argument("--output-dir", default=None)
         if name == "sweep":
-            p.add_argument("--vary", choices=("delta", "alpha"), default=None)
-            p.add_argument("--values", default=None, help="comma-separated grid")
+            p.add_argument("--vary", choices=("delta", "alpha"))
+            p.add_argument("--values", help="comma-separated grid")
         p.set_defaults(func=fn, parser=p)
     return parser
 
@@ -439,7 +424,7 @@ def run_cli(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, OverflowError) as e:
+    except (OSError, ValueError, OverflowError, MemoryError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -144,8 +145,9 @@ def _run_index(i: int) -> TrialRecord:
 def run_trials(pool: Dataset, config: TrialConfig, trials: int, master_seed: int, jobs: int = 1):
     """Run `trials` independent trials; returns (records, summary).
 
-    jobs > 1 fans trials out to min(jobs, trials) worker processes; results
-    equal the sequential run's because each trial derives its own seed.
+    jobs > 1 fans trials out to at most one worker process per trial and per
+    CPU; results equal the sequential run's because each trial derives its
+    own seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -155,7 +157,7 @@ def run_trials(pool: Dataset, config: TrialConfig, trials: int, master_seed: int
     else:
         # concurrent.futures loads its process module on this first access
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(jobs, trials),
+            max_workers=min(jobs, trials, os.cpu_count() or 1),
             initializer=_init_worker,
             initargs=(pool, config, master_seed),
         ) as ex:
@@ -189,8 +191,12 @@ def summarize(records, alpha: float, config_echo: dict | None = None) -> Experim
     )
 
 
-def kde_density(values, grid_points: int = 256) -> np.ndarray:
-    """Gaussian kernel density estimate on an automatic grid.
+KDE_GRID_POINTS = 256
+
+
+def kde_density(values) -> np.ndarray:
+    """Gaussian kernel density estimate on an automatic grid of
+    KDE_GRID_POINTS points.
 
     Bandwidth h = 0.9 * min(std, IQR/1.34) * n^(-1/5), with std alone when
     IQR is 0 (R's bw.nrd0), floored at 1e-6 * spread; the grid spans
@@ -208,7 +214,7 @@ def kde_density(values, grid_points: int = 256) -> np.ndarray:
     iqr = float(np.quantile(values, 0.75) - np.quantile(values, 0.25))
     h = 0.9 * (min(sigma, iqr / 1.34) or sigma) * n ** (-0.2)
     h = max(h, 1e-6 * spread)
-    xs = np.linspace(values.min() - 3.0 * h, values.max() + 3.0 * h, grid_points)
+    xs = np.linspace(values.min() - 3.0 * h, values.max() + 3.0 * h, KDE_GRID_POINTS)
     dev = (xs[:, None] - values[None, :]) / h
     dens = np.exp(-0.5 * dev**2).sum(axis=1) / (n * h * math.sqrt(2.0 * math.pi))
     return np.column_stack([xs, dens])

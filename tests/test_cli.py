@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -847,3 +848,109 @@ def test_empty_config_path_is_usage_error(small_pool, tmp_path, monkeypatch, cap
     assert code == 2
     assert "cannot read config" in capsys.readouterr().err
     assert added == set()
+
+
+# ---------------------------------------------------------------- flag declarations
+
+DESTS = {
+    "generate": {"config", "m", "rho", "difficulty_a", "difficulty_b", "sharpness",
+                 "output", "count", "seed"},
+    "calibrate": {"config", "risk", "loss", "alpha", "method", "delta", "grid", "bound",
+                  "t_mode", "opt_size", "cal_size", "output_dir", "data", "seed", "strict"},
+    "evaluate": {"config", "risk", "loss", "alpha", "data", "output", "lambda"},
+    "trials": {"config", "risk", "loss", "alpha", "method", "delta", "grid", "bound", "t_mode",
+               "opt_size", "cal_size", "output_dir", "m", "rho", "difficulty_a", "difficulty_b",
+               "sharpness", "pool", "pool_size", "pool_seed", "test_size", "trials", "seed",
+               "jobs", "no_timestamp"},
+}
+DESTS["sweep"] = DESTS["trials"] | {"vary", "values"}
+
+
+def cli_calls(name):
+    """The first argument of every call to `name` in cli.py's source."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    return [
+        [arg.value for arg in node.args if isinstance(arg, ast.Constant)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
+    ]
+
+
+def test_each_shared_flag_is_declared_once():
+    flags = [args[0] for args in cli_calls("add_argument")]
+    repeated = {flag for flag in flags if flags.count(flag) > 1}
+    assert repeated == {"--seed"}  # the generation, split or master seed: one per subcommand
+    assert flags.count("--seed") == 3  # trials and sweep share the loop's declaration
+
+
+def test_each_subcommand_keeps_its_flags():
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, cli.argparse._SubParsersAction))
+    assert {name: {a.dest for a in p._actions} - {"help"} for name, p in sub.choices.items()} == DESTS
+
+
+@pytest.mark.parametrize("command", sorted(DESTS))
+def test_help_lists_config_first(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli([command, "--help"])
+    assert exit_info.value.code == 0
+    options = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  -")]
+    assert options[:2] == ["-h,", "--config"]
+
+
+def test_no_required_option_has_a_default():
+    names = {name for args in cli_calls("_require") for name in args}
+    assert names and not names & set(cli.DEFAULTS)
+
+
+def test_generate_seed_defaults_to_zero(capsys):
+    assert run(["generate", "--m", "4", "--count", "2", "--output", "-"]) == 0
+    unseeded = capsys.readouterr().out
+    assert run(["generate", "--m", "4", "--count", "2", "--seed", "0", "--output", "-"]) == 0
+    assert capsys.readouterr().out == unseeded
+
+
+def calibrate_in(dataset_path, outdir, *flags):
+    return run(["calibrate", *RUN, "--data", dataset_path, "--opt-size", "30",
+                "--cal-size", "100", "--seed", "3", "--output-dir", outdir, *flags])
+
+
+def test_calibration_run_keys_come_from_the_config_echo(dataset_path, tmp_path, monkeypatch):
+    echo = cli.TrialConfig.echo
+    monkeypatch.setattr(cli.TrialConfig, "echo", lambda self: {k: f"<{k}>" for k in echo(self)})
+    assert calibrate_in(dataset_path, tmp_path / "cal") == 0
+    payload = json.loads((tmp_path / "cal" / "calibration.json").read_text())
+    assert list(payload) == ["lambda_hat", "feasible", "t_by_lambda", "method", "risk", "loss",
+                             "alpha", "delta", "grid", "toolkit_version"]
+    assert all(payload[k] == f"<{k}>" for k in ("method", "risk", "loss", "alpha", "delta", "grid"))
+
+
+def test_t_mode_takes_one_spelling_per_mode(dataset_path, tmp_path, capsys):
+    assert calibrate_in(dataset_path, tmp_path / "default") == 0
+    assert calibrate_in(dataset_path, tmp_path / "per", "--t-mode", "per-lambda") == 0
+    for name in ("calibration.json", "trace.csv"):
+        assert (tmp_path / "per" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+    assert calibrate_in(dataset_path, tmp_path / "fixed", "--t-mode", "fixed:0.5") == 0
+    fixed = json.loads((tmp_path / "fixed" / "calibration.json").read_text())
+    assert set(fixed["t_by_lambda"].values()) == {0.5}
+    capsys.readouterr()
+    assert calibrate_in(dataset_path, tmp_path / "alias", "--t-mode", "closed-form") == 2
+    assert "bad t-mode: 'closed-form' (per-lambda | fixed:VALUE)" in capsys.readouterr().err
+    assert not (tmp_path / "alias").exists()
+
+
+# ---------------------------------------------------------------- allocations
+
+# each array needs 7.1 PiB, past any 64-bit address space, so numpy fails
+# before it maps any memory
+@pytest.mark.parametrize("argv", [
+    ["generate", "--count", "10000000000000", "--seed", "1", "--output", "x.jsonl"],
+    ["calibrate", *RUN, "--grid", "1000000000000000", "--data", "pool.jsonl",
+     "--opt-size", "10", "--cal-size", "30", "--output-dir", "cal"],
+])
+def test_an_allocation_too_large_is_a_data_error(small_pool, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("pool.jsonl").write_text("".join(small_pool))
+    assert run_cli(argv) == 3
+    assert "data error: Unable to allocate 7.11 PiB" in capsys.readouterr().err
+    assert {p.name for p in tmp_path.iterdir()} == {"pool.jsonl"}

@@ -80,10 +80,10 @@ def record_walks(monkeypatch):
     return seen
 
 
-def map_in_process(monkeypatch, seen):
+def map_in_process(monkeypatch, seen, cpus=8):
     """Replace the worker pool by one that appends its max_workers to `seen`
     and maps in-process: a real pool starts all its processes at the first
-    submit."""
+    submit. The machine reports `cpus` CPUs."""
 
     class InProcessPool:
         def __init__(self, max_workers, initializer, initargs):
@@ -101,6 +101,7 @@ def map_in_process(monkeypatch, seen):
 
     monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(harness, "_WORKER", {})
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
 
 
 def test_trials_walk_the_pool_once_per_grid(monkeypatch):
@@ -129,6 +130,14 @@ def test_run_trials_caps_workers_at_trial_count(pool, monkeypatch):
     capped, _ = run_trials(pool, config(), 2, master_seed=13, jobs=5000)
     assert len(seen) == 1 and 1 <= seen[0] <= 2
     assert capped == run_trials(pool, config(), 2, master_seed=13, jobs=1)[0]
+
+
+def test_run_trials_caps_workers_at_cpu_count(pool, monkeypatch):
+    seen = []
+    map_in_process(monkeypatch, seen, cpus=3)
+    capped, _ = run_trials(pool, config(), 8, master_seed=13, jobs=5000)
+    assert seen == [3]
+    assert capped == run_trials(pool, config(), 8, master_seed=13, jobs=1)[0]
 
 
 def test_summarize_rates():
@@ -172,7 +181,7 @@ def test_summarize_consistency_with_records(pool):
 def test_kde_symmetric_peak():
     rng = np.random.default_rng(0)
     values = np.concatenate([3.0 + rng.normal(size=500), 3.0 - rng.normal(size=500)])
-    series = kde_density(values, grid_points=401)
+    series = kde_density(values)
     peak_x = series[np.argmax(series[:, 1]), 0]
     step = series[1, 0] - series[0, 0]
     assert abs(peak_x - 3.0) <= 2 * step + 0.1
@@ -180,7 +189,7 @@ def test_kde_symmetric_peak():
 
 def test_kde_matches_normal_density():
     values = np.random.default_rng(1).normal(size=10_000)
-    series = kde_density(values, grid_points=512)
+    series = kde_density(values)
     at_zero = np.interp(0.0, series[:, 0], series[:, 1])
     assert abs(at_zero - 1 / math.sqrt(2 * math.pi)) < 0.05
 
