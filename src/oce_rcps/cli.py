@@ -84,13 +84,7 @@ def _parse_t_mode(text: str):
     if text == "per-lambda":
         return None
     if text.startswith("fixed:"):
-        try:
-            t = float(text.split(":", 1)[1])
-        except ValueError:
-            t = math.nan
-        if not 0.0 <= t <= 1.0:  # NaN fails too
-            raise UsageError(f"bad t-mode: {text!r} (fixed:VALUE needs a number in [0, 1])")
-        return t
+        return float(text.removeprefix("fixed:"))
     raise UsageError(f"bad t-mode: {text!r} (per-lambda | fixed:VALUE)")
 
 
@@ -160,8 +154,6 @@ def _generate(args, count: int, seed: int):
 
 def _cmd_generate(args):
     _require(args, "count", "output")
-    if args.count < 1:
-        raise UsageError("--count must be >= 1")
     data = _generate(args, args.count, args.seed)
     if args.output == "-":
         write_dataset(data, sys.stdout)
@@ -252,25 +244,21 @@ def _trial_config(args, test_size: int | None) -> TrialConfig:
     passes test_size None."""
     _require(args, "method", "risk", "loss", "alpha", "delta")
     try:
-        cost = OceCost.parse(args.risk)
-        loss = LossKind(args.loss)
-        grid = LambdaGrid(args.grid)
-        split = SplitSpec(args.opt_size, args.cal_size, test_size or 0)
+        config = TrialConfig(
+            method=args.method, cost=OceCost.parse(args.risk), loss=LossKind(args.loss),
+            alpha=args.alpha, delta=args.delta, grid=LambdaGrid(args.grid),
+            split=SplitSpec(args.opt_size, args.cal_size, test_size or 0),
+            bound_method=args.bound, fixed_t=_parse_t_mode(args.t_mode),
+        )
     except ValueError as e:
         raise UsageError(str(e))
-    fixed_t = _parse_t_mode(args.t_mode)
     # an empty split that the run reads would fail only inside the first trial
-    if split.cal_size == 0:
+    if config.split.cal_size == 0:
         raise UsageError("--cal-size must be >= 1")
     if test_size == 0:
         raise UsageError("--test-size must be >= 1")
-    if split.opt_size == 0 and fixed_t is None and args.method != "rcps":
+    if config.split.opt_size == 0 and config.fixed_t is None and args.method != "rcps":
         raise UsageError("--opt-size must be >= 1 unless --method is rcps or --t-mode is fixed")
-    config = TrialConfig(
-        method=args.method, cost=cost, loss=loss,
-        alpha=args.alpha, delta=args.delta, grid=grid, split=split,
-        bound_method=args.bound, fixed_t=fixed_t,
-    )
     config.spec()  # a bad alpha or delta is a data error before any pool is read
     return config
 

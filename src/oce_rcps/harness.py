@@ -19,6 +19,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from .bounds import BOUND_METHODS
 from .calibrate import (
     CalibrationOutcome,
     LambdaGrid,
@@ -28,7 +29,7 @@ from .calibrate import (
     select_rcps,
 )
 from .datagen import Dataset, SplitSpec, count_pool, split_dataset
-from .risk import LossKind, OceCost, empirical_oce, losses_at, relative_set_sizes
+from .risk import LOSS_MAX, LossKind, OceCost, empirical_oce, losses_at, relative_set_sizes
 from .rng import mix64
 
 METHODS = ("oce-crc", "rcps", "oce-rcps")
@@ -49,6 +50,10 @@ class TrialConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method: {self.method!r}")
+        if self.bound_method not in BOUND_METHODS:
+            raise ValueError(f"unknown bound method: {self.bound_method!r}")
+        if self.fixed_t is not None and not 0.0 <= self.fixed_t <= LOSS_MAX:  # NaN fails too
+            raise ValueError(f"fixed t must lie in [0, {LOSS_MAX:g}]")
 
     def spec(self) -> ReliabilitySpec:
         return ReliabilitySpec(self.alpha, self.delta)

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -544,25 +545,36 @@ def test_evaluate_range_checked(dataset_path, capsys, flags):
     assert capsys.readouterr().out == ""
 
 
+def t_mode_runs(data):
+    """Every command that takes --t-mode, with its data and split flags."""
+    return {
+        "calibrate": ["--data", data, "--opt-size", "30", "--cal-size", "100"],
+        "trials": ["--pool", data, *POOL[2:], "--trials", "2"],
+        "sweep": ["--vary", "delta", "--values", "0.2", "--pool", data, *POOL[2:], "--trials", "2"],
+    }
+
+
 def test_unknown_t_mode_is_usage_error(dataset_path, tmp_path, capsys):
-    code = run(["calibrate", *RUN, "--t-mode", "bogus", "--data", dataset_path,
-                "--opt-size", "30", "--cal-size", "100", "--output-dir", tmp_path / "out"])
-    assert code == 2
-    assert "bad t-mode: 'bogus'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    runs = t_mode_runs(dataset_path).items()
+    for (command, flags), t_mode in itertools.product(runs, ("bogus", "closed-form")):
+        code = run([command, *RUN, "--t-mode", t_mode, *flags, "--output-dir", tmp_path / "out"])
+        assert code == 2
+        assert f"bad t-mode: {t_mode!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
-    "t_mode", ["fixed:nan", "fixed:inf", "fixed:-inf", "fixed:abc", "fixed:1.5", "fixed:-0.1"]
+    "t_mode",
+    ["fixed:nan", "fixed:inf", "fixed:-inf", "fixed:abc", "fixed:1.5", "fixed:-0.1", "fixed:"],
 )
 def test_fixed_t_must_be_finite(dataset_path, tmp_path, t_mode):
-    # t lies in [0, 1] for every method, not only where the bound checks it
-    for method in ("oce-crc", "oce-rcps"):
+    # t lies in [0, 1] for every method and command, not only where the bound checks it
+    runs = t_mode_runs(dataset_path).items()
+    for (command, flags), method in itertools.product(runs, ("oce-crc", "oce-rcps")):
         code = run([
-            "calibrate", "--method", method, "--risk", "cvar:0.8", "--loss", "fnr",
+            command, "--method", method, "--risk", "cvar:0.8", "--loss", "fnr",
             "--alpha", "0.4", "--delta", "0.2", "--grid", "20", "--t-mode", t_mode,
-            "--data", dataset_path, "--opt-size", "30", "--cal-size", "100",
-            "--output-dir", tmp_path / "out",
+            *flags, "--output-dir", tmp_path / "out",
         ])
         assert code == 2
         assert not (tmp_path / "out").exists()

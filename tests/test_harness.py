@@ -165,6 +165,32 @@ def test_unknown_method_rejected():
         config(method="bogus")
 
 
+@pytest.mark.parametrize("method", harness.METHODS)
+def test_unknown_bound_method_rejected(method):
+    # oce-crc bounds nothing, so it would run and echo the name
+    with pytest.raises(ValueError, match="unknown bound method: 'bogus'"):
+        config(method, bound_method="bogus")
+
+
+@pytest.mark.parametrize("method", harness.METHODS)
+@pytest.mark.parametrize("t", [-0.1, 1.5, math.nan, math.inf])
+def test_fixed_t_outside_the_loss_range_rejected(method, t):
+    # the bounds map t + phi(loss - t) onto [0, 1] through a range that
+    # needs t in [0, 1]; rcps ignores t but is held to the same rule
+    with pytest.raises(ValueError, match=r"fixed t must lie in \[0, 1\]"):
+        config(method, fixed_t=t)
+
+
+def test_bad_config_never_walks_the_pool(monkeypatch):
+    pool = generate_dataset(GeneratorParams(m=40), 300, seed=2024)  # never counted
+    seen = record_walks(monkeypatch)
+    for bad in ({"fixed_t": 1.5}, {"fixed_t": math.nan}, {"bound_method": "bogus"}):
+        for method in harness.METHODS:
+            with pytest.raises(ValueError):
+                run_trials(pool, config(method, **bad), 3, master_seed=7)
+    assert seen == []
+
+
 def test_run_trials_needs_a_trial(pool):
     with pytest.raises(ValueError, match="trials must be >= 1"):
         run_trials(pool, config(), 0, 1)
