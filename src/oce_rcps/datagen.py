@@ -10,13 +10,19 @@ All randomness comes from the splitmix64 streams in :mod:`oce_rcps.rng`;
 example ``i`` uses the substream seeded by ``mix64(seed, i)``, with a fixed
 draw order (difficulty, membership attempts, then one uniform per element
 for scores), so generation is reproducible and parallelizable per example.
+
+A split part is a row view: it holds its row indices into the pool it was
+split from, which keeps the checked arrays, each row's |truth| and the
+loss counts `count_pool` takes, so a Monte Carlo trial neither copies nor
+re-checks the rows of its parts.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -69,45 +75,96 @@ class SplitSpec:
 _Row = namedtuple("_Row", "scores truth")
 
 
-@dataclass(eq=False)
-class Dataset:
-    """n examples over m elements: scores in [0, 1] as an (n, m) float64
-    array and the ground-truth positive sets as an (n, m) bool mask. Both
-    arrays are read-only, so loss counts kept for them cannot go stale."""
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
-    scores: np.ndarray
-    truth: np.ndarray
-    seed: int | None = None
-    params: dict | None = None
-    # loss counts kept by count_pool and shared with every part split from
-    # this dataset, and which of their rows this dataset's rows are
-    _counts: tuple | None = field(default=None, init=False, repr=False)
-    _rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.truth = np.asarray(self.truth)
-        if self.scores.ndim != 2 or self.scores.shape[1] < 1:
-            raise ValueError("scores must be an (n, m) array with m >= 1")
-        if self.truth.shape != self.scores.shape:
-            raise ValueError("truth must have the shape of scores")
-        if self.truth.dtype != bool:
-            raise ValueError("truth must be a bool mask")
-        if not np.all((self.scores >= 0.0) & (self.scores <= 1.0)):  # NaN fails too
-            raise ValueError("scores must lie in [0, 1]")
-        self.scores.flags.writeable = self.truth.flags.writeable = False
+class _Pool:
+    """The validated rows that datasets view: the (n, m) scores and truth
+    mask, each row's |truth|, and the loss counts kept for the rows on one
+    grid, as (grid, table), or None. Every array is read-only, so counts
+    kept for the rows cannot go stale."""
+
+    def __init__(self, scores: np.ndarray, truth: np.ndarray):
+        self.scores, self.truth = _frozen(scores), _frozen(truth)
+        self.counts = None
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        # summed on first use: a pool that is only generated and written
+        # never reads it
+        return _frozen(self.truth.sum(axis=1))
 
     def __setstate__(self, state):
         # unpickling (as a spawned worker does with the pool) makes arrays writable
         self.__dict__.update(state)
-        self.scores.flags.writeable = self.truth.flags.writeable = False
+        for arr in (*state.values(), *(self.counts or ())):
+            if isinstance(arr, np.ndarray):
+                _frozen(arr)
+
+
+class Dataset:
+    """n examples over m elements: scores in [0, 1] as an (n, m) float64
+    array and the ground-truth positive sets as an (n, m) bool mask, both
+    read-only.
+
+    A dataset is a set of rows of a pool. `Dataset(scores, truth)` checks
+    the arrays and makes them a pool of its own; a part `split_dataset`
+    takes holds only its row indices into its parent's pool, so it is
+    neither copied nor checked again, and gathers `scores` or `truth`, as
+    new read-only arrays, only when they are read."""
+
+    def __init__(self, scores, truth, seed: int | None = None, params: dict | None = None):
+        scores = np.asarray(scores, dtype=np.float64)
+        truth = np.asarray(truth)
+        if scores.ndim != 2 or scores.shape[1] < 1:
+            raise ValueError("scores must be an (n, m) array with m >= 1")
+        if truth.shape != scores.shape:
+            raise ValueError("truth must have the shape of scores")
+        if truth.dtype != bool:
+            raise ValueError("truth must be a bool mask")
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):  # NaN fails too
+            raise ValueError("scores must lie in [0, 1]")
+        self.seed, self.params = seed, params
+        # the pool this dataset's rows are in, and which rows (None: all)
+        self._pool, self._rows = _Pool(scores, truth), None
+
+    @classmethod
+    def _view(cls, pool: _Pool, rows: np.ndarray) -> "Dataset":
+        part = cls.__new__(cls)
+        part.seed = part.params = None
+        part._pool, part._rows = pool, rows
+        return part
+
+    def _take(self, arr: np.ndarray) -> np.ndarray:
+        """This dataset's rows of a per-row array of its pool."""
+        return arr if self._rows is None else _frozen(arr[self._rows])
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self._take(self._pool.scores)
+
+    @property
+    def truth(self) -> np.ndarray:
+        return self._take(self._pool.truth)
+
+    @property
+    def truth_sizes(self) -> np.ndarray:
+        """|truth| of each row, as the pool keeps it."""
+        return self._take(self._pool.sizes)
 
     @property
     def m(self) -> int:
-        return self.scores.shape[1]
+        return self._pool.scores.shape[1]
 
     def __len__(self) -> int:
-        return self.scores.shape[0]
+        return len(self._pool.scores) if self._rows is None else self._rows.size
+
+    @property
+    def _counts(self) -> tuple | None:
+        """The loss counts kept with the pool, (grid, table), or None."""
+        return self._pool.counts
 
     @property
     def examples(self) -> list:
@@ -149,23 +206,18 @@ def generate_dataset(params: GeneratorParams, count: int, seed: int) -> Dataset:
 
 def split_dataset(data: Dataset, split: SplitSpec, seed: int):
     """Seeded uniform permutation assigning disjoint index ranges; returns
-    the (opt, cal, test) rows as three Datasets. The parts of a counted
-    dataset share its loss counts and know which of their rows they hold."""
+    the (opt, cal, test) rows as three Datasets that view `data`'s pool: a
+    part of a part composes its rows, and the parts of a counted dataset
+    read its loss counts."""
     n = len(data)
     if split.total > n:
         raise ValueError(f"split sizes total {split.total} exceed dataset size {n}")
     indices = list(range(n))
     shuffle(indices, seed)
     order = np.array(indices, dtype=np.intp)  # integer indices even for an empty dataset
+    rows = order if data._rows is None else data._rows[order]
     a, b, c = split.opt_size, split.opt_size + split.cal_size, split.total
-
-    def pick(rows):
-        part = Dataset(data.scores[rows], data.truth[rows])
-        if data._counts is not None:
-            part._counts, part._rows = data._counts, data._rows[rows]
-        return part
-
-    return pick(order[:a]), pick(order[a:b]), pick(order[b:c])
+    return tuple(Dataset._view(data._pool, rows[i:j]) for i, j in ((0, a), (a, b), (b, c)))
 
 
 def _walk_counts(dataset: Dataset, lams) -> np.ndarray:
@@ -202,27 +254,31 @@ def loss_counts(dataset: Dataset, lams) -> np.ndarray:
     if dataset._counts is not None:
         grid, table = dataset._counts
         if np.array_equal(lams, grid):
-            return table[dataset._rows]
+            return dataset._take(table)
         cols = np.searchsorted(grid, lams).clip(max=grid.size - 1)
         if np.array_equal(grid[cols], lams):
-            return table[np.ix_(dataset._rows, cols)]
+            return dataset._take(table[:, cols])
     return _walk_counts(dataset, lams)
 
 
 def count_pool(dataset: Dataset, lams) -> None:
     """Count the dataset's losses on the strictly increasing grid `lams` (as
     `LambdaGrid.values`; any other raises ValueError) once and keep the
-    counts on it, so that it and every part `split_dataset` takes from it
-    read them instead of walking. The counts hold for both loss kinds; a
-    dataset already counted on this grid keeps its counts, and one counted
-    on another grid is recounted."""
+    counts with its pool, so that it and every part `split_dataset` takes
+    from it read them instead of walking. The counts hold for both loss
+    kinds; a dataset whose pool is counted on this grid reads those counts.
+    A whole pool counted on another grid is recounted; a part of an
+    uncounted pool, or of one counted on another grid, counts only its own
+    rows, as a pool of its own, and leaves its parent's counts as they are."""
     lams = np.asarray(lams, dtype=np.float64)
     if dataset._counts is not None and np.array_equal(dataset._counts[0], lams):
         return
     if lams.ndim != 1 or np.isnan(lams).any() or not np.all(lams[1:] > lams[:-1]):
         raise ValueError("a counted grid must be strictly increasing")
+    if dataset._rows is not None:
+        dataset._pool, dataset._rows = _Pool(dataset.scores, dataset.truth), None
     table = np.ascontiguousarray(_walk_counts(dataset, lams))  # rows contiguous
-    dataset._counts, dataset._rows = (lams, table), np.arange(len(dataset))
+    dataset._pool.counts = (_frozen(lams.copy()), _frozen(table))
 
 
 def write_dataset(data: Dataset, fp) -> None:

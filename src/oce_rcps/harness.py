@@ -54,6 +54,8 @@ class TrialConfig:
             raise ValueError(f"unknown bound method: {self.bound_method!r}")
         if self.fixed_t is not None and not 0.0 <= self.fixed_t <= LOSS_MAX:  # NaN fails too
             raise ValueError(f"fixed t must lie in [0, {LOSS_MAX:g}]")
+        if self.fixed_t is not None and self.method == "rcps":  # its t is always 0
+            raise ValueError("method rcps takes no fixed t")
 
     def spec(self) -> ReliabilitySpec:
         return ReliabilitySpec(self.alpha, self.delta)

@@ -215,7 +215,7 @@ def losses_at(dataset, kind: LossKind, lams) -> np.ndarray:
     """Loss matrix of shape (len(dataset), len(lams)) from the counts of
     `datagen.loss_counts`: FNR is the count over |truth|, miscoverage is
     min(count, 1)."""
-    sizes = dataset.truth.sum(axis=1)
+    sizes = dataset.truth_sizes
     if kind.variant == "fnr" and not sizes.all():
         raise ValueError("FNR loss needs a nonempty truth set")
     counts = loss_counts(dataset, lams)
@@ -234,4 +234,4 @@ def relative_set_sizes(dataset, lam: float) -> np.ndarray:
     """|prediction set| / max(|truth|, 1) per example at a single threshold;
     an empty truth set counts as 1, so its relative size is the set size."""
     members = np.count_nonzero(dataset.scores >= 1.0 - lam, axis=1)
-    return members / np.maximum(dataset.truth.sum(axis=1), 1)
+    return members / np.maximum(dataset.truth_sizes, 1)

@@ -580,6 +580,24 @@ def test_fixed_t_must_be_finite(dataset_path, tmp_path, t_mode):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_rcps_with_a_fixed_t_is_usage_error(dataset_path, tmp_path, capsys, via):
+    # rcps runs at t = 0 whatever --t-mode says, so the echoed t_mode
+    # would name a setting that never took effect
+    for command, flags in t_mode_runs(dataset_path).items():
+        argv = [command, "--method", "rcps", "--risk", "average", "--loss", "fnr",
+                "--alpha", "0.4", "--delta", "0.2", "--grid", "20", *flags,
+                "--output-dir", tmp_path / "out"]
+        if via == "flag":
+            argv += ["--t-mode", "fixed:0.5"]
+        else:
+            (tmp_path / "config.json").write_text('{"t_mode": "fixed:0.5"}')
+            argv += ["--config", tmp_path / "config.json"]
+        assert run(argv) == 2, command
+        assert "method rcps takes no fixed t" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_entropic_overflow_is_data_error(dataset_path, tmp_path, capsys):
     code = run([
         "calibrate", "--method", "oce-rcps", "--risk", "entropic:800", "--loss", "fnr",

@@ -73,6 +73,21 @@ def test_run_trials_parallel_matches_sequential(pool):
     assert seq == par
 
 
+def test_run_trial_reads_scores_of_the_test_part_only(pool, monkeypatch):
+    # the cal and opt parts read their counts and |truth| from the pool;
+    # only the test part's relative sizes read scores, and nothing reads truth
+    for method in harness.METHODS:
+        run_trial(pool, config(method), 0, master_seed=7)  # counts the pool first
+    read = []
+    for name in ("scores", "truth"):
+        get = getattr(datagen.Dataset, name).fget
+        monkeypatch.setattr(datagen.Dataset, name, property(
+            lambda self, name=name, get=get: read.append((name, len(self))) or get(self)))
+    for method in harness.METHODS:
+        run_trial(pool, config(method), 1, master_seed=7)
+    assert read == [("scores", 110)] * len(harness.METHODS)
+
+
 def record_walks(monkeypatch):
     """The size of each dataset walked from here on."""
     seen, walk = [], datagen._walk_counts
@@ -179,6 +194,14 @@ def test_fixed_t_outside_the_loss_range_rejected(method, t):
     # needs t in [0, 1]; rcps ignores t but is held to the same rule
     with pytest.raises(ValueError, match=r"fixed t must lie in \[0, 1\]"):
         config(method, fixed_t=t)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_rcps_takes_no_fixed_t(t):
+    # select_rcps runs at t = 0, so a fixed t would only be echoed
+    with pytest.raises(ValueError, match="method rcps takes no fixed t"):
+        config("rcps", fixed_t=t)
+    assert config("rcps").echo()["t_mode"] == "per-lambda"
 
 
 def test_bad_config_never_walks_the_pool(monkeypatch):

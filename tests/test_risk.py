@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oce_rcps import datagen
-from oce_rcps.calibrate import LambdaGrid
+from oce_rcps.calibrate import LambdaGrid, ReliabilitySpec, select_oce_crc, select_oce_rcps, select_rcps
 from oce_rcps.datagen import (
     Dataset,
     GeneratorParams,
@@ -333,6 +334,62 @@ def test_dataset_arrays_are_read_only(counted_pool):
             data.scores[0, 0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
             data.truth[0, 0] = True
+
+
+def test_parts_selected_on_another_grid_keep_their_rows():
+    # a part of a pool counted on another grid counts its own rows, as a
+    # pool of its own; it must still hold the rows it was split with, and
+    # the pool's counts must stay as they were
+    pool = generate_dataset(GeneratorParams(m=30), 300, seed=8)
+    count_pool(pool, LambdaGrid(100).values)
+    kept = pool._counts
+    opt, cal, _ = split_dataset(pool, SplitSpec(60, 150, 90), seed=3)
+    sub_opt, sub_cal, _ = split_dataset(cal, SplitSpec(40, 80, 30), seed=4)
+    spec, cost = ReliabilitySpec(0.4, 0.2), OceCost.cvar(0.8)
+
+    def selections(cal, opt, grid):
+        return (select_oce_rcps(cal, opt, spec, grid, cost, FNR),
+                select_oce_crc(cal, opt, spec, grid, cost, MISS),
+                select_rcps(cal, spec, grid, FNR))
+
+    pairs = [(cal, opt), (sub_cal, sub_opt)]
+    copies = [(uncounted(c), uncounted(o)) for c, o in pairs]
+    for grid in (LambdaGrid(20), LambdaGrid(100), LambdaGrid(20)):
+        for (c, o), (want_c, want_o) in zip(pairs, copies):
+            for got, want in zip(selections(c, o, grid), selections(want_c, want_o, grid)):
+                assert got.lambda_hat == want.lambda_hat
+                assert same(got.trace, want.trace) and same(got.bounds(), want.bounds())
+            assert same(c.scores, want_c.scores) and same(c.truth, want_c.truth)
+        # a part of a part split after its parent was recounted
+        late_opt, late_cal, _ = split_dataset(cal, SplitSpec(30, 90, 30), seed=len(pairs))
+        pairs.append((late_cal, late_opt))
+        copies.append((uncounted(late_cal), uncounted(late_opt)))
+    assert pool._counts is kept
+    assert same(kept[0], LambdaGrid(100).values)
+    assert same(kept[1], loss_counts(uncounted(pool), LambdaGrid(100).values))
+
+
+def test_split_gathers_no_rows():
+    # a part holds its rows of the pool, so a split allocates O(n) indices,
+    # not an (n, m) array: the shuffled Python list (a pointer and an int
+    # object, 36 bytes a row), its uint64 draws with their temporaries, and
+    # the order array, which the parts keep. 16 intp a row bound them, a
+    # third of one part's scores; the parts keep one intp a row
+    rng = np.random.default_rng(1)
+    pool = Dataset(rng.uniform(size=(1781, 100)), rng.uniform(size=(1781, 100)) < 0.3)
+    count_pool(pool, LambdaGrid(100).values)
+    split = SplitSpec(200, 800, 781)
+    split_dataset(pool, split, seed=1)
+    intp = np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        parts = split_dataset(pool, split, seed=2)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * len(pool) * intp < split.cal_size * pool.m * np.dtype(np.float64).itemsize
+    assert kept < len(pool) * intp + 4096  # the order array and three small objects
+    assert [len(p) for p in parts] == [200, 800, 781]
 
 
 # ---------------------------------------------------------------- phi
