@@ -73,34 +73,33 @@ class CalibrationOutcome:
 
     def bounds(self) -> np.ndarray:
         """Each trace row's bound, in trace order: the objective an OCE-CRC
-        scan stored, or the UCB an RCPS-style scan decided by, in one
-        `oce_risk_ucb` call that reads the calibration split's counts again."""
+        scan stored, or the UCBs an RCPS-style scan decided by, in one call
+        that reads its trace, a run of the grid down from 1, in ascending order."""
         if self._ucb is None:
             return self.trace["bound"].copy()
-        return self._ucb(self.trace["lam"], self.trace["t"])
+        return self._ucb(self.trace["lam"][::-1], self.trace["t"][::-1])[::-1]
 
 
 def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward, ucb=None) -> CalibrationOutcome:
     """Test grid columns in blocks counted from the scan's start, upward to the
-    first pass or downward to the first failure; `decide(block, ts)` maps an
-    (n, k) calibration loss block and its k values of t to the k bounds (or
-    NaN) and the k pass flags. The outcome keeps `ucb` for its `bounds()`."""
+    first pass or downward to the first failure, reading each block's losses
+    as it is tested; `decide(block, ts)` maps an (n, k) calibration loss block
+    and its k values of t to the k bounds (or NaN) and the k pass flags."""
     if len(cal) == 0:
         raise ValueError("calibration set must be nonempty")
     if fixed_t is None and opt is None:
         raise ValueError("opt split required unless t is fixed")
     lams = grid.values
-    count_pool(cal, lams)  # a part of a pool counted on this grid reads its counts
-    cal_losses = losses_at(cal, loss, lams)
-    opt_losses = None if fixed_t is not None else losses_at(opt, loss, lams)
+    for split in (cal,) if fixed_t is not None else (cal, opt):
+        count_pool(split, lams)  # a no-op for a part of a pool counted on this grid
     tested = []
 
     def test(lo, hi):
         """Test columns lo..hi-1; True when the scan stops among them."""
         block = np.empty(hi - lo, _TRACE)
-        block["lam"] = lams[lo:hi]
-        block["t"] = fixed_t if opt_losses is None else optimize_t(opt_losses[:, lo:hi], cost)
-        block["bound"], block["passed"] = decide(cal_losses[:, lo:hi], block["t"])
+        block["lam"] = cols = lams[lo:hi]
+        block["t"] = fixed_t if fixed_t is not None else optimize_t(losses_at(opt, loss, cols), cost)
+        block["bound"], block["passed"] = decide(losses_at(cal, loss, cols), block["t"])
         block = block if upward else block[::-1]
         stops = np.flatnonzero(block["passed"] == upward)
         tested.append(block[: stops[0] + 1] if stops.size else block)
@@ -161,9 +160,7 @@ def select_oce_rcps(
     first failure. The trace's bounds are NaN; `bounds()` computes them."""
 
     def ucb_at_most_alpha(block, ts):
-        return np.nan, oce_risk_ucb_at_most(
-            block, cost, ts, spec.delta, spec.alpha, method=bound_method
-        )
+        return np.nan, oce_risk_ucb_at_most(block, cost, ts, spec.delta, spec.alpha, bound_method)
 
     def ucb(lams, ts):
         return oce_risk_ucb(losses_at(cal, loss, lams), cost, ts, spec.delta, method=bound_method)

@@ -37,9 +37,11 @@ from .datagen import (
 )
 from .harness import (
     METHODS,
+    PER_LAMBDA,
     TrialConfig,
     kde_density,
     kde_to_csv,
+    parse_t_mode,
     records_to_csv,
     run_trials,
     select,
@@ -59,7 +61,7 @@ DEFAULTS = {
     **dataclasses.asdict(GeneratorParams()),
     "grid": LambdaGrid.resolution,
     "bound": TrialConfig.bound_method,
-    "t_mode": "per-lambda",
+    "t_mode": PER_LAMBDA,
     "opt_size": TrialConfig.split.opt_size,
     "cal_size": TrialConfig.split.cal_size,
     "test_size": TrialConfig.split.test_size,
@@ -77,15 +79,6 @@ def _setup_logging():
         os.environ.get("OCE_RCPS_LOG", "error"), logging.ERROR
     )
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
-
-
-def _parse_t_mode(text: str):
-    """-> fixed_t (None means per-lambda optimization)."""
-    if text == "per-lambda":
-        return None
-    if text.startswith("fixed:"):
-        return float(text.removeprefix("fixed:"))
-    raise UsageError(f"bad t-mode: {text!r} (per-lambda | fixed:VALUE)")
 
 
 def _config_value(action: argparse.Action, value):
@@ -248,7 +241,7 @@ def _trial_config(args, test_size: int | None) -> TrialConfig:
             method=args.method, cost=OceCost.parse(args.risk), loss=LossKind(args.loss),
             alpha=args.alpha, delta=args.delta, grid=LambdaGrid(args.grid),
             split=SplitSpec(args.opt_size, args.cal_size, test_size or 0),
-            bound_method=args.bound, fixed_t=_parse_t_mode(args.t_mode),
+            bound_method=args.bound, fixed_t=parse_t_mode(args.t_mode),
         )
     except ValueError as e:
         raise UsageError(str(e))
@@ -356,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grid", type=int,
                      help=f"grid resolution G (default {LambdaGrid.resolution})")
     run.add_argument("--bound", choices=BOUND_METHODS)
-    run.add_argument("--t-mode", help="per-lambda | fixed:VALUE")
+    run.add_argument("--t-mode", help=f"{PER_LAMBDA} | fixed:VALUE")
     run.add_argument("--opt-size", type=int)
     run.add_argument("--cal-size", type=int)
     run.add_argument("--output-dir")

@@ -246,18 +246,16 @@ def loss_counts(dataset: Dataset, lams) -> np.ndarray:
     """How many truth scores of each example lie below the threshold 1 - lam:
     an (len(dataset), len(lams)) matrix in `np.min_scalar_type(m)`.
 
-    A dataset counted by `count_pool`, or split from one, reads its rows of
-    the kept counts when every lam is on the counted grid, in any order;
-    otherwise its own truth scores are walked.
+    A dataset counted by `count_pool`, or split from one, reads its rows of a
+    column slice of the kept counts when the lams are a run of the counted
+    grid; any other lams are walked from its own truth scores.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
     if dataset._counts is not None:
         grid, table = dataset._counts
-        if np.array_equal(lams, grid):
-            return dataset._take(table)
-        cols = np.searchsorted(grid, lams).clip(max=grid.size - 1)
-        if np.array_equal(grid[cols], lams):
-            return dataset._take(table[:, cols])
+        i = grid.searchsorted(lams[0]) if lams.size else 0
+        if np.array_equal(grid[i:i + lams.size], lams):
+            return dataset._take(table[:, i:i + lams.size])
     return _walk_counts(dataset, lams)
 
 
@@ -265,8 +263,7 @@ def count_pool(dataset: Dataset, lams) -> None:
     """Count the dataset's losses on the strictly increasing grid `lams` (as
     `LambdaGrid.values`; any other raises ValueError) once and keep the
     counts with its pool, so that it and every part `split_dataset` takes
-    from it read them instead of walking. The counts hold for both loss
-    kinds; a dataset whose pool is counted on this grid reads those counts.
+    from it read them instead of walking; they hold for both loss kinds.
     A whole pool counted on another grid is recounted; a part of an
     uncounted pool, or of one counted on another grid, counts only its own
     rows, as a pool of its own, and leaves its parent's counts as they are."""

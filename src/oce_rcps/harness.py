@@ -33,6 +33,7 @@ from .risk import LOSS_MAX, LossKind, OceCost, empirical_oce, losses_at, relativ
 from .rng import mix64
 
 METHODS = ("oce-crc", "rcps", "oce-rcps")
+PER_LAMBDA = "per-lambda"  # the t-mode of t chosen per lambda; a fixed t is fixed:VALUE
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,8 @@ class TrialConfig:
             raise ValueError(f"fixed t must lie in [0, {LOSS_MAX:g}]")
         if self.fixed_t is not None and self.method == "rcps":  # its t is always 0
             raise ValueError("method rcps takes no fixed t")
+        if self.method == "oce-crc" and self.bound_method != TrialConfig.bound_method:  # it bounds nothing
+            raise ValueError(f"method oce-crc takes no bound method {self.bound_method!r}")
 
     def spec(self) -> ReliabilitySpec:
         return ReliabilitySpec(self.alpha, self.delta)
@@ -70,8 +73,17 @@ class TrialConfig:
             "grid": self.grid.resolution,
             "split": [self.split.opt_size, self.split.cal_size, self.split.test_size],
             "bound": self.bound_method,
-            "t_mode": "per-lambda" if self.fixed_t is None else f"fixed:{self.fixed_t:g}",
+            "t_mode": PER_LAMBDA if self.fixed_t is None else f"fixed:{self.fixed_t:g}",
         }
+
+
+def parse_t_mode(text: str) -> float | None:
+    """The fixed t that a t-mode, spelled as `TrialConfig.echo()` writes it, names; None per lambda."""
+    if text == PER_LAMBDA:
+        return None
+    if text.startswith("fixed:"):
+        return float(text.removeprefix("fixed:"))
+    raise ValueError(f"bad t-mode: {text!r} ({PER_LAMBDA} | fixed:VALUE)")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from oce_rcps.calibrate import (
     select_oce_rcps,
     select_rcps,
 )
-from oce_rcps.datagen import Dataset
+from oce_rcps.datagen import (
+    Dataset,
+    GeneratorParams,
+    SplitSpec,
+    count_pool,
+    generate_dataset,
+    split_dataset,
+)
 from oce_rcps.risk import LossKind, OceCost, empirical_objective, losses_at, optimize_t
 from oracles import closed_form_oce, golden_section_minimize, golden_section_t, oce_crc_scan, oce_rcps_scan
 
@@ -427,3 +435,37 @@ def test_opt_split_required_unless_t_fixed():
     for select in (select_oce_crc, select_oce_rcps):
         with pytest.raises(ValueError, match="opt split required"):
             select(cal, None, ReliabilitySpec(0.5, 0.2), LambdaGrid(5), OceCost.cvar(0.8), FNR)
+
+
+# ---------------------------------------------------------------- memory
+
+@pytest.fixture(scope="module")
+def counted_parts():
+    """The opt and cal parts, of the default sizes, of a pool counted at G = 1000."""
+    pool = generate_dataset(GeneratorParams(), 1000, seed=11)
+    count_pool(pool, LambdaGrid(1000).values)
+    return split_dataset(pool, SplitSpec(200, 800, 0), seed=3)[:2]
+
+
+@pytest.mark.parametrize("method", ["rcps", "oce-rcps", "oce-crc"])
+def test_scan_holds_loss_blocks_not_the_whole_grid(counted_parts, method):
+    # a scan reads each block's loss columns as it tests them, so it holds a
+    # few (n_cal, _BLOCK) float64 blocks at a time and never an (n_cal, G + 1)
+    # loss matrix of the whole grid
+    opt, cal = counted_parts
+    grid, spec = LambdaGrid(1000), ReliabilitySpec(0.4, 0.2)
+    select = {
+        "rcps": lambda: select_rcps(cal, spec, grid, FNR),
+        "oce-rcps": lambda: select_oce_rcps(cal, opt, spec, grid, OceCost.entropic(3), FNR),
+        "oce-crc": lambda: select_oce_crc(cal, opt, spec, grid, OceCost.cvar(0.9), FNR),
+    }[method]
+    select()  # what a first call leaves cached is not the scan's
+    tracemalloc.start()
+    try:
+        out = select()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block, matrix = (len(cal) * cols * 8 for cols in (_BLOCK, grid.resolution + 1))
+    assert len(out.trace) > 4 * _BLOCK  # the scan crosses several blocks
+    assert peak < 6 * block < matrix / 5

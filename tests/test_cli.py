@@ -581,6 +581,22 @@ def test_fixed_t_must_be_finite(dataset_path, tmp_path, t_mode):
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
+def test_oce_crc_with_a_bound_method_is_usage_error(dataset_path, tmp_path, capsys, via):
+    # oce-crc bounds nothing, so the echoed bound would name a setting that
+    # never took effect
+    for command, flags in t_mode_runs(dataset_path).items():
+        argv = [command, "--method", "oce-crc", *RUN[2:], *flags, "--output-dir", tmp_path / "out"]
+        if via == "flag":
+            argv += ["--bound", "hoeffding"]
+        else:
+            (tmp_path / "config.json").write_text('{"bound": "hoeffding"}')
+            argv += ["--config", tmp_path / "config.json"]
+        assert run(argv) == 2, command
+        assert "method oce-crc takes no bound method 'hoeffding'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
 def test_rcps_with_a_fixed_t_is_usage_error(dataset_path, tmp_path, capsys, via):
     # rcps runs at t = 0 whatever --t-mode says, so the echoed t_mode
     # would name a setting that never took effect

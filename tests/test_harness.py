@@ -204,6 +204,15 @@ def test_rcps_takes_no_fixed_t(t):
     assert config("rcps").echo()["t_mode"] == "per-lambda"
 
 
+def test_oce_crc_takes_no_bound_method():
+    # oce-crc bounds nothing, so any bound method but the default would only be echoed
+    with pytest.raises(ValueError, match="method oce-crc takes no bound method 'hoeffding'"):
+        config("oce-crc", bound_method="hoeffding")
+    assert config("oce-crc").echo()["bound"] == "wsr"
+    for method in ("rcps", "oce-rcps"):
+        assert config(method, bound_method="hoeffding").echo()["bound"] == "hoeffding"
+
+
 def test_bad_config_never_walks_the_pool(monkeypatch):
     pool = generate_dataset(GeneratorParams(m=40), 300, seed=2024)  # never counted
     seen = record_walks(monkeypatch)
