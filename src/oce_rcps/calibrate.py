@@ -84,7 +84,8 @@ def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward, ucb=None) -> Cali
     """Test grid columns in blocks counted from the scan's start, upward to the
     first pass or downward to the first failure, reading each block's losses
     as it is tested; `decide(block, ts)` maps an (n, k) calibration loss block
-    and its k values of t to the k bounds (or NaN) and the k pass flags."""
+    and its k values of t to the k bounds (or NaN) and the k pass flags. The
+    outcome keeps `ucb` for its `bounds()`."""
     if len(cal) == 0:
         raise ValueError("calibration set must be nonempty")
     if fixed_t is None and opt is None:
@@ -160,7 +161,9 @@ def select_oce_rcps(
     first failure. The trace's bounds are NaN; `bounds()` computes them."""
 
     def ucb_at_most_alpha(block, ts):
-        return np.nan, oce_risk_ucb_at_most(block, cost, ts, spec.delta, spec.alpha, bound_method)
+        return np.nan, oce_risk_ucb_at_most(
+            block, cost, ts, spec.delta, spec.alpha, method=bound_method
+        )
 
     def ucb(lams, ts):
         return oce_risk_ucb(losses_at(cal, loss, lams), cost, ts, spec.delta, method=bound_method)

@@ -263,7 +263,8 @@ def count_pool(dataset: Dataset, lams) -> None:
     """Count the dataset's losses on the strictly increasing grid `lams` (as
     `LambdaGrid.values`; any other raises ValueError) once and keep the
     counts with its pool, so that it and every part `split_dataset` takes
-    from it read them instead of walking; they hold for both loss kinds.
+    from it read them instead of walking. The counts hold for both loss
+    kinds; a dataset whose pool is counted on this grid reads those counts.
     A whole pool counted on another grid is recounted; a part of an
     uncounted pool, or of one counted on another grid, counts only its own
     rows, as a pool of its own, and leaves its parent's counts as they are."""
