@@ -150,10 +150,10 @@ def _crossed(unit, cols: np.ndarray, n: int, R: np.ndarray, delta: float) -> np.
 _STEPS = 2.0**20
 
 
-def _bisect(holds, below, above) -> np.ndarray:
-    """Last grid index where the monotone test `holds` is true, per entry,
-    between `below` where it holds (or the sentinel -1) and `above` where it
-    fails (or _STEPS + 1). A bracketed entry is tested at `below` again."""
+def _bisect(holds) -> np.ndarray:
+    """Last grid index in 0.._STEPS where the monotone test `holds` is true,
+    per entry, or -1 where it holds nowhere."""
+    below, above = -1.0, _STEPS + 1.0
     while np.any(above - below > 1.0):
         mid = np.floor(0.5 * (below + above))
         fit = holds(mid)
@@ -173,31 +173,30 @@ def _wsr_ucb(z: np.ndarray, delta: float) -> np.ndarray:
     def kept(k):
         return capital_process(z, k / _STEPS, etas) <= 1.0 / delta
 
-    return np.minimum(_bisect(kept, -1.0, _STEPS + 1.0) + 1.0, _STEPS) / _STEPS
+    return np.minimum(_bisect(kept) + 1.0, _STEPS) / _STEPS
 
 
 def _last_grid_point_at_most(lo: np.ndarray, span: np.ndarray, alpha: float) -> np.ndarray:
     """Largest k in 0.._STEPS with lo + span * (k / _STEPS) <= alpha, per
     entry, in that exact floating-point expression; -1 where none is.
 
-    The expression is nondecreasing in k, so the rounded real solution is
-    checked against it and, where rounding moved the answer further than
-    one step, the whole grid is bisected."""
-
-    def fits(k):
-        return lo + span * (k / _STEPS) <= alpha
-
+    The expression is nondecreasing in k, so the rounded real solution
+    `guess` is checked against it: the candidates guess - 1 .. guess + 2
+    are tested at once, a k below 0 counting as fitting and one above
+    _STEPS as not, and where the first fits and the last does not, the
+    answer is the last that fits. Where rounding moved the answer further,
+    the whole grid is bisected."""
     # alpha clipped to just outside [lo, lo + span] keeps the quotient finite
     near = np.clip(alpha, lo - span, lo + 2.0 * span)
     guess = np.clip(np.floor(_STEPS * ((near - lo) / span)), -1.0, _STEPS)
-    below = np.maximum(guess - 1.0, -1.0)
-    above = np.minimum(guess + 2.0, _STEPS + 1.0)
-    bracketed = ((below < 0.0) | fits(np.maximum(below, 0.0))) & (
-        (above > _STEPS) | ~fits(np.minimum(above, _STEPS))
-    )
-    below = np.where(bracketed, below, -1.0)
-    above = np.where(bracketed, above, _STEPS + 1.0)
-    return _bisect(fits, below, above)
+    ks = guess[:, None] + np.arange(-1.0, 3.0)
+    fit = (ks < 0.0) | ((ks <= _STEPS) & (lo[:, None] + span[:, None] * (ks / _STEPS) <= alpha))
+    out = guess - 2.0 + np.count_nonzero(fit, axis=1)
+    missed = np.flatnonzero(~fit[:, 0] | fit[:, -1])
+    if missed.size:
+        lo, span = lo[missed], span[missed]
+        out[missed] = _bisect(lambda k: lo + span * (k / _STEPS) <= alpha)
+    return out
 
 
 def _hoeffding_ucb(z: np.ndarray, delta: float) -> np.ndarray:

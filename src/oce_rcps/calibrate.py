@@ -6,7 +6,10 @@ t parameter optimized on a held-out split so it stays independent of the
 calibration data: it scans upward to the first pass. RCPS-style rules
 demand that an upper confidence bound stays below alpha at the threshold
 and every larger one: they scan downward from 1 to the first failure. One
-block scan serves both, one decision call per block of grid columns.
+block scan serves both, one decision call per block of grid columns: the
+first block holds _FIRST_BLOCK columns and each later one twice as many
+as the one before, up to _MAX_BLOCK, so a short scan stops in a narrow
+block and a long one makes few calls.
 RCPS-style scans decide each column with a one-pass test that is exactly
 "UCB <= alpha" and never compute the UCB itself; the outcome's `bounds()`
 computes it for the tested columns when they are written out.
@@ -23,8 +26,9 @@ from .bounds import oce_risk_ucb, oce_risk_ucb_at_most
 from .datagen import Dataset, count_pool
 from .risk import LossKind, OceCost, bound_B, empirical_objective, losses_at, optimize_t
 
-# grid columns tested per statistic call, and the trace record of each
-_BLOCK = 32
+# grid columns in a scan's first block and in its widest, and the trace
+# record of each tested column
+_FIRST_BLOCK, _MAX_BLOCK = 16, 64
 _TRACE = np.dtype([("lam", "f8"), ("bound", "f8"), ("passed", "?"), ("t", "f8")])
 
 
@@ -80,8 +84,21 @@ class CalibrationOutcome:
         return self._ucb(self.trace["lam"][::-1], self.trace["t"][::-1])[::-1]
 
 
+def _blocks(m: int, upward: bool):
+    """The (lo, hi) column blocks of a scan over m grid columns, in scan
+    order: counted from column 0 upward or from column m - 1 downward, the
+    first _FIRST_BLOCK wide and each later one twice as wide as the one
+    before, up to _MAX_BLOCK. Width only batches columns: each column's t,
+    decision and objective are the same at any width."""
+    done, width = 0, _FIRST_BLOCK
+    while done < m:
+        k = min(width, m - done)
+        yield (done, done + k) if upward else (m - done - k, m - done)
+        done, width = done + k, min(2 * width, _MAX_BLOCK)
+
+
 def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward, ucb=None) -> CalibrationOutcome:
-    """Test grid columns in blocks counted from the scan's start, upward to the
+    """Test grid columns in the blocks of `_blocks`, upward to the
     first pass or downward to the first failure, reading each block's losses
     as it is tested; `decide(block, ts)` maps an (n, k) calibration loss block
     and its k values of t to the k bounds (or NaN) and the k pass flags. The
@@ -106,9 +123,7 @@ def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward, ucb=None) -> Cali
         tested.append(block[: stops[0] + 1] if stops.size else block)
         return stops.size > 0
 
-    m = lams.size
-    for start in range(0, m, _BLOCK) if upward else range(m - _BLOCK, -_BLOCK, -_BLOCK):
-        lo, hi = max(start, 0), min(start + _BLOCK, m)
+    for lo, hi in _blocks(lams.size, upward):
         try:
             stopped = test(lo, hi)
         except OverflowError:

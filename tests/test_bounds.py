@@ -345,15 +345,32 @@ def test_decision_is_bound_at_most_alpha(data, n, k, delta, cost, method, seed):
         assert type(single) is bool and single == (at <= alpha)
 
 
-@pytest.mark.parametrize("lo, span", [(0.3, 0.7), (1.0, 1e-16), (0.5, 3e-17), (0.0, 5e-324)])
+GRID_POINT_ENTRIES = [(0.3, 0.7), (1.0, 1e-16), (0.5, 3e-17), (0.0, 5e-324), (0.25, 0.5), (0.9, 0.05)]
+
+
+@pytest.mark.parametrize("lo, span", GRID_POINT_ENTRIES[:4])
 def test_last_grid_point_matches_exhaustive_search(lo, span):
-    values = lo + span * (np.arange(_STEPS + 1) / _STEPS)
+    # every entry of the table at once, at alphas taken from this one: the
+    # other entries then see alphas below their lo (-1), at or past their
+    # lo + span (_STEPS) and in between
+    los, spans = (np.array(col) for col in zip(*GRID_POINT_ENTRIES))
+    values = [a + b * (np.arange(_STEPS + 1) / _STEPS) for a, b in GRID_POINT_ENTRIES]
+    mine = values[GRID_POINT_ENTRIES.index((lo, span))]
     rng = np.random.default_rng(9)
-    alphas = [lo, lo + span, np.nextafter(lo, -1.0), *values[rng.integers(0, _STEPS + 1, 5)]]
+    alphas = [lo, lo + span, np.nextafter(lo, -1.0), *mine[rng.integers(0, _STEPS + 1, 5)]]
+    kinds = set()
     for alpha in alphas:
-        fits = np.flatnonzero(values <= alpha)
-        want = fits[-1] if fits.size else -1
-        assert _last_grid_point_at_most(np.array([lo]), np.array([span]), alpha)[0] == want
+        got = _last_grid_point_at_most(los, spans, alpha)
+        # the last k whose value fits, the values being nondecreasing in k
+        want = np.array([np.searchsorted(v, alpha, side="right") - 1 for v in values])
+        assert got.tolist() == want.tolist()
+        # where rounding moves the answer more than a step from the real
+        # solution, the grid is bisected
+        near = np.clip(alpha, los - spans, los + 2.0 * spans)
+        guess = np.clip(np.floor(_STEPS * ((near - los) / spans)), -1.0, _STEPS)
+        kinds |= {"none" if k < 0 else "all" if k == _STEPS else "some" for k in want}
+        kinds |= {"bracketed" if abs(k - g) <= 1 else "bisected" for k, g in zip(want, guess)}
+    assert kinds == {"none", "all", "some", "bracketed", "bisected"}
 
 
 # ---------------------------------------------------------------- the walk

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oce_rcps import calibrate
 from oce_rcps.bounds import oce_risk_ucb
 from oce_rcps.calibrate import (
-    _BLOCK,
+    _MAX_BLOCK,
     LambdaGrid,
     ReliabilitySpec,
+    _blocks,
     select_oce_crc,
     select_oce_rcps,
     select_rcps,
@@ -285,12 +287,14 @@ def test_delta_monotonicity():
     assert all(a >= b - 1e-12 for a, b in zip(lams, lams[1:]))
 
 
-def staircase(rng, G):
+def staircase(G):
     """Singleton scores whose miscoverage at lambda = j/G counts the examples
-    with k >= j, two per k < G, plus as many zero-loss ones: the mean loss
-    rises at every step of the descending scan."""
-    scores = [1.0 - (k + 0.5) / G for k in range(G) for _ in range(2)] + [1.0] * (2 * G)
-    return rng.permutation(scores)
+    with k >= j, two per k < G, each followed by a zero-loss one: the mean
+    loss rises at every step of the descending scan. The WSR UCB reads the
+    rows in order, and in this order it rises at every step too; in a random
+    order a step whose flipped rows come late can leave it unchanged."""
+    steps = [1.0 - (k + 0.5) / G for k in range(G) for _ in range(2)]
+    return np.array([score for step in steps for score in (step, 1.0)])
 
 
 def stop_alphas(bounds, upward):
@@ -300,7 +304,8 @@ def stop_alphas(bounds, upward):
     first bound > alpha."""
     alphas, every_edge = set(), True
     n = len(bounds)
-    for p in {p for b in range(0, n, _BLOCK) for p in (b, min(b + _BLOCK, n) - 1)}:
+    position = (lambda col: col) if upward else (lambda col: n - 1 - col)  # in scan order
+    for p in {position(col) for lo, hi in _blocks(n, upward) for col in (lo, hi - 1)}:
         if upward:
             alpha = bounds[p]
             stops = alpha < min(bounds[:p], default=math.inf)
@@ -313,10 +318,14 @@ def stop_alphas(bounds, upward):
     return alphas, every_edge
 
 
-@pytest.mark.parametrize("G", [1, 7, 31, 32, 33, 100])
+# the first block edges of the schedule, counted in grid columns from the scan's start
+EDGES = [hi for _, hi in _blocks(10_000, True)][:3]
+
+
+@pytest.mark.parametrize("G", sorted({1, 7, 31, 32, 33, 100} | {e + d for e in EDGES for d in (-1, 0, 1)}))
 def test_block_scan_matches_column_oracle(G):
     rng = np.random.default_rng(53 + G)
-    cal, opt = singletons(staircase(rng, G)), singletons(staircase(rng, G)[: G + 5])
+    cal, opt = singletons(staircase(G)), singletons(rng.permutation(staircase(G))[: G + 5])
     lams = LambdaGrid(G).values
     cal_losses, opt_losses = losses_at(cal, MISS, lams), losses_at(opt, MISS, lams)
     oracles = (
@@ -346,6 +355,81 @@ def test_block_scan_matches_column_oracle(G):
                 assert (out.lambda_hat, out.feasible) == (lam_hat, feasible)
                 got = out.trace if upward else bounded(out)
                 assert got.tolist() == trace  # lam, bound, passed and t, in scan order
+
+
+@pytest.fixture(scope="module")
+def parts_by_grid():
+    """The opt and cal parts of one pool's rows counted at each grid G."""
+    rows = generate_dataset(GeneratorParams(), 400, seed=11)
+    parts = {}
+    for G in (16, 100, 1000):
+        pool = Dataset(rows.scores, rows.truth)
+        count_pool(pool, LambdaGrid(G).values)
+        parts[G] = split_dataset(pool, SplitSpec(100, 300, 0), seed=3)[:2]
+    return parts
+
+
+# (method, cost, fixed t, alpha); entropic:1e4 overflows exp at every column
+# whose t is below 1 - 709/1e4, at 0.4 in a column the scan reaches, and
+# at 1.0 (G = 16) in its first block, past the stop at its first column
+SCHEDULE_CASES = [
+    ("rcps", OceCost.average(), 0.0, 0.4),
+    *(("oce-rcps", cost, None, 0.4) for cost in (OceCost.average(), OceCost.cvar(0.9), OceCost.entropic(3))),
+    ("oce-rcps", OceCost.cvar(0.9), 0.3, 0.4),
+    ("oce-rcps", OceCost.entropic(3), 0.1, 0.4),
+    *(("oce-crc", cost, None, 0.4) for cost in (OceCost.average(), OceCost.cvar(0.9), OceCost.entropic(3))),
+    ("oce-crc", OceCost.cvar(0.9), 0.3, 0.4),
+    ("oce-crc", OceCost.entropic(1e4), None, 0.4),
+    ("oce-crc", OceCost.entropic(1e4), None, 1.0),
+]
+
+
+@pytest.mark.parametrize("G", [16, 100, 1000])
+def test_traces_are_the_same_at_any_block_width(parts_by_grid, G, monkeypatch):
+    # width only batches columns: the schedule's scan gives the trace bytes
+    # and the lambda_hat of a scan that tests one column per block
+    opt, cal = parts_by_grid[G]
+    overflowed = []  # the width of each t vector whose CRC objective overflowed
+
+    def recorded(fn):
+        def call(*args):
+            try:
+                return fn(*args)
+            except OverflowError:
+                overflowed.append(np.size(args[-1]))
+                raise
+        return call
+
+    for name in ("empirical_objective", "bound_B"):
+        monkeypatch.setattr(calibrate, name, recorded(getattr(calibrate, name)))
+
+    def select(method, cost, fixed_t, alpha):
+        spec = ReliabilitySpec(alpha, 0.2)
+        try:
+            if method == "rcps":
+                return select_rcps(cal, spec, LambdaGrid(G), FNR)
+            chosen = select_oce_crc if method == "oce-crc" else select_oce_rcps
+            return chosen(cal, opt, spec, LambdaGrid(G), cost, FNR, fixed_t=fixed_t)
+        except OverflowError:
+            return None
+
+    retested = False
+    for case in SCHEDULE_CASES:
+        overflowed.clear()
+        got = select(*case)
+        retested |= got is not None and any(width > 1 for width in overflowed)
+        with monkeypatch.context() as one_column:
+            one_column.setattr(calibrate, "_FIRST_BLOCK", 1)
+            one_column.setattr(calibrate, "_MAX_BLOCK", 1)
+            want = select(*case)
+        if want is None:
+            assert got is None, case
+            continue
+        assert got.trace.tobytes() == want.trace.tobytes(), case
+        assert (got.lambda_hat, got.feasible) == (want.lambda_hat, want.feasible), case
+    # at G = 16 the overflow past the stop is in the first block of 16, so
+    # the scan retests that block column by column
+    assert retested == (G == 16)
 
 
 def test_crc_entropic_overflow_past_the_stop_is_not_reached():
@@ -450,8 +534,8 @@ def counted_parts():
 @pytest.mark.parametrize("method", ["rcps", "oce-rcps", "oce-crc"])
 def test_scan_holds_loss_blocks_not_the_whole_grid(counted_parts, method):
     # a scan reads each block's loss columns as it tests them, so it holds a
-    # few (n_cal, _BLOCK) float64 blocks at a time and never an (n_cal, G + 1)
-    # loss matrix of the whole grid
+    # few float64 blocks of at most (n_cal, _MAX_BLOCK) at a time and never
+    # an (n_cal, G + 1) loss matrix of the whole grid
     opt, cal = counted_parts
     grid, spec = LambdaGrid(1000), ReliabilitySpec(0.4, 0.2)
     select = {
@@ -466,6 +550,6 @@ def test_scan_holds_loss_blocks_not_the_whole_grid(counted_parts, method):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block, matrix = (len(cal) * cols * 8 for cols in (_BLOCK, grid.resolution + 1))
-    assert len(out.trace) > 4 * _BLOCK  # the scan crosses several blocks
-    assert peak < 6 * block < matrix / 5
+    block, matrix = (len(cal) * cols * 8 for cols in (_MAX_BLOCK, grid.resolution + 1))
+    assert len(out.trace) > 4 * _MAX_BLOCK  # the scan crosses several of the widest blocks
+    assert peak < 5 * block < matrix / 3

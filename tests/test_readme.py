@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from oce_rcps import calibrate
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -12,3 +14,16 @@ def test_library_quick_start_runs(capsys):
     exec(compile(snippet, f"{README.name} (Library quick start)", "exec"), {})
     lambda_hat, feasible = capsys.readouterr().out.splitlines()[0].split()
     assert 0.0 <= float(lambda_hat) <= 1.0 and feasible in ("True", "False")
+
+
+def test_readme_states_the_scan_block_widths():
+    # the calibrate.py paragraph states the block schedule in words; a width
+    # changed in the code and not in the README fails here
+    paragraph = README.read_text().split("- `src/oce_rcps/calibrate.py`", 1)[1].split("\n- `", 1)[0]
+    stated = re.search(
+        r"the first\s+block holds (\d+) columns and each later block twice as many,\s+up to (\d+)",
+        paragraph,
+    )
+    assert stated, "the calibrate.py paragraph no longer states the block widths"
+    assert tuple(map(int, stated.groups())) == (calibrate._FIRST_BLOCK, calibrate._MAX_BLOCK)
+    assert not re.search(r"block of \d+ grid columns|\d+-column block", README.read_text())
