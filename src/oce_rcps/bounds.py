@@ -215,12 +215,10 @@ def _normalized(losses, cost: OceCost, t, delta: float, method: str):
     span > 0, and `unit(cols, rows=all)`, the (len(cols), len(rows)) block
     of those columns' transformed losses mapped to [0, 1].
 
-    With every loss in [0, LOSS_MAX], `bound_B` raises any entropic
-    OverflowError here, before a loss is transformed, so a walk that maps
-    only some rows cannot skip one."""
+    `bound_B` checks t. With every loss in [0, LOSS_MAX], it raises any
+    entropic OverflowError here, before a loss is transformed, so a walk
+    that maps only some rows cannot skip one."""
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if not np.all((ts >= 0.0) & (ts <= LOSS_MAX)):  # NaN fails too
-        raise ValueError("t must lie in [0, LOSS_MAX]")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if method not in _UCB:
@@ -233,8 +231,9 @@ def _normalized(losses, cost: OceCost, t, delta: float, method: str):
         raise ValueError("need one t per loss column")
     if not (block.min() >= 0.0 and block.max() <= LOSS_MAX):  # NaN fails too
         raise ValueError("losses must lie in [0, LOSS_MAX]")
+    B = bound_B(cost, ts)  # checks t before phi(cost, -t) can overflow
     lo = ts + phi(cost, -ts)
-    span = bound_B(cost, ts) - lo
+    span = B - lo
 
     def unit(cols, rows=slice(None)):
         tl = transformed_losses(cost, ts[cols, None], block[cols, rows])

@@ -56,8 +56,9 @@ class LambdaGrid:
     resolution: int = 1000
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError("resolution must be >= 1")
+        # bool is a subclass of int, but true is not a resolution; nor is 2.5
+        if type(self.resolution) is not int or self.resolution < 1:
+            raise ValueError("resolution must be an integer >= 1")
 
     @property
     def values(self) -> np.ndarray:
@@ -153,9 +154,8 @@ def select_oce_crc(
     n = len(cal)
 
     def objective(block, ts):
-        risk = empirical_objective(block, cost, ts)
-        B = bound_B(cost, ts)
-        value = (n / (n + 1.0)) * risk + B / (n + 1.0)
+        B = bound_B(cost, ts)  # checks t before the objective can overflow
+        value = (n / (n + 1.0)) * empirical_objective(block, cost, ts) + B / (n + 1.0)
         return value, value <= spec.alpha
 
     return _scan(cal, opt, grid, cost, loss, fixed_t, objective, upward=True)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -88,13 +87,8 @@ class _Pool:
 
     def __init__(self, scores: np.ndarray, truth: np.ndarray):
         self.scores, self.truth = _frozen(scores), _frozen(truth)
+        self.sizes = _frozen(truth.sum(axis=1))
         self.counts = None
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        # summed on first use: a pool that is only generated and written
-        # never reads it
-        return _frozen(self.truth.sum(axis=1))
 
     def __setstate__(self, state):
         # unpickling (as a spawned worker does with the pool) makes arrays writable

@@ -138,8 +138,10 @@ def transformed_losses(cost: OceCost, t: float, losses: np.ndarray) -> np.ndarra
 
 def bound_B(cost: OceCost, t):
     """t + phi(LOSS_MAX - t), elementwise in t: dominates the transformed
-    loss on [0, LOSS_MAX]."""
+    loss on [0, LOSS_MAX]. Every t a selector tests is checked here."""
     t = np.asarray(t, dtype=np.float64)
+    if not ((t >= 0.0) & (t <= LOSS_MAX)).all():  # NaN fails too
+        raise ValueError("t must lie in [0, LOSS_MAX]")
     return t + phi(cost, LOSS_MAX - t)
 
 
@@ -166,7 +168,7 @@ def optimize_t(opt_losses: np.ndarray, cost: OceCost) -> float | np.ndarray:
     log stays a scalar `math.log` (`np.log` rounds differently)."""
     opt_losses = np.asarray(opt_losses, dtype=np.float64)
     if opt_losses.size == 0:
-        raise ValueError("opt losses must be nonempty")
+        raise ValueError("losses must be nonempty")
     rows = np.ascontiguousarray(np.atleast_2d(opt_losses.T))  # (k, n)
     k, n = rows.shape
     if cost.variant == "average":
@@ -197,8 +199,6 @@ def empirical_oce(losses: np.ndarray, cost: OceCost) -> tuple[float, float]:
     cvar:     t + mean(max(loss - t, 0)) / (1 - beta)
     """
     losses = np.asarray(losses, dtype=np.float64)
-    if losses.size == 0:
-        raise ValueError("losses must be nonempty")
     t = optimize_t(losses, cost)
     if cost.variant == "average":
         return float(np.mean(losses)), t

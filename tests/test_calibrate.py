@@ -25,7 +25,15 @@ from oce_rcps.datagen import (
     generate_dataset,
     split_dataset,
 )
-from oce_rcps.risk import LossKind, OceCost, empirical_objective, losses_at, optimize_t
+from oce_rcps.risk import (
+    LossKind,
+    OceCost,
+    bound_B,
+    empirical_objective,
+    empirical_oce,
+    losses_at,
+    optimize_t,
+)
 from oracles import closed_form_oce, golden_section_minimize, golden_section_t, oce_crc_scan, oce_rcps_scan
 
 FNR = LossKind("fnr")
@@ -75,8 +83,10 @@ def test_optimize_t_entropic_log_mean_exp():
 
 
 def test_optimize_t_empty_rejected():
-    with pytest.raises(ValueError):
-        optimize_t(np.array([]), OceCost.average())
+    # empirical_oce leaves the check to the optimize_t it calls first
+    for minimize in (optimize_t, empirical_oce):
+        with pytest.raises(ValueError, match="losses must be nonempty"):
+            minimize(np.array([]), OceCost.average())
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
@@ -512,6 +522,30 @@ def test_grid_values_include_endpoints():
     assert np.all(np.diff(grid.values) > 0)
     with pytest.raises(ValueError):
         LambdaGrid(0)
+
+
+@pytest.mark.parametrize("resolution", [2.5, 4.0, True, False, "10", None])
+def test_grid_resolution_must_be_an_int(resolution):
+    # LambdaGrid(2.5) would hold 1.2 and no 1; LambdaGrid(True) would be G = 1
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        LambdaGrid(resolution)
+
+
+@pytest.mark.parametrize("t", [math.nan, -1e-300, 1.0 + 2**-52, math.inf, -1.0])
+def test_both_selectors_reject_a_fixed_t_outside_the_loss_range(t):
+    # bound_B holds the rule, and every t either selector tests reaches it
+    # before any phi: at t = -1, entropic:800 would overflow exp first
+    cal = random_dataset(np.random.default_rng(61), 30)
+    spec, grid = ReliabilitySpec(0.5, 0.2), LambdaGrid(20)
+    bad = r"t must lie in \[0, LOSS_MAX\]"
+    for cost in (OceCost.average(), OceCost.cvar(0.9), OceCost.entropic(3), OceCost.entropic(800)):
+        with pytest.raises(ValueError, match=bad):
+            bound_B(cost, t)
+        with pytest.raises(ValueError, match=bad):
+            bound_B(cost, np.array([0.5, t]))
+        for select in (select_oce_crc, select_oce_rcps):
+            with pytest.raises(ValueError, match=bad):
+                select(cal, None, spec, grid, cost, FNR, fixed_t=t)
 
 
 def test_opt_split_required_unless_t_fixed():

@@ -332,11 +332,18 @@ def test_dataset_arrays_are_read_only(counted_pool):
     part = split_dataset(counted_pool, SplitSpec(20, 60, 40), seed=3)[0]
     copied = pickle.loads(pickle.dumps(part))
     assert same(losses_at(copied, FNR, GRID), losses_at(part, FNR, GRID))
-    for data in (counted_pool, part, copied):
+    # counted on another grid, a part becomes a pool of its own rows
+    repooled = split_dataset(counted_pool, SplitSpec(20, 60, 40), seed=3)[1]
+    count_pool(repooled, LambdaGrid(7).values)
+    assert repooled._rows is None and repooled._pool is not counted_pool._pool
+    for data in (counted_pool, part, repooled, copied):
         with pytest.raises(ValueError, match="read-only"):
             data.scores[0, 0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
             data.truth[0, 0] = True
+        with pytest.raises(ValueError, match="read-only"):
+            data.truth_sizes[0] = 0
+        assert same(data.truth_sizes, data.truth.sum(axis=1))
 
 
 def test_parts_selected_on_another_grid_keep_their_rows():
