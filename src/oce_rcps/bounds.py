@@ -24,8 +24,10 @@ exceeds 1/delta, so the decision walks the rows in chunks, 32 rows and
 then twice as many each time, and a column leaves the walk at the chunk
 where its capital crosses; a column that never crosses runs to the last
 row. Each chunk carries the running sums, the last sig2 and the capital
-product over from the one before it, and only the rows walked are
-transformed and mapped to [0, 1].
+product over from the one before it. The losses come from a reader, so
+only the rows walked are read (from the kept counts, for a scan),
+transformed and mapped to [0, 1]; the public functions read a checked
+array the same way.
 
 Bounds are computed for a block of k sample columns at once, one t per
 column. Inside, the samples are laid out as a (k, n) array, one
@@ -126,9 +128,9 @@ _FIRST_CHUNK = 32
 def _crossed(unit, cols: np.ndarray, n: int, R: np.ndarray, delta: float) -> np.ndarray:
     """Exactly capital_process(z, R, betting_fractions(z, delta)) > 1/delta
     for the (k, n) block z = unit(cols), one R per column, reading only the
-    rows it needs: `unit(cols, rows)` gives those rows of some columns. A
-    column leaves the walk at the chunk where its capital first exceeds
-    1/delta."""
+    rows it needs: `unit(cols, rows)` reads, transforms and maps those rows
+    of some columns, one chunk of rows per call. A column leaves the walk
+    at the chunk where its capital first exceeds 1/delta."""
     out = np.zeros(cols.size, dtype=bool)
     left = np.arange(cols.size)  # the columns still walking
     carry = tuple(np.full(cols.size, x) for x in _EMPTY)
@@ -209,20 +211,74 @@ _UCB = {"wsr": _wsr_ucb, "hoeffding": _hoeffding_ucb}
 BOUND_METHODS = tuple(_UCB)
 
 
-def _normalized(losses, cost: OceCost, t, delta: float, method: str):
-    """The checked inputs of a bound: the analytic range [lo, lo + span] of
-    each column's transformed loss, the indices of the live columns, where
-    span > 0, and `unit(cols, rows=all)`, the (len(cols), len(rows)) block
-    of those columns' transformed losses mapped to [0, 1].
+def _normalized(read, cost: OceCost, ts: np.ndarray, delta: float, method: str):
+    """The settings of a bound checked, and its losses mapped: the analytic
+    range [lo, lo + span] of each column's transformed loss, the indices of
+    the live columns, where span > 0, and `unit(cols, rows=all)`, the
+    (len(cols), len(rows)) block of those columns' transformed losses
+    mapped to [0, 1]. `read(rows, cols)` gives those rows and columns of
+    an (n, k) loss block in [0, LOSS_MAX], one column per t in ts, and
+    only the cells read are transformed.
 
     `bound_B` checks t. With every loss in [0, LOSS_MAX], it raises any
-    entropic OverflowError here, before a loss is transformed, so a walk
-    that maps only some rows cannot skip one."""
-    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    entropic OverflowError here, before a loss is read, so a walk that
+    reads only some rows cannot skip one."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if method not in _UCB:
         raise ValueError(f"unknown bound method: {method!r}")
+    B = bound_B(cost, ts)  # checks t before phi(cost, -t) can overflow
+    lo = ts + phi(cost, -ts)
+    span = B - lo
+
+    def unit(cols, rows=slice(None)):
+        tl = transformed_losses(cost, ts[cols, None], read(rows, cols).T)
+        return np.clip((tl - lo[cols, None]) / span[cols, None], 0.0, 1.0)
+
+    # where span <= 0 the transformed loss is the constant lo
+    return lo, span, np.flatnonzero(span > 0.0), unit
+
+
+def _ucb(read, cost: OceCost, ts: np.ndarray, delta: float, method: str) -> np.ndarray:
+    """The k bounds of the loss block that `read` reads (see `_normalized`)."""
+    lo, span, live, unit = _normalized(read, cost, ts, delta, method)
+    out = lo.copy()
+    out[live] = lo[live] + span[live] * _UCB[method](unit(live), delta)
+    return out
+
+
+def _ucb_at_most(read, n: int, cost: OceCost, ts: np.ndarray, delta: float, alpha: float,
+                 method: str) -> np.ndarray:
+    """Exactly `_ucb(read, cost, ts, delta, method) <= alpha` for the (n, k)
+    loss block that `read` reads (see `_normalized`). A Hoeffding decision
+    compares that bound, which reads every row. The losses' range is not
+    checked here: the public functions check their array, and a loss a
+    scan reads from the kept counts lies in [0, 1] by construction.
+
+    The WSR decision needs no bisection. With g the largest grid point
+    whose mapped value lo + span * g is <= alpha, the bound is <= alpha
+    exactly when the smallest rejected grid point is <= g: when g = 1, or
+    when g itself is rejected. This is exact in floating point, since both
+    the mapping and rejection are monotone in the grid point. No such g
+    means the bound, at least lo, exceeds alpha. Whether g is rejected is
+    decided by walking each column's capital at g up to the row where it
+    crosses 1/delta, reading only the rows walked."""
+    if method != "wsr":
+        return _ucb(read, cost, ts, delta, method) <= alpha
+    lo, span, live, unit = _normalized(read, cost, ts, delta, method)
+    out = lo <= alpha
+    k = _last_grid_point_at_most(lo[live], span[live], alpha)
+    test = (k >= 0.0) & (k < _STEPS)
+    out[live] = k == _STEPS
+    out[live[test]] = _crossed(unit, live[test], n, k[test] / _STEPS, delta)
+    return out
+
+
+def _array_reader(losses, t):
+    """The array input of the public bounds, checked: a reader of the (n, k)
+    loss block (see `_normalized`), n, and the k values of t. An (n,)
+    vector is the block with k = 1."""
+    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
     losses = np.asarray(losses, dtype=np.float64)
     if losses.size == 0:
         raise ValueError("losses must be nonempty")
@@ -231,16 +287,7 @@ def _normalized(losses, cost: OceCost, t, delta: float, method: str):
         raise ValueError("need one t per loss column")
     if not (block.min() >= 0.0 and block.max() <= LOSS_MAX):  # NaN fails too
         raise ValueError("losses must lie in [0, LOSS_MAX]")
-    B = bound_B(cost, ts)  # checks t before phi(cost, -t) can overflow
-    lo = ts + phi(cost, -ts)
-    span = B - lo
-
-    def unit(cols, rows=slice(None)):
-        tl = transformed_losses(cost, ts[cols, None], block[cols, rows])
-        return np.clip((tl - lo[cols, None]) / span[cols, None], 0.0, 1.0)
-
-    # where span <= 0 the transformed loss is the constant lo
-    return lo, span, np.flatnonzero(span > 0.0), unit
+    return (lambda rows, cols: block[cols, rows].T), block.shape[1], ts
 
 
 def oce_risk_ucb(
@@ -260,9 +307,8 @@ def oce_risk_ucb(
     range [t + phi(-t), t + phi(LOSS_MAX - t)], bounded there, and mapped
     back. Requires t in [0, LOSS_MAX] so the range is well ordered.
     """
-    lo, span, live, unit = _normalized(losses, cost, t, delta, method)
-    out = lo.copy()
-    out[live] = lo[live] + span[live] * _UCB[method](unit(live), delta)
+    read, _, ts = _array_reader(losses, t)
+    out = _ucb(read, cost, ts, delta, method)
     return out if np.ndim(losses) == 2 else float(out[0])
 
 
@@ -275,23 +321,8 @@ def oce_risk_ucb_at_most(
     method: str = "wsr",
 ) -> bool | np.ndarray:
     """Exactly `oce_risk_ucb(losses, cost, t, delta, method) <= alpha`, for
-    the same shapes. A Hoeffding decision compares that bound.
-
-    The WSR decision needs no bisection. With g the largest grid point
-    whose mapped value lo + span * g is <= alpha, the bound is <= alpha
-    exactly when the smallest rejected grid point is <= g: when g = 1, or
-    when g itself is rejected. This is exact in floating point, since both
-    the mapping and rejection are monotone in the grid point. No such g
-    means the bound, at least lo, exceeds alpha. Whether g is rejected is
-    decided by walking each column's capital at g up to the row where it
-    crosses 1/delta."""
-    if method != "wsr":
-        out = np.atleast_1d(oce_risk_ucb(losses, cost, t, delta, method)) <= alpha
-    else:
-        lo, span, live, unit = _normalized(losses, cost, t, delta, method)
-        out = lo <= alpha
-        k = _last_grid_point_at_most(lo[live], span[live], alpha)
-        test = (k >= 0.0) & (k < _STEPS)
-        out[live] = k == _STEPS
-        out[live[test]] = _crossed(unit, live[test], np.shape(losses)[0], k[test] / _STEPS, delta)
+    the same shapes and with the same input checks; the decision is
+    `_ucb_at_most`'s, on a reader of the checked array."""
+    read, n, ts = _array_reader(losses, t)
+    out = _ucb_at_most(read, n, cost, ts, delta, alpha, method)
     return out if np.ndim(losses) == 2 else bool(out[0])

@@ -11,8 +11,10 @@ first block holds _FIRST_BLOCK columns and each later one twice as many
 as the one before, up to _MAX_BLOCK, so a short scan stops in a narrow
 block and a long one makes few calls.
 RCPS-style scans decide each column with a one-pass test that is exactly
-"UCB <= alpha" and never compute the UCB itself; the outcome's `bounds()`
-computes it for the tested columns when they are written out.
+"UCB <= alpha" and never compute the UCB itself; the test reads each
+block's calibration losses from the kept counts one row chunk at a time,
+only up to the row where the column is decided. The outcome's `bounds()`
+computes the UCB for the tested columns when they are written out.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import oce_risk_ucb, oce_risk_ucb_at_most
+from .bounds import _ucb_at_most, oce_risk_ucb
 from .datagen import Dataset, count_pool
-from .risk import LossKind, OceCost, bound_B, empirical_objective, losses_at, optimize_t
+from .risk import LossKind, OceCost, bound_B, empirical_objective, loss_reader, losses_at, optimize_t
 
 # grid columns in a scan's first block and in its widest, and the trace
 # record of each tested column
@@ -101,9 +103,10 @@ def _blocks(m: int, upward: bool):
 def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward, ucb=None) -> CalibrationOutcome:
     """Test grid columns in the blocks of `_blocks`, upward to the
     first pass or downward to the first failure, reading each block's losses
-    as it is tested; `decide(block, ts)` maps an (n, k) calibration loss block
-    and its k values of t to the k bounds (or NaN) and the k pass flags. The
-    outcome keeps `ucb` for its `bounds()`."""
+    as it is tested; `decide(lams, ts)` maps a block's k grid values and
+    their k values of t to the k bounds (or NaN) and the k pass flags,
+    reading the calibration losses it needs. The outcome keeps `ucb` for
+    its `bounds()`."""
     if len(cal) == 0:
         raise ValueError("calibration set must be nonempty")
     if fixed_t is None and opt is None:
@@ -118,7 +121,7 @@ def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward, ucb=None) -> Cali
         block = np.empty(hi - lo, _TRACE)
         block["lam"] = cols = lams[lo:hi]
         block["t"] = fixed_t if fixed_t is not None else optimize_t(losses_at(opt, loss, cols), cost)
-        block["bound"], block["passed"] = decide(losses_at(cal, loss, cols), block["t"])
+        block["bound"], block["passed"] = decide(cols, block["t"])
         block = block if upward else block[::-1]
         stops = np.flatnonzero(block["passed"] == upward)
         tested.append(block[: stops[0] + 1] if stops.size else block)
@@ -153,7 +156,8 @@ def select_oce_crc(
     pass. Ignores spec.delta."""
     n = len(cal)
 
-    def objective(block, ts):
+    def objective(lams, ts):
+        block = losses_at(cal, loss, lams)
         B = bound_B(cost, ts)  # checks t before the objective can overflow
         value = (n / (n + 1.0)) * empirical_objective(block, cost, ts) + B / (n + 1.0)
         return value, value <= spec.alpha
@@ -175,10 +179,9 @@ def select_oce_rcps(
     there and at every larger grid threshold: downward scan, stop at the
     first failure. The trace's bounds are NaN; `bounds()` computes them."""
 
-    def ucb_at_most_alpha(block, ts):
-        return np.nan, oce_risk_ucb_at_most(
-            block, cost, ts, spec.delta, spec.alpha, method=bound_method
-        )
+    def ucb_at_most_alpha(lams, ts):
+        read = loss_reader(cal, loss, lams)
+        return np.nan, _ucb_at_most(read, len(cal), cost, ts, spec.delta, spec.alpha, bound_method)
 
     def ucb(lams, ts):
         return oce_risk_ucb(losses_at(cal, loss, lams), cost, ts, spec.delta, method=bound_method)

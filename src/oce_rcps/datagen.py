@@ -236,21 +236,37 @@ def _walk_counts(dataset: Dataset, lams) -> np.ndarray:
     return out
 
 
-def loss_counts(dataset: Dataset, lams) -> np.ndarray:
-    """How many truth scores of each example lie below the threshold 1 - lam:
-    an (len(dataset), len(lams)) matrix in `np.min_scalar_type(m)`.
+def count_reader(dataset: Dataset, lams):
+    """The `loss_counts` of the dataset at `lams`, read by rows: `read(rows)`
+    gives the (len(rows), len(lams)) counts of the dataset's rows `rows` (a
+    slice; all of them by default).
 
-    A dataset counted by `count_pool`, or split from one, reads its rows of a
-    column slice of the kept counts when the lams are a run of the counted
-    grid; any other lams are walked from its own truth scores.
+    A dataset counted by `count_pool`, or split from one, finds where the
+    lams lie in the counted grid once, and each read gathers only its rows
+    of that column slice of the kept counts; lams that are not a run of the
+    counted grid are walked from the dataset's own truth scores, once.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
+    table = None
     if dataset._counts is not None:
-        grid, table = dataset._counts
+        grid, kept = dataset._counts
         i = grid.searchsorted(lams[0]) if lams.size else 0
         if np.array_equal(grid[i:i + lams.size], lams):
-            return dataset._take(table[:, i:i + lams.size])
-    return _walk_counts(dataset, lams)
+            table, index = kept[:, i:i + lams.size], dataset._rows
+    if table is None:
+        table, index = _walk_counts(dataset, lams), None
+
+    def read(rows=slice(None)):
+        return table[rows] if index is None else _frozen(table[index[rows]])
+
+    return read
+
+
+def loss_counts(dataset: Dataset, lams) -> np.ndarray:
+    """How many truth scores of each example lie below the threshold 1 - lam:
+    an (len(dataset), len(lams)) matrix in `np.min_scalar_type(m)`, read
+    through `count_reader`."""
+    return count_reader(dataset, lams)()
 
 
 def count_pool(dataset: Dataset, lams) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import loss_counts
+from .datagen import count_reader
 
 LOSS_MAX = 1.0
 
@@ -211,23 +211,40 @@ def empirical_oce(losses: np.ndarray, cost: OceCost) -> tuple[float, float]:
 # Loss evaluation over threshold grids (the per-example reference these are
 # tested against lives in the test oracles).
 
-def losses_at(dataset, kind: LossKind, lams) -> np.ndarray:
-    """Loss matrix of shape (len(dataset), len(lams)) from the counts of
-    `datagen.loss_counts`: FNR is the count over |truth|, miscoverage is
-    min(count, 1)."""
+def loss_reader(dataset, kind: LossKind, lams):
+    """The losses of the dataset at `lams`, read by rows and columns:
+    `read(rows, cols)` gives the (len(rows), len(cols)) losses of the rows
+    `rows` (a slice) and the columns `cols` of the (len(dataset), len(lams))
+    loss matrix, both all by default, from the counts of
+    `datagen.count_reader`: FNR is the count over |truth|, miscoverage is
+    min(count, 1). Only the cells read are converted. The FNR check covers
+    every row, before any is read, and a count-derived loss lies in
+    [0, LOSS_MAX] by construction (count <= |truth|)."""
     sizes = dataset.truth_sizes
-    if kind.variant == "fnr" and not sizes.all():
+    fnr = kind.variant == "fnr"
+    if fnr and not sizes.all():
         raise ValueError("FNR loss needs a nonempty truth set")
-    counts = loss_counts(dataset, lams)
-    # built as (len(lams), n) and returned transposed: column-major, so each
-    # column (as the selectors read them) is contiguous
-    out = np.empty(counts.shape[::-1])
-    out[...] = counts.T
-    if kind.variant == "fnr":
-        out /= sizes
-    else:
-        np.minimum(out, 1.0, out=out)
-    return out.T
+    counts = count_reader(dataset, lams)
+
+    def read(rows=slice(None), cols=slice(None)):
+        block = counts(rows)[:, cols]
+        # built as (len(cols), len(rows)) and returned transposed:
+        # column-major, so each column (as the selectors read them) is contiguous
+        out = np.empty(block.shape[::-1])
+        out[...] = block.T
+        if fnr:
+            out /= sizes[rows]
+        else:
+            np.minimum(out, 1.0, out=out)
+        return out.T
+
+    return read
+
+
+def losses_at(dataset, kind: LossKind, lams) -> np.ndarray:
+    """Loss matrix of shape (len(dataset), len(lams)): every row and column
+    of `loss_reader`."""
+    return loss_reader(dataset, kind, lams)()
 
 
 def relative_set_sizes(dataset, lam: float) -> np.ndarray:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oce_rcps import calibrate
-from oce_rcps.bounds import oce_risk_ucb
+from oce_rcps import calibrate, risk
+from oce_rcps.bounds import _ucb_at_most, oce_risk_ucb, oce_risk_ucb_at_most
 from oce_rcps.calibrate import (
     _MAX_BLOCK,
     LambdaGrid,
@@ -23,6 +23,7 @@ from oce_rcps.datagen import (
     SplitSpec,
     count_pool,
     generate_dataset,
+    loss_counts,
     split_dataset,
 )
 from oce_rcps.risk import (
@@ -31,6 +32,7 @@ from oce_rcps.risk import (
     bound_B,
     empirical_objective,
     empirical_oce,
+    loss_reader,
     losses_at,
     optimize_t,
 )
@@ -587,3 +589,122 @@ def test_scan_holds_loss_blocks_not_the_whole_grid(counted_parts, method):
     block, matrix = (len(cal) * cols * 8 for cols in (_MAX_BLOCK, grid.resolution + 1))
     assert len(out.trace) > 4 * _MAX_BLOCK  # the scan crosses several of the widest blocks
     assert peak < 5 * block < matrix / 3
+
+
+# ---------------------------------------------------------------- count reads
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 130),
+    m=st.sampled_from([1, 5, 300]),  # 300 elements: uint16 counts
+    G=st.integers(1, 40),
+    kind=st.sampled_from([FNR, MISS]),
+    cost=st.sampled_from([
+        OceCost.average(), OceCost.entropic(3), OceCost.entropic(1e-6),
+        OceCost.entropic(800), OceCost.cvar(0.0), OceCost.cvar(0.9),
+    ]),
+    delta=st.sampled_from([1e-9, 0.05, 0.2, 0.9]),
+    alpha=st.floats(0.0, 1.2),
+    method=st.sampled_from(["wsr", "hoeffding"]),
+    part=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_count_reader_decides_as_the_converted_block(n, m, G, kind, cost, delta, alpha, method, part, seed):
+    # the decision the scan makes from the kept counts, read a row chunk at
+    # a time, equals the public decision on the block losses_at converts
+    rng = np.random.default_rng(seed)
+    size = 2 * n if part else n
+    scores = rng.integers(0, 2 * G + 1, size=(size, m)) / (2 * G)  # ties with the thresholds
+    truth = rng.uniform(size=(size, m)) < rng.uniform(0.1, 0.9)
+    if kind is FNR:
+        truth[np.arange(size), rng.integers(0, m, size=size)] = True
+    pool = Dataset(scores, truth)
+    grid = LambdaGrid(G).values
+    count_pool(pool, grid)
+    data = split_dataset(pool, SplitSpec(n, n, 0), seed)[1] if part else pool
+    lo = int(rng.integers(0, G + 1))
+    lams = grid[lo:int(rng.integers(lo + 1, G + 2))]
+    ts = rng.choice([0.0, 1.0, rng.uniform()], size=lams.size)
+    block = losses_at(data, kind, lams)
+    assert block.shape == (n, lams.size) and loss_counts(data, lams).dtype == np.min_scalar_type(m)
+    read, reads = loss_reader(data, kind, lams), []
+
+    def recorded(rows, cols):
+        reads.append((rows, cols))
+        return read(rows, cols)
+
+    try:
+        want = oce_risk_ucb_at_most(block, cost, ts, delta, alpha, method=method)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _ucb_at_most(recorded, n, cost, ts, delta, alpha, method)
+        assert reads == []  # raised before any row was read
+        return
+    got = _ucb_at_most(recorded, n, cost, ts, delta, alpha, method)
+    assert got.tolist() == want.tolist()
+    for rows, cols in reads:
+        assert np.array_equal(read(rows, cols), block[rows][:, cols])
+
+
+def zero_loss_pool(n, empty_row=None):
+    """n three-element examples whose truth element scores 1, so every
+    loss is 0 at every threshold and every column's capital crosses in the
+    walk's first chunk; the truth of `empty_row` is empty."""
+    scores = np.tile([1.0, 0.2, 0.1], (n, 1))
+    truth = np.zeros((n, 3), dtype=bool)
+    truth[:, 0] = True
+    if empty_row is not None:
+        truth[empty_row] = False
+    return Dataset(scores, truth)
+
+
+def recorded_count_reads(monkeypatch):
+    """The row ranges each count reader the risk layer makes reads, one
+    list per reader."""
+    readers, real = [], risk.count_reader
+
+    def count_reader(dataset, lams):
+        read, reads = real(dataset, lams), []
+        readers.append(reads)
+
+        def recorded(rows=slice(None)):
+            reads.append(range(len(dataset))[rows])
+            return read(rows)
+
+        return recorded
+
+    monkeypatch.setattr(risk, "count_reader", count_reader)
+    return readers
+
+
+SCAN_SELECTORS = {
+    "rcps": lambda cal, spec, grid, loss: select_rcps(cal, spec, grid, loss),
+    "oce-rcps": lambda cal, spec, grid, loss: select_oce_rcps(
+        cal, None, spec, grid, OceCost.cvar(0.5), loss, fixed_t=0.0),
+}
+
+
+@pytest.mark.parametrize("method", sorted(SCAN_SELECTORS))
+@pytest.mark.parametrize("part", [False, True])
+def test_scan_reads_only_the_count_rows_its_walk_needs(monkeypatch, method, part):
+    # every tested column crosses in its first chunk, so the scan reads rows
+    # 0..31 of each block and converts none of the others
+    pool, grid = zero_loss_pool(200), LambdaGrid(100)
+    count_pool(pool, grid.values)
+    cal = split_dataset(pool, SplitSpec(0, 100, 0), seed=4)[1] if part else pool
+    readers = recorded_count_reads(monkeypatch)
+    out = SCAN_SELECTORS[method](cal, ReliabilitySpec(0.4, 0.2), grid, FNR)
+    assert out.lambda_hat == 0.0 and len(out.trace) == grid.resolution + 1
+    assert readers == [[range(32)]] * len(list(_blocks(grid.resolution + 1, upward=False)))
+
+
+@pytest.mark.parametrize("method", sorted(SCAN_SELECTORS))
+@pytest.mark.parametrize("empty_row", [32, 99])
+def test_fnr_empty_truth_past_the_first_chunk_is_rejected(method, empty_row):
+    # the walk reads only rows 0..31 here (see above), but the FNR check
+    # covers every row of the part before any column is decided
+    cal = zero_loss_pool(100, empty_row)
+    with pytest.raises(ValueError, match="FNR loss needs a nonempty truth set"):
+        SCAN_SELECTORS[method](cal, ReliabilitySpec(0.4, 0.2), LambdaGrid(100), FNR)
+    # miscoverage is defined on an empty truth set, and reads as before
+    assert SCAN_SELECTORS[method](cal, ReliabilitySpec(0.4, 0.2), LambdaGrid(100), MISS).lambda_hat == 0.0

@@ -531,6 +531,27 @@ def test_evaluate_empty_truth_relative_size(tmp_path, capsys):
     assert run([*base, "--loss", "fnr"]) == 3
 
 
+@pytest.mark.parametrize("method", [
+    ["--method", "rcps", "--risk", "average"],
+    ["--method", "oce-rcps", "--risk", "cvar:0.5", "--t-mode", "fixed:0"],
+])
+def test_calibrate_fnr_empty_truth_past_the_first_chunk_is_data_error(tmp_path, method):
+    # every loss is 0, so the walk reads only the first 32 calibration rows;
+    # the one empty truth set lands after them and is still rejected
+    n, empty = 100, 7
+    lines = ['{"format":"oce-rcps-dataset","version":1,"m":3,"count":%d}\n' % n]
+    lines += ['{"scores":[1,0.2,0.1],"truth":[%s]}\n' % ("" if i == empty else "0") for i in range(n)]
+    data = tmp_path / "late_empty_truth.jsonl"
+    data.write_text("".join(lines))
+    seed = next(s for s in range(100)
+                if list(datagen.split_dataset(read_dataset_path(data), datagen.SplitSpec(0, n, 0), s)[1]
+                        .truth.any(axis=1)).index(False) >= 32)
+    base = ["calibrate", *method, "--alpha", "0.4", "--delta", "0.2", "--grid", "100", "--data", data,
+            "--opt-size", "0", "--cal-size", n, "--seed", seed, "--output-dir", tmp_path / "out"]
+    assert run([*base, "--loss", "fnr"]) == 3
+    assert run([*base, "--loss", "miscoverage"]) == 0
+
+
 @pytest.mark.parametrize("flags", [
     ["--lambda", "nan"],
     ["--lambda", "1.5"],
