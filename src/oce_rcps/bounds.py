@@ -24,20 +24,20 @@ exceeds 1/delta, so the decision walks the rows in chunks, 32 rows and
 then twice as many each time, and a column leaves the walk at the chunk
 where its capital crosses; a column that never crosses runs to the last
 row. Each chunk carries the running sums, the last sig2 and the capital
-product over from the one before it. The losses come from a reader, so
-only the rows walked are read (from the kept counts, for a scan),
-transformed and mapped to [0, 1]; the public functions read a checked
-array the same way.
+product over from the one before it. The losses come from a reader,
+`read(cols, rows)`, so only the rows walked are read (from the kept
+counts, for a scan), transformed and mapped to [0, 1]; the public
+functions read a checked array the same way.
 
 Bounds are computed for a block of k sample columns at once, one t per
-column. Inside, the samples are laid out as a (k, n) array, one
-contiguous row per column, so the betting fractions, the capital process
-and each bisection halving are one cumulative pass along the sample axis
-for all k columns. A single sample vector is the block with k = 1. The
-arithmetic of each column is the same as for that column alone, and the
-same in a chunked walk as in one pass: cumulative sums and products
-along an axis are sequential, and a chunk's accumulation started from its
-carry repeats the whole pass's operations in the same order.
+column. Every reader returns the (k, n) layout, one contiguous row per
+column, so the betting fractions, the capital process and each bisection
+halving are one cumulative pass along the sample axis for all k columns.
+A single sample vector is the block with k = 1. The arithmetic of each
+column is the same as for that column alone, and the same in a chunked
+walk as in one pass: cumulative sums and products along an axis are
+sequential, and a chunk's accumulation started from its carry repeats
+the whole pass's operations in the same order.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .risk import LOSS_MAX, OceCost, bound_B, phi, transformed_losses
+from .risk import LOSS_MAX, OceCost, _loss_rows, bound_B, phi, transformed_losses
 
 
 def _accumulate(op, first, x: np.ndarray) -> np.ndarray:
@@ -214,11 +214,11 @@ BOUND_METHODS = tuple(_UCB)
 def _normalized(read, cost: OceCost, ts: np.ndarray, delta: float, method: str):
     """The settings of a bound checked, and its losses mapped: the analytic
     range [lo, lo + span] of each column's transformed loss, the indices of
-    the live columns, where span > 0, and `unit(cols, rows=all)`, the
-    (len(cols), len(rows)) block of those columns' transformed losses
-    mapped to [0, 1]. `read(rows, cols)` gives those rows and columns of
-    an (n, k) loss block in [0, LOSS_MAX], one column per t in ts, and
-    only the cells read are transformed.
+    the live columns, where span > 0, and `unit(cols, rows=all)`, those
+    columns' rows of transformed losses mapped to [0, 1]. `read(cols,
+    rows)` gives the (len(cols), len(rows)) rows of a loss block in [0,
+    LOSS_MAX], one column per t in ts, and only the cells read are
+    transformed.
 
     `bound_B` checks t. With every loss in [0, LOSS_MAX], it raises any
     entropic OverflowError here, before a loss is read, so a walk that
@@ -232,7 +232,7 @@ def _normalized(read, cost: OceCost, ts: np.ndarray, delta: float, method: str):
     span = B - lo
 
     def unit(cols, rows=slice(None)):
-        tl = transformed_losses(cost, ts[cols, None], read(rows, cols).T)
+        tl = transformed_losses(cost, ts[cols, None], read(cols, rows))
         return np.clip((tl - lo[cols, None]) / span[cols, None], 0.0, 1.0)
 
     # where span <= 0 the transformed loss is the constant lo
@@ -275,19 +275,15 @@ def _ucb_at_most(read, n: int, cost: OceCost, ts: np.ndarray, delta: float, alph
 
 
 def _array_reader(losses, t):
-    """The array input of the public bounds, checked: a reader of the (n, k)
-    loss block (see `_normalized`), n, and the k values of t. An (n,)
-    vector is the block with k = 1."""
+    """The array input of the public bounds, checked: a reader of its
+    `_loss_rows` rows (see `_normalized`), n, and the k values of t."""
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.size == 0:
-        raise ValueError("losses must be nonempty")
-    block = np.atleast_2d(losses.T)  # (k, n)
+    block = _loss_rows(losses)
     if ts.shape != block.shape[:1]:
         raise ValueError("need one t per loss column")
     if not (block.min() >= 0.0 and block.max() <= LOSS_MAX):  # NaN fails too
         raise ValueError("losses must lie in [0, LOSS_MAX]")
-    return (lambda rows, cols: block[cols, rows].T), block.shape[1], ts
+    return (lambda cols, rows: block[cols, rows]), block.shape[1], ts
 
 
 def oce_risk_ucb(

@@ -145,17 +145,23 @@ def bound_B(cost: OceCost, t):
     return t + phi(cost, LOSS_MAX - t)
 
 
+def _loss_rows(losses) -> np.ndarray:
+    """A public (n,) vector or (n, k) block of losses as (k, n) float64
+    rows, one contiguous row per column; a vector is the block with k = 1."""
+    losses = np.asarray(losses, dtype=np.float64)
+    if losses.size == 0:
+        raise ValueError("losses must be nonempty")
+    return np.ascontiguousarray(np.atleast_2d(losses.T))
+
+
 def empirical_objective(losses: np.ndarray, cost: OceCost, t) -> float | np.ndarray:
     """t + mean phi(loss_i - t), convex in t: a float for an (n,) vector and
     a scalar t, k values for an (n, k) block with one t per column. A vector
     is the block with k = 1; block means run along contiguous rows, bit-equal
     to each column's own mean."""
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.size == 0:
-        raise ValueError("losses must be nonempty")
-    rows = np.ascontiguousarray(np.atleast_2d(losses.T))  # (k, n)
+    rows = _loss_rows(losses)
     out = transformed_losses(cost, np.atleast_1d(t)[:, None], rows).mean(axis=1)
-    return out if losses.ndim == 2 else float(out[0])
+    return out if np.ndim(losses) == 2 else float(out[0])
 
 
 def optimize_t(opt_losses: np.ndarray, cost: OceCost) -> float | np.ndarray:
@@ -166,10 +172,7 @@ def optimize_t(opt_losses: np.ndarray, cost: OceCost) -> float | np.ndarray:
     the block is laid out as contiguous (k, n) rows, so each row's
     partition, max and mean run as for the column alone, and the entropic
     log stays a scalar `math.log` (`np.log` rounds differently)."""
-    opt_losses = np.asarray(opt_losses, dtype=np.float64)
-    if opt_losses.size == 0:
-        raise ValueError("losses must be nonempty")
-    rows = np.ascontiguousarray(np.atleast_2d(opt_losses.T))  # (k, n)
+    rows = _loss_rows(opt_losses)
     k, n = rows.shape
     if cost.variant == "average":
         ts = np.zeros(k)
@@ -188,7 +191,7 @@ def optimize_t(opt_losses: np.ndarray, cost: OceCost) -> float | np.ndarray:
             # mean and the mean + beta * (max - min)^2 / 8 (Hoeffding's lemma).
             log, mean = math.log1p, np.expm1(beta * (rows - hi[:, None])).mean(axis=1)
         ts = np.array([h + log(x) / beta for h, x in zip(hi.tolist(), mean.tolist())])
-    return ts if opt_losses.ndim == 2 else float(ts[0])
+    return ts if np.ndim(opt_losses) == 2 else float(ts[0])
 
 
 def empirical_oce(losses: np.ndarray, cost: OceCost) -> tuple[float, float]:
@@ -212,39 +215,36 @@ def empirical_oce(losses: np.ndarray, cost: OceCost) -> tuple[float, float]:
 # tested against lives in the test oracles).
 
 def loss_reader(dataset, kind: LossKind, lams):
-    """The losses of the dataset at `lams`, read by rows and columns:
-    `read(rows, cols)` gives the (len(rows), len(cols)) losses of the rows
-    `rows` (a slice) and the columns `cols` of the (len(dataset), len(lams))
-    loss matrix, both all by default, from the counts of
-    `datagen.count_reader`: FNR is the count over |truth|, miscoverage is
-    min(count, 1). Only the cells read are converted. The FNR check covers
-    every row, before any is read, and a count-derived loss lies in
-    [0, LOSS_MAX] by construction (count <= |truth|)."""
+    """The losses of the dataset at `lams`, read as rows, one per lam:
+    `read(cols, rows)` gives the C-contiguous (len(cols), len(rows)) float64
+    losses of the columns `cols` and the rows `rows` (a slice) of the
+    (len(dataset), len(lams)) loss matrix, both all by default, from the
+    counts of `datagen.count_reader`: FNR is the count over |truth|,
+    miscoverage is min(count, 1). Only the cells read are converted. The
+    FNR check covers every row, before any is read, and a count-derived
+    loss lies in [0, LOSS_MAX] by construction (count <= |truth|)."""
     sizes = dataset.truth_sizes
     fnr = kind.variant == "fnr"
     if fnr and not sizes.all():
         raise ValueError("FNR loss needs a nonempty truth set")
     counts = count_reader(dataset, lams)
 
-    def read(rows=slice(None), cols=slice(None)):
-        block = counts(rows)[:, cols]
-        # built as (len(cols), len(rows)) and returned transposed:
-        # column-major, so each column (as the selectors read them) is contiguous
-        out = np.empty(block.shape[::-1])
-        out[...] = block.T
+    def read(cols=slice(None), rows=slice(None)):
+        out = np.ascontiguousarray(counts(rows)[:, cols].T, dtype=np.float64)
         if fnr:
             out /= sizes[rows]
         else:
             np.minimum(out, 1.0, out=out)
-        return out.T
+        return out
 
     return read
 
 
 def losses_at(dataset, kind: LossKind, lams) -> np.ndarray:
-    """Loss matrix of shape (len(dataset), len(lams)): every row and column
-    of `loss_reader`."""
-    return loss_reader(dataset, kind, lams)()
+    """Loss matrix of shape (len(dataset), len(lams)): the transpose of
+    every row and column that `loss_reader` reads, so each column is
+    contiguous."""
+    return loss_reader(dataset, kind, lams)().T
 
 
 def relative_set_sizes(dataset, lam: float) -> np.ndarray:

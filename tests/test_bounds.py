@@ -203,6 +203,24 @@ def test_oce_risk_ucb_block_needs_one_t_per_column():
         oce_risk_ucb(np.zeros((5, 3)), OceCost.average(), np.array([0.0, 0.5, 1.5]), 0.1)
 
 
+@pytest.mark.parametrize("bound", [
+    lambda losses, t: oce_risk_ucb(losses, OceCost.cvar(0.5), t, 0.1),
+    lambda losses, t: oce_risk_ucb_at_most(losses, OceCost.cvar(0.5), t, 0.1, 0.3),
+], ids=["ucb", "ucb_at_most"])
+def test_oce_risk_ucb_input_checks_run_in_order(bound):
+    # empty losses, then one t per column, then the losses' range, then t's
+    bad = np.full((5, 3), math.nan)
+    for losses in (np.empty(0), np.empty((0, 3)), np.empty((5, 0))):
+        with pytest.raises(ValueError, match="losses must be nonempty"):
+            bound(losses, np.full(2, 1.5))
+    with pytest.raises(ValueError, match="need one t per loss column"):
+        bound(bad, np.full(2, 1.5))
+    with pytest.raises(ValueError, match=r"losses must lie in \[0, LOSS_MAX\]"):
+        bound(bad, np.full(3, 1.5))
+    with pytest.raises(ValueError, match=r"t must lie in \[0, LOSS_MAX\]"):
+        bound(np.zeros((5, 3)), np.full(3, 1.5))
+
+
 COSTS = [OceCost.average(), OceCost.cvar(0.5), OceCost.cvar(0.9), OceCost.entropic(1),
          OceCost.entropic(3)]
 # "top" keeps random samples but takes t = LOSS_MAX, where cvar's range is constant

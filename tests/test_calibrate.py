@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oce_rcps import calibrate, risk
-from oce_rcps.bounds import _ucb_at_most, oce_risk_ucb, oce_risk_ucb_at_most
+from oce_rcps.bounds import _array_reader, _ucb_at_most, oce_risk_ucb, oce_risk_ucb_at_most
 from oce_rcps.calibrate import (
     _MAX_BLOCK,
     LambdaGrid,
@@ -94,7 +94,7 @@ def test_optimize_t_empty_rejected():
 @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
 @pytest.mark.parametrize("cost", [OceCost.average(), OceCost.cvar(0.5), OceCost.entropic(3)])
 def test_optimize_t_empty_block_rejected(shape, cost):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="losses must be nonempty"):
         optimize_t(np.empty(shape), cost)
 
 
@@ -627,11 +627,12 @@ def test_count_reader_decides_as_the_converted_block(n, m, G, kind, cost, delta,
     ts = rng.choice([0.0, 1.0, rng.uniform()], size=lams.size)
     block = losses_at(data, kind, lams)
     assert block.shape == (n, lams.size) and loss_counts(data, lams).dtype == np.min_scalar_type(m)
+    assert block.dtype == np.float64 and block.flags.f_contiguous  # each column contiguous
     read, reads = loss_reader(data, kind, lams), []
 
-    def recorded(rows, cols):
-        reads.append((rows, cols))
-        return read(rows, cols)
+    def recorded(cols, rows):
+        reads.append((cols, rows))
+        return read(cols, rows)
 
     try:
         want = oce_risk_ucb_at_most(block, cost, ts, delta, alpha, method=method)
@@ -642,8 +643,14 @@ def test_count_reader_decides_as_the_converted_block(n, m, G, kind, cost, delta,
         return
     got = _ucb_at_most(recorded, n, cost, ts, delta, alpha, method)
     assert got.tolist() == want.tolist()
-    for rows, cols in reads:
-        assert np.array_equal(read(rows, cols), block[rows][:, cols])
+    # every read is C-contiguous float64 rows, one per column, and so is
+    # the array reader's read of the converted block
+    array_read = _array_reader(block, ts)[0]
+    for cols, rows in reads:
+        want_rows = block.T[cols][:, rows]
+        for rows_read in (read(cols, rows), array_read(cols, rows)):
+            assert rows_read.flags.c_contiguous and rows_read.dtype == np.float64
+            assert rows_read.shape == want_rows.shape and np.array_equal(rows_read, want_rows)
 
 
 def zero_loss_pool(n, empty_row=None):

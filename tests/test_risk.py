@@ -483,6 +483,10 @@ def test_empirical_objective_examples():
 def test_empirical_objective_empty_rejected():
     with pytest.raises(ValueError):
         empirical_objective([], OceCost.average(), 0.0)
+    # before t is read: an empty block with too few t, or a t out of range
+    for losses in (np.empty((0, 3)), np.empty((5, 0))):
+        with pytest.raises(ValueError, match="losses must be nonempty"):
+            empirical_objective(losses, OceCost.cvar(0.5), np.full(2, 1.5))
     with pytest.raises(ValueError):
         empirical_oce([], OceCost.average())
 
