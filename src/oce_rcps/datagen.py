@@ -12,9 +12,10 @@ draw order (difficulty, membership attempts, then one uniform per element
 for scores), so generation is reproducible and parallelizable per example.
 
 A split part is a row view: it holds its row indices into the pool it was
-split from, which keeps the checked arrays, each row's |truth| and the
-loss counts `count_pool` takes, so a Monte Carlo trial neither copies nor
-re-checks the rows of its parts.
+split from, which keeps the checked arrays, each row's |truth|, the loss
+counts `count_pool` takes and the member counts `member_counts` takes on
+that grid, so a Monte Carlo trial neither copies nor re-checks the rows
+of its parts, nor reads their scores.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .rng import beta_inverse_cdf, mix64, shuffle, uniforms
+from .rng import beta_inverse_cdf, mix64, permutation, uniforms
 
 _MAX_MEMBERSHIP_ATTEMPTS = 10_000
 
@@ -81,19 +82,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 class _Pool:
     """The validated rows that datasets view: the (n, m) scores and truth
-    mask, each row's |truth|, and the loss counts kept for the rows on one
-    grid, as (grid, table), or None. Every array is read-only, so counts
-    kept for the rows cannot go stale."""
+    mask, each row's |truth|, the loss counts kept for the rows on one
+    grid, as (grid, table), or None, and the member counts of every row at
+    the points of that grid that `member_counts` was asked for, by grid
+    index. Every array is read-only, so counts kept for the rows cannot go
+    stale."""
 
     def __init__(self, scores: np.ndarray, truth: np.ndarray):
         self.scores, self.truth = _frozen(scores), _frozen(truth)
         self.sizes = _frozen(truth.sum(axis=1))
-        self.counts = None
+        self.counts, self.members = None, {}
 
     def __setstate__(self, state):
         # unpickling (as a spawned worker does with the pool) makes arrays writable
         self.__dict__.update(state)
-        for arr in (*state.values(), *(self.counts or ())):
+        for arr in (*state.values(), *(self.counts or ()), *self.members.values()):
             if isinstance(arr, np.ndarray):
                 _frozen(arr)
 
@@ -206,9 +209,7 @@ def split_dataset(data: Dataset, split: SplitSpec, seed: int):
     n = len(data)
     if split.total > n:
         raise ValueError(f"split sizes total {split.total} exceed dataset size {n}")
-    indices = list(range(n))
-    shuffle(indices, seed)
-    order = np.array(indices, dtype=np.intp)  # integer indices even for an empty dataset
+    order = permutation(n, seed)
     rows = order if data._rows is None else data._rows[order]
     a, b, c = split.opt_size, split.opt_size + split.cal_size, split.total
     return tuple(Dataset._view(data._pool, rows[i:j]) for i, j in ((0, a), (a, b), (b, c)))
@@ -269,6 +270,28 @@ def loss_counts(dataset: Dataset, lams) -> np.ndarray:
     return count_reader(dataset, lams)()
 
 
+def member_counts(dataset: Dataset, lam: float) -> np.ndarray:
+    """How many scores of each example are at least 1 - lam, the size of
+    its prediction set at lam.
+
+    When the dataset's pool is counted and lam is a point of its grid, the
+    pool counts every one of its rows at lam once, the first time any
+    dataset of it asks, and keeps that column in `np.min_scalar_type(m)`;
+    each later read gathers only the dataset's rows of it. Any other lam,
+    or a dataset of an uncounted pool, counts the dataset's own scores and
+    keeps nothing."""
+    pool = dataset._pool
+    if pool.counts is not None:
+        grid = pool.counts[0]
+        k = int(grid.searchsorted(lam))
+        if k < grid.size and grid[k] == lam:
+            if k not in pool.members:
+                members = np.count_nonzero(pool.scores >= 1.0 - lam, axis=1)
+                pool.members[k] = _frozen(members.astype(np.min_scalar_type(dataset.m)))
+            return dataset._take(pool.members[k])
+    return np.count_nonzero(dataset.scores >= 1.0 - lam, axis=1)
+
+
 def count_pool(dataset: Dataset, lams) -> None:
     """Count the dataset's losses on the strictly increasing grid `lams` (as
     `LambdaGrid.values`; any other raises ValueError) once and keep the
@@ -287,6 +310,7 @@ def count_pool(dataset: Dataset, lams) -> None:
         dataset._pool, dataset._rows = _Pool(dataset.scores, dataset.truth), None
     table = np.ascontiguousarray(_walk_counts(dataset, lams))  # rows contiguous
     dataset._pool.counts = (_frozen(lams.copy()), _frozen(table))
+    dataset._pool.members = {}  # kept at points of the grid just replaced
 
 
 def write_dataset(data: Dataset, fp) -> None:

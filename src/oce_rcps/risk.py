@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import count_reader
+from .datagen import count_reader, member_counts
 
 LOSS_MAX = 1.0
 
@@ -248,7 +248,7 @@ def losses_at(dataset, kind: LossKind, lams) -> np.ndarray:
 
 
 def relative_set_sizes(dataset, lam: float) -> np.ndarray:
-    """|prediction set| / max(|truth|, 1) per example at a single threshold;
-    an empty truth set counts as 1, so its relative size is the set size."""
-    members = np.count_nonzero(dataset.scores >= 1.0 - lam, axis=1)
-    return members / np.maximum(dataset.truth_sizes, 1)
+    """|prediction set| / max(|truth|, 1) per example at a single threshold,
+    from `datagen.member_counts`; an empty truth set counts as 1, so its
+    relative size is the set size."""
+    return member_counts(dataset, lam) / np.maximum(dataset.truth_sizes, 1)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oce_rcps import calibrate, harness
+from oce_rcps import calibrate, harness, rng
 from oce_rcps.datagen import GeneratorParams, SplitSpec, generate_dataset, split_dataset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -55,6 +55,13 @@ def test_pool_arrays_match_dataset(bench, pool):
     scores, truth = checks.pool_arrays(pool.examples, pool.m)
     assert np.array_equal(scores, pool.scores)
     assert np.array_equal(truth, pool.truth)
+
+
+@pytest.mark.parametrize("n, seed", [(0, 1), (1, 2), (2, 3), (60, 2**64 - 1), (300, 7), (1781, 20240501)])
+def test_bench_shuffle_matches_permutation(bench, n, seed):
+    # the reference redoes each trial's split with its own Fisher-Yates loop
+    checks, _, _ = bench
+    assert checks.permutation(n, seed) == rng.permutation(n, seed).tolist()
 
 
 def test_calibrate_once_matches_harness_select(bench, pool):

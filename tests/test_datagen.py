@@ -1,5 +1,6 @@
 import ast
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -20,7 +21,7 @@ from oce_rcps.datagen import (
     split_dataset,
     write_dataset,
 )
-from oce_rcps.rng import draws, mix64, shuffle, uniforms
+from oce_rcps.rng import draws, mix64, permutation, uniforms
 from oracles import SplitMix64, generate_example
 
 # below 0 and at or above 2^63 included: seeds are taken mod 2^64
@@ -120,8 +121,7 @@ def test_split_seed_changes_partition():
 
 def test_split_keeps_the_shuffle_permutation():
     data = generate_dataset(GeneratorParams(m=5), 60, seed=3)
-    order = list(range(60))
-    shuffle(order, 9)
+    order = permutation(60, 9).tolist()
     parts = split_dataset(data, SplitSpec(10, 30, 20), seed=9)
     assert [i for part in parts for i in pool_rows(data, part)] == order
 
@@ -410,8 +410,7 @@ def test_splitmix_floats_in_unit_interval():
 
 
 def test_shuffle_is_permutation():
-    items = list(range(100))
-    shuffle(items, 7)
+    items = permutation(100, 7).tolist()
     assert sorted(items) == list(range(100))
     assert items != list(range(100))
 
@@ -430,10 +429,42 @@ def test_draws_match_sequential_stream(seed, skip, count):
 @settings(deadline=None)
 @given(SEEDS, st.integers(0, 80))
 def test_shuffle_matches_sequential_stream(seed, n):
-    items, expected = list(range(n)), list(range(n))
-    shuffle(items, seed)
+    expected = list(range(n))
     SplitMix64(seed).shuffle(expected)
-    assert items == expected
+    order = permutation(n, seed)
+    assert order.dtype == np.intp and order.tolist() == expected
+
+
+def swapped_in_turn(targets: list) -> list:
+    """The sequential swap loop the shuffle applies its targets with."""
+    items = list(range(len(targets)))
+    for i in range(len(targets) - 1, 0, -1):
+        j = targets[i]
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+@st.composite
+def swap_targets(draw):
+    """Valid targets, 0 <= t[i] <= i."""
+    return [draw(st.integers(0, i)) for i in range(draw(st.integers(0, 120)))]
+
+
+@settings(deadline=None)
+@given(swap_targets())
+@example([0] * 300)  # every step targets position 0
+@example(list(range(300)))  # every step swaps with itself
+@example([max(i - 1, 0) for i in range(300)])  # one chain through every step
+def test_loop_free_swaps_match_the_swap_loop(targets):
+    order = rng._swapped(np.array(targets, dtype=np.intp))
+    assert order.dtype == np.intp and order.tolist() == swapped_in_turn(targets)
+
+
+def test_loop_free_swaps_match_the_swap_loop_on_every_short_list():
+    for n in range(8):
+        for targets in itertools.product(*map(range, range(1, n + 1))):
+            order = rng._swapped(np.array(targets, dtype=np.intp))
+            assert order.tolist() == swapped_in_turn(list(targets)), targets
 
 
 class _Scripted(SplitMix64):
@@ -460,10 +491,9 @@ def test_shuffle_rejected_draw_extends_block(monkeypatch):
         return np.array(values[skip:skip + count], dtype=np.uint64)
 
     monkeypatch.setattr(rng, "draws", fake)
-    items, expected = list(range(5)), list(range(5))
-    shuffle(items, 0)
+    expected = list(range(5))
     _Scripted(values).shuffle(expected)
-    assert items == expected
+    assert permutation(5, 0).tolist() == expected
     assert reads == [(0, 4), (1, 4), (2, 4), (5, 2)]  # each rejection starts a new block
 
 

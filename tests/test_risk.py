@@ -330,8 +330,10 @@ def test_pool_with_empty_truth_row_counts_for_both_losses():
 
 def test_dataset_arrays_are_read_only(counted_pool):
     part = split_dataset(counted_pool, SplitSpec(20, 60, 40), seed=3)[0]
+    sizes = relative_set_sizes(part, GRID[7])  # the pool keeps its member counts at GRID[7]
     copied = pickle.loads(pickle.dumps(part))
     assert same(losses_at(copied, FNR, GRID), losses_at(part, FNR, GRID))
+    assert 7 in copied._pool.members and same(relative_set_sizes(copied, GRID[7]), sizes)
     # counted on another grid, a part becomes a pool of its own rows
     repooled = split_dataset(counted_pool, SplitSpec(20, 60, 40), seed=3)[1]
     count_pool(repooled, LambdaGrid(7).values)
@@ -343,7 +345,53 @@ def test_dataset_arrays_are_read_only(counted_pool):
             data.truth[0, 0] = True
         with pytest.raises(ValueError, match="read-only"):
             data.truth_sizes[0] = 0
+        for members in data._pool.members.values():
+            with pytest.raises(ValueError, match="read-only"):
+                members[0] = 0
         assert same(data.truth_sizes, data.truth.sum(axis=1))
+
+
+@st.composite
+def member_cases(draw):
+    """A pool of up to 12 rows over m up to 300 (uint16 member counts past
+    255) whose scores sit on the thresholds 1 - k/G or at 0 and 1, counted
+    on the grid or not, the rows of a part and of a part of that part, and
+    the lambdas read: 0, 1, grid points and points off the grid."""
+    G, m, n = draw(st.integers(1, 12)), draw(st.integers(1, 300)), draw(st.integers(0, 12))
+    grid = LambdaGrid(G).values
+    levels = np.array(sorted({*(1.0 - grid).tolist(), 0.0, 1.0}))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    pool = Dataset(rng.choice(levels, size=(n, m)), rng.uniform(size=(n, m)) < rng.uniform())
+    counted = draw(st.booleans())
+    if counted:
+        count_pool(pool, grid)
+    part_size = draw(st.integers(0, n))
+    part = split_dataset(pool, SplitSpec(0, part_size, 0), seed=draw(st.integers(0, 99)))[1]
+    sub = split_dataset(part, SplitSpec(0, draw(st.integers(0, part_size)), 0), seed=1)[1]
+    off = st.floats(0.0, 1.0)
+    lams = [0.0, 1.0, *draw(st.lists(st.sampled_from(grid.tolist()) | off, max_size=6))]
+    return pool, (pool, part, sub), grid, counted, lams
+
+
+@settings(deadline=None, max_examples=80)
+@given(member_cases())
+def test_member_counts_match_the_scores(case):
+    pool, datasets, grid, counted, lams = case
+    for data in datasets:
+        for lam in lams:
+            want = np.count_nonzero(data.scores >= 1.0 - lam, axis=1) / np.maximum(
+                data.truth.sum(axis=1), 1)
+            assert same(relative_set_sizes(data, lam), want)
+    # kept for every pool row at the grid points read, only on a counted pool
+    kept = pool._pool.members
+    assert set(kept) == ({k for k, lam in enumerate(grid) if lam in lams} if counted else set())
+    for k, members in kept.items():
+        want = np.count_nonzero(pool.scores >= 1.0 - grid[k], axis=1)
+        assert same(members, want.astype(np.min_scalar_type(pool.m)))
+        assert not members.flags.writeable
+    if counted:
+        count_pool(pool, LambdaGrid(len(grid)).values)  # another grid: a recount
+        assert pool._pool.members == {}
 
 
 def test_parts_selected_on_another_grid_keep_their_rows():
@@ -381,10 +429,10 @@ def test_parts_selected_on_another_grid_keep_their_rows():
 
 def test_split_gathers_no_rows():
     # a part holds its rows of the pool, so a split allocates O(n) indices,
-    # not an (n, m) array: the shuffled Python list (a pointer and an int
-    # object, 36 bytes a row), its uint64 draws with their temporaries, and
-    # the order array, which the parts keep. 16 intp a row bound them, a
-    # third of one part's scores; the parts keep one intp a row
+    # not an (n, m) array: the uint64 draws with their temporaries, the
+    # permutation's sort keys, groups and links (about 10 intp a row at
+    # its peak), and the order array, which the parts keep. 16 intp a row
+    # bound them, a third of one part's scores; the parts keep one intp a row
     rng = np.random.default_rng(1)
     pool = Dataset(rng.uniform(size=(1781, 100)), rng.uniform(size=(1781, 100)) < 0.3)
     count_pool(pool, LambdaGrid(100).values)
