@@ -13,11 +13,12 @@ normalizing the transformed losses to [0, 1] using their analytic range.
 
 The WSR bound is the smallest rejected point u of the dyadic grid
 k/2^20 (or 1), found by bisection in 21 capital passes. The selectors
-decide whether a bound is <= alpha with oce_risk_ucb_at_most, the one
-place a bound becomes a decision: a Hoeffding decision compares its own
-bound, and a WSR decision tests the one grid point g that decides it, by
-the rule stated in that function's docstring. The bisection runs only for
-bounds that are written out.
+decide whether a bound is <= alpha by calling _ucb_at_most on a loss
+reader, the one place a bound becomes a decision (oce_risk_ucb_at_most
+is its public wrapper around a checked array): a Hoeffding decision
+compares its own bound, and a WSR decision tests the one grid point g
+that decides it, by the rule stated in that function's docstring. The
+bisection runs only for bounds that are written out.
 
 Whether g is rejected is known at the first row where the capital at g
 exceeds 1/delta, so the decision walks the rows in chunks, 32 rows and

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import _ucb_at_most, oce_risk_ucb
-from .datagen import Dataset, count_pool
-from .risk import LossKind, OceCost, bound_B, empirical_objective, loss_reader, losses_at, optimize_t
+from .datagen import Dataset, count_pool, loss_reader
+from .risk import LossKind, OceCost, bound_B, empirical_objective, losses_at, optimize_t
 
 # grid columns in a scan's first block and in its widest, and the trace
 # record of each tested column

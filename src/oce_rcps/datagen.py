@@ -15,7 +15,8 @@ A split part is a row view: it holds its row indices into the pool it was
 split from, which keeps the checked arrays, each row's |truth|, the loss
 counts `count_pool` takes and the member counts `member_counts` takes on
 that grid, so a Monte Carlo trial neither copies nor re-checks the rows
-of its parts, nor reads their scores.
+of its parts, nor reads their scores. Both losses are defined here, in
+`loss_reader`, from those counts.
 """
 
 from __future__ import annotations
@@ -107,10 +108,15 @@ class Dataset:
     read-only.
 
     A dataset is a set of rows of a pool. `Dataset(scores, truth)` checks
-    the arrays and makes them a pool of its own; a part `split_dataset`
-    takes holds only its row indices into its parent's pool, so it is
-    neither copied nor checked again, and gathers `scores` or `truth`, as
-    new read-only arrays, only when they are read."""
+    the arrays and makes them a pool of its own. It takes a float64 score
+    array and a bool mask without a copy and marks the caller's arrays
+    read-only, which keeps the counts kept for their rows from going
+    stale; the caller must not make them writable again. Other inputs,
+    such as a list or a float32 array, are converted, and the caller's
+    object stays as it was. A part `split_dataset` takes holds only its
+    row indices into its parent's pool, so it is neither copied nor
+    checked again, and gathers `scores` or `truth`, as new read-only
+    arrays, only when they are read."""
 
     def __init__(self, scores, truth, seed: int | None = None, params: dict | None = None):
         scores = np.asarray(scores, dtype=np.float64)
@@ -216,8 +222,10 @@ def split_dataset(data: Dataset, split: SplitSpec, seed: int):
 
 
 def _walk_counts(dataset: Dataset, lams) -> np.ndarray:
-    """The threshold walk behind `loss_counts`: sort every truth score once,
-    then add each threshold's newly passed scores per example with
+    """How many truth scores of each example lie below the threshold 1 - lam,
+    as a (len(dataset), len(lams)) matrix in `np.min_scalar_type(m)`: the
+    count behind `loss_reader` and `count_pool`. It sorts every truth score
+    once, then adds each threshold's newly passed scores per example with
     `np.bincount`, visiting the thresholds in increasing order."""
     thresholds = 1.0 - lams
     n = len(dataset)
@@ -237,16 +245,27 @@ def _walk_counts(dataset: Dataset, lams) -> np.ndarray:
     return out
 
 
-def count_reader(dataset: Dataset, lams):
-    """The `loss_counts` of the dataset at `lams`, read by rows: `read(rows)`
-    gives the (len(rows), len(lams)) counts of the dataset's rows `rows` (a
-    slice; all of them by default).
+def loss_reader(dataset: Dataset, kind, lams):
+    """The losses of the dataset at `lams`, read as rows, one per lam:
+    `read(cols, rows)` gives the C-contiguous (len(cols), len(rows)) float64
+    losses of the columns `cols` and the rows `rows` (a slice) of the
+    (len(dataset), len(lams)) loss matrix, both all by default. Both losses
+    come from one count per example and lam, the truth scores below
+    1 - lam: FNR (`kind.variant` "fnr") is the count over |truth|,
+    miscoverage is min(count, 1).
 
     A dataset counted by `count_pool`, or split from one, finds where the
     lams lie in the counted grid once, and each read gathers only its rows
     of that column slice of the kept counts; lams that are not a run of the
-    counted grid are walked from the dataset's own truth scores, once.
+    counted grid are walked from the dataset's own truth scores, once. Only
+    the cells read are converted. The FNR check covers every row, before
+    any is read, and a count-derived loss lies in [0, 1] by construction
+    (count <= |truth|).
     """
+    sizes = dataset.truth_sizes
+    fnr = kind.variant == "fnr"
+    if fnr and not sizes.all():
+        raise ValueError("FNR loss needs a nonempty truth set")
     lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
     table = None
     if dataset._counts is not None:
@@ -257,17 +276,16 @@ def count_reader(dataset: Dataset, lams):
     if table is None:
         table, index = _walk_counts(dataset, lams), None
 
-    def read(rows=slice(None)):
-        return table[rows] if index is None else _frozen(table[index[rows]])
+    def read(cols=slice(None), rows=slice(None)):
+        counts = table[rows] if index is None else table[index[rows]]
+        out = np.ascontiguousarray(counts[:, cols].T, dtype=np.float64)
+        if fnr:
+            out /= sizes[rows]
+        else:
+            np.minimum(out, 1.0, out=out)
+        return out
 
     return read
-
-
-def loss_counts(dataset: Dataset, lams) -> np.ndarray:
-    """How many truth scores of each example lie below the threshold 1 - lam:
-    an (len(dataset), len(lams)) matrix in `np.min_scalar_type(m)`, read
-    through `count_reader`."""
-    return count_reader(dataset, lams)()
 
 
 def member_counts(dataset: Dataset, lam: float) -> np.ndarray:

@@ -1,11 +1,12 @@
-"""Prediction-set losses over a dataset, and the OCE risk family.
+"""Loss matrices and set sizes over a dataset, and the OCE risk family.
 
 A prediction set at threshold parameter ``lam`` keeps every element whose
 score is at least ``1 - lam``. Losses (miscoverage, FNR) are nonincreasing
-in ``lam``. The OCE risk of a loss distribution is
-``inf_t { t + E[phi(loss - t)] }`` for a nondecreasing convex cost ``phi``
-with ``phi(0) = 0``; the average, entropic, and CVaR risks are the shipped
-instances.
+in ``lam``; `datagen.loss_reader` defines both from the kept counts of
+missed truth elements, and `losses_at` reads them as a matrix. The OCE
+risk of a loss distribution is ``inf_t { t + E[phi(loss - t)] }`` for a
+nondecreasing convex cost ``phi`` with ``phi(0) = 0``; the average,
+entropic, and CVaR risks are the shipped instances.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import count_reader, member_counts
+from .datagen import loss_reader, member_counts
 
 LOSS_MAX = 1.0
 
@@ -214,36 +215,10 @@ def empirical_oce(losses: np.ndarray, cost: OceCost) -> tuple[float, float]:
 # Loss evaluation over threshold grids (the per-example reference these are
 # tested against lives in the test oracles).
 
-def loss_reader(dataset, kind: LossKind, lams):
-    """The losses of the dataset at `lams`, read as rows, one per lam:
-    `read(cols, rows)` gives the C-contiguous (len(cols), len(rows)) float64
-    losses of the columns `cols` and the rows `rows` (a slice) of the
-    (len(dataset), len(lams)) loss matrix, both all by default, from the
-    counts of `datagen.count_reader`: FNR is the count over |truth|,
-    miscoverage is min(count, 1). Only the cells read are converted. The
-    FNR check covers every row, before any is read, and a count-derived
-    loss lies in [0, LOSS_MAX] by construction (count <= |truth|)."""
-    sizes = dataset.truth_sizes
-    fnr = kind.variant == "fnr"
-    if fnr and not sizes.all():
-        raise ValueError("FNR loss needs a nonempty truth set")
-    counts = count_reader(dataset, lams)
-
-    def read(cols=slice(None), rows=slice(None)):
-        out = np.ascontiguousarray(counts(rows)[:, cols].T, dtype=np.float64)
-        if fnr:
-            out /= sizes[rows]
-        else:
-            np.minimum(out, 1.0, out=out)
-        return out
-
-    return read
-
-
 def losses_at(dataset, kind: LossKind, lams) -> np.ndarray:
     """Loss matrix of shape (len(dataset), len(lams)): the transpose of
-    every row and column that `loss_reader` reads, so each column is
-    contiguous."""
+    every row and column that `datagen.loss_reader` reads, so each column
+    is contiguous."""
     return loss_reader(dataset, kind, lams)().T
 
 

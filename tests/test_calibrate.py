@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oce_rcps import calibrate, risk
+from oce_rcps import calibrate, datagen, risk
 from oce_rcps.bounds import _array_reader, _ucb_at_most, oce_risk_ucb, oce_risk_ucb_at_most
 from oce_rcps.calibrate import (
     _MAX_BLOCK,
@@ -23,7 +23,7 @@ from oce_rcps.datagen import (
     SplitSpec,
     count_pool,
     generate_dataset,
-    loss_counts,
+    loss_reader,
     split_dataset,
 )
 from oce_rcps.risk import (
@@ -32,7 +32,6 @@ from oce_rcps.risk import (
     bound_B,
     empirical_objective,
     empirical_oce,
-    loss_reader,
     losses_at,
     optimize_t,
 )
@@ -609,7 +608,7 @@ def test_scan_holds_loss_blocks_not_the_whole_grid(counted_parts, method):
     part=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_count_reader_decides_as_the_converted_block(n, m, G, kind, cost, delta, alpha, method, part, seed):
+def test_loss_reader_decides_as_the_converted_block(n, m, G, kind, cost, delta, alpha, method, part, seed):
     # the decision the scan makes from the kept counts, read a row chunk at
     # a time, equals the public decision on the block losses_at converts
     rng = np.random.default_rng(seed)
@@ -626,7 +625,7 @@ def test_count_reader_decides_as_the_converted_block(n, m, G, kind, cost, delta,
     lams = grid[lo:int(rng.integers(lo + 1, G + 2))]
     ts = rng.choice([0.0, 1.0, rng.uniform()], size=lams.size)
     block = losses_at(data, kind, lams)
-    assert block.shape == (n, lams.size) and loss_counts(data, lams).dtype == np.min_scalar_type(m)
+    assert block.shape == (n, lams.size) and data._counts[1].dtype == np.min_scalar_type(m)
     assert block.dtype == np.float64 and block.flags.f_contiguous  # each column contiguous
     read, reads = loss_reader(data, kind, lams), []
 
@@ -666,21 +665,22 @@ def zero_loss_pool(n, empty_row=None):
 
 
 def recorded_count_reads(monkeypatch):
-    """The row ranges each count reader the risk layer makes reads, one
-    list per reader."""
-    readers, real = [], risk.count_reader
+    """The row ranges each loss reader reads, one list per reader, at
+    every name the reader is called through."""
+    readers, real = [], datagen.loss_reader
 
-    def count_reader(dataset, lams):
-        read, reads = real(dataset, lams), []
+    def loss_reader(dataset, kind, lams):
+        read, reads = real(dataset, kind, lams), []
         readers.append(reads)
 
-        def recorded(rows=slice(None)):
+        def recorded(cols=slice(None), rows=slice(None)):
             reads.append(range(len(dataset))[rows])
-            return read(rows)
+            return read(cols, rows)
 
         return recorded
 
-    monkeypatch.setattr(risk, "count_reader", count_reader)
+    for module in (calibrate, risk):
+        monkeypatch.setattr(module, "loss_reader", loss_reader)
     return readers
 
 

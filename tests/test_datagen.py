@@ -57,6 +57,22 @@ def test_truth_sizes_and_score_range():
     assert np.all(data.scores >= 0.0) and np.all(data.scores <= 1.0)
 
 
+def test_dataset_shares_and_freezes_float64_scores_and_a_bool_mask():
+    # a float64 score array and a bool mask are the pool's own arrays, made
+    # read-only, so counts kept for their rows cannot go stale
+    scores, truth = np.full((2, 3), 0.5), np.eye(2, 3, dtype=bool)
+    data = Dataset(scores, truth)
+    for given, held in ((scores, data.scores), (truth, data.truth)):
+        assert np.shares_memory(given, held) and not given.flags.writeable
+    # any other input is converted, and the caller's object stays writable
+    scores32, truth_list = np.full((2, 3), 0.5, dtype=np.float32), truth.tolist()
+    data = Dataset(scores32, truth_list)
+    assert not data.scores.flags.writeable and not data.truth.flags.writeable
+    assert scores32.flags.writeable and not np.shares_memory(scores32, data.scores)
+    scores32[0, 0], truth_list[0][0] = 1.0, False
+    assert data.scores[0, 0] == 0.5 and data.truth[0, 0]
+
+
 def test_easy_examples_separate_scores():
     # difficulty concentrated near 0: positives should outscore negatives
     params = GeneratorParams(difficulty_a=0.2, difficulty_b=50.0)
@@ -512,15 +528,17 @@ def test_generation_matches_sequential_stream(seed, m, rho, count):
 
 
 def test_only_datagen_touches_the_loss_counts():
-    # a Dataset's kept loss counts and its rows in them are read and
-    # written by datagen alone
-    private = {"_counts", "_rows"}
+    # a Dataset's private fields (its pool, its rows in it, the kept loss
+    # counts and the view and gather helpers) and the pool class are read
+    # and written by datagen alone, as attributes or as imported names
+    private = {"_counts", "_rows", "_pool", "_take", "_view", "_Pool"}
     modules = sorted(Path(datagen.__file__).parent.glob("*.py"))
     assert {"risk.py", "calibrate.py", "harness.py", "cli.py"} <= {p.name for p in modules}
+    field = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}
     found = [
-        f"{path.name}:{node.lineno} {node.attr}"
+        f"{path.name}:{node.lineno} {getattr(node, field[type(node)])}"
         for path in modules if path.name != "datagen.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute) and node.attr in private
+        if type(node) in field and getattr(node, field[type(node)]) in private
     ]
     assert found == []

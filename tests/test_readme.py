@@ -1,5 +1,6 @@
 """The README's runnable snippet runs against the current API."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -27,3 +28,18 @@ def test_readme_states_the_scan_block_widths():
     assert stated, "the calibrate.py paragraph no longer states the block widths"
     assert tuple(map(int, stated.groups())) == (calibrate._FIRST_BLOCK, calibrate._MAX_BLOCK)
     assert not re.search(r"block of \d+ grid columns|\d+-column block", README.read_text())
+
+
+def test_readme_module_names_resolve():
+    # a backticked `module.name` (or a call `module.name(...)`) names an
+    # attribute of that oce_rcps module, so a rename that leaves the README
+    # behind fails here; `risk.py` and the like are file names
+    modules = ("rng", "datagen", "risk", "bounds", "calibrate", "harness", "cli")
+    named = set(re.findall(rf"`({'|'.join(modules)})\.(\w+)[`(]", README.read_text()))
+    named -= {(module, "py") for module in modules}
+    assert named, "the README names no module attribute"
+    missing = [
+        f"{module}.{name}" for module, name in sorted(named)
+        if not hasattr(importlib.import_module(f"oce_rcps.{module}"), name)
+    ]
+    assert missing == []

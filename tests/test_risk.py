@@ -15,7 +15,6 @@ from oce_rcps.datagen import (
     SplitSpec,
     count_pool,
     generate_dataset,
-    loss_counts,
     split_dataset,
 )
 from oce_rcps.risk import (
@@ -220,10 +219,10 @@ def test_counts_fit_their_dtype_at_the_boundary(m, dtype):
     data = Dataset(rng.uniform(size=(6, m)), truth)
     lams = [0.0, 0.25, 0.5, 1.0]
     exs = as_examples(data)
-    walked = loss_counts(data, lams)
+    walked = datagen._walk_counts(data, np.asarray(lams))
     count_pool(data, lams)
     part = split_dataset(data, SplitSpec(2, 2, 2), seed=1)[1]
-    for counts in (walked, loss_counts(data, lams)):
+    for counts in (walked, data._counts[1]):
         assert counts.dtype == dtype
         assert counts[:, 0].tolist() == truth.sum(axis=1).tolist()
     for kind in (FNR, MISS):
@@ -275,7 +274,7 @@ def test_parts_of_an_empty_counted_pool_read_its_counts(monkeypatch):
     walks = record_walks(monkeypatch)
     for data in (part, part_of_part):
         assert data._counts is pool._counts
-        assert loss_counts(data, GRID).shape == (0, GRID.size)
+        assert losses_at(data, MISS, GRID).shape == (0, GRID.size)
     assert walks == []
 
 
@@ -424,7 +423,7 @@ def test_parts_selected_on_another_grid_keep_their_rows():
         copies.append((uncounted(late_cal), uncounted(late_opt)))
     assert pool._counts is kept
     assert same(kept[0], LambdaGrid(100).values)
-    assert same(kept[1], loss_counts(uncounted(pool), LambdaGrid(100).values))
+    assert same(kept[1], datagen._walk_counts(uncounted(pool), LambdaGrid(100).values))
 
 
 def test_split_gathers_no_rows():
