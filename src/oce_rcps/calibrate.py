@@ -13,8 +13,9 @@ block and a long one makes few calls.
 RCPS-style scans decide each column with a one-pass test that is exactly
 "UCB <= alpha" and never compute the UCB itself; the test reads each
 block's calibration losses from the kept counts one row chunk at a time,
-only up to the row where the column is decided. The outcome's `bounds()`
-computes the UCB for the tested columns when they are written out.
+only up to the row where the column is decided. Scans only decide: each
+selector hands the outcome its bound, which `bounds()` computes for the
+tested columns when they are written out.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .risk import LossKind, OceCost, bound_B, empirical_objective, losses_at, op
 # grid columns in a scan's first block and in its widest, and the trace
 # record of each tested column
 _FIRST_BLOCK, _MAX_BLOCK = 16, 64
-_TRACE = np.dtype([("lam", "f8"), ("bound", "f8"), ("passed", "?"), ("t", "f8")])
+_TRACE = np.dtype([("lam", "f8"), ("passed", "?"), ("t", "f8")])
 
 
 @dataclass(frozen=True)
@@ -70,21 +71,20 @@ class LambdaGrid:
 @dataclass
 class CalibrationOutcome:
     """The selected threshold and the trace behind it: one record per tested
-    grid column, in scan order, with fields lam, bound, passed and t. The
-    bound is NaN in the trace of an RCPS-style scan; `bounds()` gives it."""
+    grid column, in scan order, with fields lam, passed and t. `bounds()`
+    gives each column's bound."""
 
     lambda_hat: float
     feasible: bool
     trace: np.ndarray
-    _ucb: Callable | None = field(default=None, repr=False)  # RCPS-style bound at (lams, ts)
+    _bound: Callable = field(repr=False)  # the selector's bound at (lams, ts)
 
     def bounds(self) -> np.ndarray:
-        """Each trace row's bound, in trace order: the objective an OCE-CRC
-        scan stored, or the UCBs an RCPS-style scan decided by, in one call
-        that reads its trace, a run of the grid down from 1, in ascending order."""
-        if self._ucb is None:
-            return self.trace["bound"].copy()
-        return self._ucb(self.trace["lam"][::-1], self.trace["t"][::-1])[::-1]
+        """Each trace row's bound, in trace order, from one call of the
+        selector's bound that reads the trace, a run of the grid, in
+        ascending order."""
+        order = self.trace["lam"].argsort()
+        return self._bound(self.trace["lam"][order], self.trace["t"][order])[order.argsort()]
 
 
 def _blocks(m: int, upward: bool):
@@ -100,20 +100,20 @@ def _blocks(m: int, upward: bool):
         done, width = done + k, min(2 * width, _MAX_BLOCK)
 
 
-def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward, ucb=None) -> CalibrationOutcome:
+def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward, bound) -> CalibrationOutcome:
     """Test grid columns in the blocks of `_blocks`, upward to the
     first pass or downward to the first failure, reading each block's losses
     as it is tested; `decide(lams, ts)` maps a block's k grid values and
-    their k values of t to the k bounds (or NaN) and the k pass flags,
-    reading the calibration losses it needs. The outcome keeps `ucb` for
-    its `bounds()`."""
+    their k values of t to the k pass flags, reading the calibration losses
+    it needs. The outcome keeps `bound`, which maps the same arguments to
+    the k bounds, for its `bounds()`."""
     if len(cal) == 0:
         raise ValueError("calibration set must be nonempty")
     if fixed_t is None and opt is None:
         raise ValueError("opt split required unless t is fixed")
     lams = grid.values
     for split in (cal,) if fixed_t is not None else (cal, opt):
-        count_pool(split, lams)  # a no-op for a part of a pool counted on this grid
+        count_pool(split, lams)  # a no-op for a pool counted on this grid
     tested = []
 
     def test(lo, hi):
@@ -121,7 +121,7 @@ def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward, ucb=None) -> Cali
         block = np.empty(hi - lo, _TRACE)
         block["lam"] = cols = lams[lo:hi]
         block["t"] = fixed_t if fixed_t is not None else optimize_t(losses_at(opt, loss, cols), cost)
-        block["bound"], block["passed"] = decide(cols, block["t"])
+        block["passed"] = decide(cols, block["t"])
         block = block if upward else block[::-1]
         stops = np.flatnonzero(block["passed"] == upward)
         tested.append(block[: stops[0] + 1] if stops.size else block)
@@ -139,7 +139,7 @@ def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward, ucb=None) -> Cali
             break
     trace = np.concatenate(tested)
     passing = trace["lam"][trace["passed"]]
-    return CalibrationOutcome(float(passing.min(initial=1.0)), passing.size > 0, trace, ucb)
+    return CalibrationOutcome(float(passing.min(initial=1.0)), passing.size > 0, trace, bound)
 
 
 def select_oce_crc(
@@ -159,10 +159,10 @@ def select_oce_crc(
     def objective(lams, ts):
         block = losses_at(cal, loss, lams)
         B = bound_B(cost, ts)  # checks t before the objective can overflow
-        value = (n / (n + 1.0)) * empirical_objective(block, cost, ts) + B / (n + 1.0)
-        return value, value <= spec.alpha
+        return (n / (n + 1.0)) * empirical_objective(block, cost, ts) + B / (n + 1.0)
 
-    return _scan(cal, opt, grid, cost, loss, fixed_t, objective, upward=True)
+    at_most_alpha = lambda lams, ts: objective(lams, ts) <= spec.alpha
+    return _scan(cal, opt, grid, cost, loss, fixed_t, at_most_alpha, upward=True, bound=objective)
 
 
 def select_oce_rcps(
@@ -177,16 +177,16 @@ def select_oce_rcps(
 ) -> CalibrationOutcome:
     """Smallest grid threshold such that the OCE-risk UCB stays <= alpha
     there and at every larger grid threshold: downward scan, stop at the
-    first failure. The trace's bounds are NaN; `bounds()` computes them."""
+    first failure."""
 
     def ucb_at_most_alpha(lams, ts):
         read = loss_reader(cal, loss, lams)
-        return np.nan, _ucb_at_most(read, len(cal), cost, ts, spec.delta, spec.alpha, bound_method)
+        return _ucb_at_most(read, len(cal), cost, ts, spec.delta, spec.alpha, bound_method)
 
     def ucb(lams, ts):
         return oce_risk_ucb(losses_at(cal, loss, lams), cost, ts, spec.delta, method=bound_method)
 
-    return _scan(cal, opt, grid, cost, loss, fixed_t, ucb_at_most_alpha, upward=False, ucb=ucb)
+    return _scan(cal, opt, grid, cost, loss, fixed_t, ucb_at_most_alpha, upward=False, bound=ucb)
 
 
 def select_rcps(

@@ -162,22 +162,20 @@ def _cmd_calibrate(args):
     data = read_dataset_path(args.data)
     opt, cal, _ = split_dataset(data, config.split, args.seed)
     outcome = select(cal, opt, config)
-    trace = outcome.trace.copy()
-    trace["bound"] = outcome.bounds()
-    trace.sort(order="lam")
+    lams, passed, ts = (outcome.trace[name].tolist() for name in ("lam", "passed", "t"))
     os.makedirs(args.output_dir, exist_ok=True)
     outdir = Path(args.output_dir)
     echo = config.echo()
     payload = {
         "lambda_hat": outcome.lambda_hat,
         "feasible": outcome.feasible,
-        "t_by_lambda": {repr(lam): t for lam, _, _, t in outcome.trace.tolist()},
+        "t_by_lambda": dict(zip(map(repr, lams), ts)),
         **{key: echo[key] for key in ("method", "risk", "loss", "alpha", "delta", "grid")},
         "toolkit_version": __version__,
     }
     (outdir / "calibration.json").write_text(json.dumps(payload, indent=2) + "\n")
     with open(outdir / "trace.csv", "w") as fp:
-        write_csv(fp, ("lambda", "bound", "passed"), trace[["lam", "bound", "passed"]].tolist())
+        write_csv(fp, ("lambda", "bound", "passed"), sorted(zip(lams, outcome.bounds(), passed)))
     if not outcome.feasible:
         log.info("infeasible at alpha=%g; lambda_hat pinned to 1", args.alpha)
         if args.strict:

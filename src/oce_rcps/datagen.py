@@ -274,6 +274,8 @@ def loss_reader(dataset: Dataset, kind, lams):
         if np.array_equal(grid[i:i + lams.size], lams):
             table, index = kept[:, i:i + lams.size], dataset._rows
     if table is None:
+        if np.isnan(lams).any():
+            raise ValueError("lam must not be NaN")
         table, index = _walk_counts(dataset, lams), None
 
     def read(cols=slice(None), rows=slice(None)):
@@ -307,28 +309,28 @@ def member_counts(dataset: Dataset, lam: float) -> np.ndarray:
                 members = np.count_nonzero(pool.scores >= 1.0 - lam, axis=1)
                 pool.members[k] = _frozen(members.astype(np.min_scalar_type(dataset.m)))
             return dataset._take(pool.members[k])
+    if np.isnan(lam):
+        raise ValueError("lam must not be NaN")
     return np.count_nonzero(dataset.scores >= 1.0 - lam, axis=1)
 
 
 def count_pool(dataset: Dataset, lams) -> None:
-    """Count the dataset's losses on the strictly increasing grid `lams` (as
-    `LambdaGrid.values`; any other raises ValueError) once and keep the
-    counts with its pool, so that it and every part `split_dataset` takes
-    from it read them instead of walking. The counts hold for both loss
-    kinds; a dataset whose pool is counted on this grid reads those counts.
-    A whole pool counted on another grid is recounted; a part of an
-    uncounted pool, or of one counted on another grid, counts only its own
-    rows, as a pool of its own, and leaves its parent's counts as they are."""
+    """Count the losses of every row of the dataset's pool on the strictly
+    increasing grid `lams` (as `LambdaGrid.values`; any other raises
+    ValueError) once and keep the counts with the pool, where every
+    dataset of it reads its rows of them instead of walking. The counts
+    hold for both loss kinds; a pool already counted on this grid is left
+    as it is, and one counted on another grid is recounted. The dataset's
+    own pool and rows stay as they were made."""
     lams = np.asarray(lams, dtype=np.float64)
     if dataset._counts is not None and np.array_equal(dataset._counts[0], lams):
         return
     if lams.ndim != 1 or np.isnan(lams).any() or not np.all(lams[1:] > lams[:-1]):
         raise ValueError("a counted grid must be strictly increasing")
-    if dataset._rows is not None:
-        dataset._pool, dataset._rows = _Pool(dataset.scores, dataset.truth), None
-    table = np.ascontiguousarray(_walk_counts(dataset, lams))  # rows contiguous
-    dataset._pool.counts = (_frozen(lams.copy()), _frozen(table))
-    dataset._pool.members = {}  # kept at points of the grid just replaced
+    pool = dataset._pool
+    table = np.ascontiguousarray(_walk_counts(Dataset._view(pool, None), lams))  # rows contiguous
+    pool.counts = (_frozen(lams.copy()), _frozen(table))
+    pool.members = {}  # kept at points of the grid just replaced
 
 
 def write_dataset(data: Dataset, fp) -> None:

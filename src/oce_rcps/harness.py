@@ -130,7 +130,6 @@ def select(cal, opt, config: TrialConfig) -> CalibrationOutcome:
 def run_trial(
     pool: Dataset, config: TrialConfig, trial_index: int, master_seed: int
 ) -> TrialRecord:
-    count_pool(pool, config.grid.values)
     seed = mix64(master_seed, trial_index)
     opt, cal, test = split_dataset(pool, config.split, seed)
     outcome = select(cal, opt, config)

@@ -47,13 +47,13 @@ def singletons(scores):
     return Dataset(scores, np.ones(scores.shape, dtype=bool))
 
 
-def bounded(out):
-    """The trace of an RCPS-style selector with the bounds its scan left
-    NaN filled in, as `cli calibrate` writes them."""
-    trace = out.trace.copy()
-    assert np.isnan(trace["bound"]).all()
-    trace["bound"] = out.bounds()
-    return trace
+def traced(out):
+    """The outcome's trace as (lam, bound, passed, t) rows in scan order,
+    each bound from `bounds()`, as the column oracles list them."""
+    trace = out.trace
+    return list(zip(
+        trace["lam"].tolist(), out.bounds().tolist(), trace["passed"].tolist(), trace["t"].tolist()
+    ))
 
 
 def random_dataset(rng, n, m=8):
@@ -174,7 +174,7 @@ def test_crc_worked_instance():
     # at lambda=0.4 both losses vanish: (2/3)*0 + 1/3 = 0.3333 <= 0.35
     assert out.lambda_hat == pytest.approx(0.4)
     assert out.feasible
-    assert out.trace["bound"][-1] == pytest.approx(1.0 / 3.0)
+    assert traced(out)[-1][1] == pytest.approx(1.0 / 3.0)
 
 
 def test_crc_passes_at_zero_when_alpha_large():
@@ -209,7 +209,7 @@ def test_crc_ignores_delta_bit_identical():
     ]
     for o in outs[1:]:
         assert o.lambda_hat == outs[0].lambda_hat
-        assert np.array_equal(o.trace, outs[0].trace)  # lam, bound, passed and t
+        assert traced(o) == traced(outs[0])  # lam, bound, passed and t
 
 
 # ---------------------------------------------------------------- RCPS family
@@ -257,7 +257,7 @@ def test_oce_rcps_average_reduces_to_rcps():
         b = select_rcps(cal, spec, grid, FNR)
         assert a.lambda_hat == b.lambda_hat
         assert a.feasible == b.feasible
-        assert np.array_equal(bounded(a), bounded(b))
+        assert traced(a) == traced(b)
 
 
 def test_suffix_property():
@@ -364,8 +364,7 @@ def test_block_scan_matches_column_oracle(G):
                 )
                 lam_hat, feasible, trace = scan(alpha, cost, fixed_t)
                 assert (out.lambda_hat, out.feasible) == (lam_hat, feasible)
-                got = out.trace if upward else bounded(out)
-                assert got.tolist() == trace  # lam, bound, passed and t, in scan order
+                assert traced(out) == trace  # lam, bound, passed and t, in scan order
 
 
 @pytest.fixture(scope="module")
@@ -451,7 +450,7 @@ def test_crc_entropic_overflow_past_the_stop_is_not_reached():
     cal_losses = losses_at(cal, MISS, grid.values)
     out = select_oce_crc(cal, cal, ReliabilitySpec(2.0, 0.2), grid, cost, MISS)
     want = oce_crc_scan(cal_losses, cal_losses, 2.0, grid.values, cost)
-    assert (out.lambda_hat, out.feasible, out.trace.tolist()) == want
+    assert (out.lambda_hat, out.feasible, traced(out)) == want
     assert out.lambda_hat == 0.0
     with pytest.raises(OverflowError):
         oce_crc_scan(cal_losses, cal_losses, 0.5, grid.values, cost)
@@ -479,16 +478,17 @@ def test_rcps_bounds_are_the_ucb_of_the_tested_columns(kind, cost, fixed_t, meth
         )
     trace = out.trace.copy()
     want = oce_risk_ucb(losses_at(cal, FNR, trace["lam"]), cost, trace["t"], 0.2, method)
-    assert len(trace) > 1 and np.isnan(trace["bound"]).all()
+    assert len(trace) > 1
     assert out.bounds().tolist() == want.tolist()
     assert out.bounds().tolist() == want.tolist()  # a second call gives the same
     assert out.trace.tobytes() == trace.tobytes()  # and the trace is left as it was
 
 
-def test_crc_bounds_are_the_stored_objectives():
+def test_crc_bounds_are_the_objectives_of_the_tested_columns():
     rng = np.random.default_rng(61)
     cal, opt = random_dataset(rng, 60), random_dataset(rng, 25)
-    out = select_oce_crc(cal, opt, ReliabilitySpec(0.3, 0.2), LambdaGrid(40), OceCost.cvar(0.8), FNR)
+    cost = OceCost.cvar(0.8)
+    out = select_oce_crc(cal, opt, ReliabilitySpec(0.3, 0.2), LambdaGrid(40), cost, FNR)
     assert len(out.trace) > 1
     # the overflow fixture's upward scan retests column by column and stops
     # at its first column, short of the columns that overflow
@@ -496,11 +496,41 @@ def test_crc_bounds_are_the_stored_objectives():
     short = select_oce_crc(
         single, single, ReliabilitySpec(2.0, 0.2), LambdaGrid(10), OceCost.entropic(710), MISS
     )
-    for outcome in (out, short):
-        trace = outcome.trace.copy()
-        assert outcome.bounds().tolist() == trace["bound"].tolist()
-        outcome.bounds()[:] = -1.0  # a copy: the trace keeps its bounds
-        assert outcome.trace.tobytes() == trace.tobytes()
+    for outcome, data, cost, loss in ((out, cal, cost, FNR), (short, single, OceCost.entropic(710), MISS)):
+        n, trace = len(data), outcome.trace.copy()
+        want = [
+            (n / (n + 1.0)) * empirical_objective(losses_at(data, loss, [lam])[:, 0], cost, t)
+            + bound_B(cost, t) / (n + 1.0)
+            for lam, t in zip(trace["lam"].tolist(), trace["t"].tolist())
+        ]
+        first = outcome.bounds()
+        assert first.tolist() == want
+        first[:] = -1.0  # each call gives a fresh array
+        assert outcome.bounds().tolist() == want
+        assert outcome.trace.tobytes() == trace.tobytes()  # and the trace is left as it was
+
+
+@pytest.mark.parametrize("source", ["whole", "uncounted", "other-grid"])
+@pytest.mark.parametrize("method", ["oce-crc", "oce-rcps", "rcps"])
+def test_selections_leave_their_inputs_alone(source, method):
+    # a selection counts the pool its splits view, and leaves each split
+    # holding the pool and the rows it was made with
+    rows = generate_dataset(GeneratorParams(m=20), 120, seed=5)
+    if source == "whole":
+        opt, cal = (Dataset(rows.scores[i:j], rows.truth[i:j]) for i, j in ((0, 30), (30, 120)))
+    else:
+        pool = Dataset(rows.scores, rows.truth)
+        if source == "other-grid":  # a part of a pool counted on another grid
+            count_pool(pool, LambdaGrid(7).values)
+        opt, cal, _ = split_dataset(pool, SplitSpec(30, 60, 30), seed=3)
+    held = [(data._pool, data._rows) for data in (cal, opt)]
+    spec, grid, cost = ReliabilitySpec(0.4, 0.2), LambdaGrid(20), OceCost.cvar(0.8)
+    if method == "rcps":
+        select_rcps(cal, spec, grid, FNR)
+    else:
+        (select_oce_crc if method == "oce-crc" else select_oce_rcps)(cal, opt, spec, grid, cost, FNR)
+    for data, (pool, rows) in zip((cal, opt), held):
+        assert data._pool is pool and data._rows is rows
 
 
 def test_empty_cal_rejected():

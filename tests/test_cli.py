@@ -65,12 +65,13 @@ def test_calibrate_outputs(dataset_path, tmp_path):
 
 
 @pytest.mark.parametrize("method, walks", [
-    ("oce-rcps", [(150, 1001), (40, 1001)]),
-    ("oce-crc", [(150, 1001), (40, 1001)]),
-    ("rcps", [(150, 1001)]),
+    ("oce-rcps", [(200, 1001)]),
+    ("oce-crc", [(200, 1001)]),
+    ("rcps", [(200, 1001)]),
 ])
 def test_calibrate_walks_each_split_once(tmp_path, monkeypatch, method, walks):
-    # the trace's bounds read the counts the scan made, so no split is walked twice
+    # the scan counts the pool its splits view, once, and the trace's bounds
+    # read those counts, so neither the pool nor a split is walked again
     pool = tmp_path / "pool.jsonl"
     assert run(["generate", "--count", "200", "--seed", "1", "--output", pool]) == 0
     seen, walk = [], datagen._walk_counts

@@ -91,7 +91,7 @@ def test_run_trial_reads_no_part_scores_or_truth(pool, monkeypatch):
     # every part reads its counts and |truth| from the pool, and the test
     # part its member counts, so no part gathers scores or truth
     for method in harness.METHODS:
-        run_trial(pool, config(method), 0, master_seed=7)  # counts the pool first
+        run_trial(pool, config(method), 0, master_seed=7)  # its scan counts the pool first
     read = []
     for name in ("scores", "truth"):
         get = getattr(datagen.Dataset, name).fget

@@ -30,6 +30,15 @@ def test_readme_states_the_scan_block_widths():
     assert not re.search(r"block of \d+ grid columns|\d+-column block", README.read_text())
 
 
+def test_readme_states_the_trace_fields():
+    # the calibrate.py paragraph names the trace's fields; a field added to
+    # or dropped from calibrate._TRACE and not the README fails here
+    paragraph = README.read_text().split("- `src/oce_rcps/calibrate.py`", 1)[1].split("\n- `", 1)[0]
+    stated = re.search(r"with fields\s+((?:`\w+`(?:,\s+|\s+and\s+)?)+)", paragraph)
+    assert stated, "the calibrate.py paragraph no longer states the trace fields"
+    assert tuple(re.findall(r"`(\w+)`", stated.group(1))) == calibrate._TRACE.names
+
+
 def test_readme_module_names_resolve():
     # a backticked `module.name` (or a call `module.name(...)`) names an
     # attribute of that oce_rcps module, so a rename that leaves the README

@@ -248,12 +248,27 @@ def test_counted_parts_read_any_columns_of_the_grid(counted_pool, monkeypatch):
 
 def test_off_grid_lambda_is_walked(counted_pool, monkeypatch):
     _, cal, _ = split_dataset(counted_pool, SplitSpec(20, 60, 40), seed=3)
-    for lams in ([0.013], [GRID[3], 0.013], [math.nan]):
+    for lams in ([0.013], [GRID[3], 0.013]):
         want = losses_at(uncounted(cal), MISS, lams)
         with monkeypatch.context() as patch:
             walks = record_walks(patch)
             assert same(losses_at(cal, MISS, lams), want)
         assert walks == [len(cal)]
+
+
+@pytest.mark.parametrize("lams", [[math.nan], [GRID[3], math.nan], [math.nan, GRID[4]], [*GRID[:9], math.nan]])
+def test_nan_lambda_is_rejected(counted_pool, monkeypatch, lams):
+    # a NaN is no point of a counted grid, so it reaches the off-grid
+    # fallback, which would read an FNR of 1 and an empty set on every row
+    part = split_dataset(counted_pool, SplitSpec(20, 60, 40), seed=3)[1]
+    walks = record_walks(monkeypatch)
+    for data in (counted_pool, part, uncounted(part)):
+        for kind in (FNR, MISS):
+            with pytest.raises(ValueError, match="lam must not be NaN"):
+                losses_at(data, kind, lams)
+        with pytest.raises(ValueError, match="lam must not be NaN"):
+            relative_set_sizes(data, math.nan)
+    assert walks == []
 
 
 def test_part_of_a_part_composes_rows(counted_pool, monkeypatch):
@@ -333,11 +348,7 @@ def test_dataset_arrays_are_read_only(counted_pool):
     copied = pickle.loads(pickle.dumps(part))
     assert same(losses_at(copied, FNR, GRID), losses_at(part, FNR, GRID))
     assert 7 in copied._pool.members and same(relative_set_sizes(copied, GRID[7]), sizes)
-    # counted on another grid, a part becomes a pool of its own rows
-    repooled = split_dataset(counted_pool, SplitSpec(20, 60, 40), seed=3)[1]
-    count_pool(repooled, LambdaGrid(7).values)
-    assert repooled._rows is None and repooled._pool is not counted_pool._pool
-    for data in (counted_pool, part, repooled, copied):
+    for data in (counted_pool, part, copied):
         with pytest.raises(ValueError, match="read-only"):
             data.scores[0, 0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
@@ -393,13 +404,12 @@ def test_member_counts_match_the_scores(case):
         assert pool._pool.members == {}
 
 
-def test_parts_selected_on_another_grid_keep_their_rows():
-    # a part of a pool counted on another grid counts its own rows, as a
-    # pool of its own; it must still hold the rows it was split with, and
-    # the pool's counts must stay as they were
+def test_parts_selected_on_another_grid_keep_their_rows(monkeypatch):
+    # selecting on a part of a pool counted on another grid recounts the
+    # whole pool on the new grid; every part must still hold the rows it
+    # was split with and read them from the recount
     pool = generate_dataset(GeneratorParams(m=30), 300, seed=8)
     count_pool(pool, LambdaGrid(100).values)
-    kept = pool._counts
     opt, cal, _ = split_dataset(pool, SplitSpec(60, 150, 90), seed=3)
     sub_opt, sub_cal, _ = split_dataset(cal, SplitSpec(40, 80, 30), seed=4)
     spec, cost = ReliabilitySpec(0.4, 0.2), OceCost.cvar(0.8)
@@ -411,6 +421,7 @@ def test_parts_selected_on_another_grid_keep_their_rows():
 
     pairs = [(cal, opt), (sub_cal, sub_opt)]
     copies = [(uncounted(c), uncounted(o)) for c, o in pairs]
+    walks = record_walks(monkeypatch)
     for grid in (LambdaGrid(20), LambdaGrid(100), LambdaGrid(20)):
         for (c, o), (want_c, want_o) in zip(pairs, copies):
             for got, want in zip(selections(c, o, grid), selections(want_c, want_o, grid)):
@@ -421,9 +432,10 @@ def test_parts_selected_on_another_grid_keep_their_rows():
         late_opt, late_cal, _ = split_dataset(cal, SplitSpec(30, 90, 30), seed=len(pairs))
         pairs.append((late_cal, late_opt))
         copies.append((uncounted(late_cal), uncounted(late_opt)))
-    assert pool._counts is kept
-    assert same(kept[0], LambdaGrid(100).values)
-    assert same(kept[1], datagen._walk_counts(uncounted(pool), LambdaGrid(100).values))
+        assert same(pool._counts[0], grid.values)  # recounted on each switch of grid
+    assert walks.count(len(pool)) == 3
+    monkeypatch.undo()
+    assert same(pool._counts[1], datagen._walk_counts(uncounted(pool), LambdaGrid(20).values))
 
 
 def test_split_gathers_no_rows():
