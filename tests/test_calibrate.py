@@ -487,8 +487,7 @@ def test_rcps_bounds_are_the_ucb_of_the_tested_columns(kind, cost, fixed_t, meth
 def test_crc_bounds_are_the_objectives_of_the_tested_columns():
     rng = np.random.default_rng(61)
     cal, opt = random_dataset(rng, 60), random_dataset(rng, 25)
-    cost = OceCost.cvar(0.8)
-    out = select_oce_crc(cal, opt, ReliabilitySpec(0.3, 0.2), LambdaGrid(40), cost, FNR)
+    out = select_oce_crc(cal, opt, ReliabilitySpec(0.3, 0.2), LambdaGrid(40), OceCost.cvar(0.8), FNR)
     assert len(out.trace) > 1
     # the overflow fixture's upward scan retests column by column and stops
     # at its first column, short of the columns that overflow
@@ -496,7 +495,8 @@ def test_crc_bounds_are_the_objectives_of_the_tested_columns():
     short = select_oce_crc(
         single, single, ReliabilitySpec(2.0, 0.2), LambdaGrid(10), OceCost.entropic(710), MISS
     )
-    for outcome, data, cost, loss in ((out, cal, cost, FNR), (short, single, OceCost.entropic(710), MISS)):
+    for outcome, data, cost, loss in ((out, cal, OceCost.cvar(0.8), FNR),
+                                      (short, single, OceCost.entropic(710), MISS)):
         n, trace = len(data), outcome.trace.copy()
         want = [
             (n / (n + 1.0)) * empirical_objective(losses_at(data, loss, [lam])[:, 0], cost, t)
