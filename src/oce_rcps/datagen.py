@@ -13,10 +13,10 @@ for scores), so generation is reproducible and parallelizable per example.
 
 A split part is a row view: it holds its row indices into the pool it was
 split from, which keeps the checked arrays, each row's |truth|, the loss
-counts `count_pool` takes and the member counts `member_counts` takes on
-that grid, so a Monte Carlo trial neither copies nor re-checks the rows
-of its parts, nor reads their scores. Both losses are defined here, in
-`loss_reader`, from those counts.
+counts `count_pool` takes and the member counts `member_counts` takes at
+points of that grid, by lam, so a Monte Carlo trial neither copies nor
+re-checks the rows of its parts, nor reads their scores. Both losses are
+defined here, in `loss_reader`, from those counts.
 """
 
 from __future__ import annotations
@@ -84,10 +84,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class _Pool:
     """The validated rows that datasets view: the (n, m) scores and truth
     mask, each row's |truth|, the loss counts kept for the rows on one
-    grid, as (grid, table), or None, and the member counts of every row at
-    the points of that grid that `member_counts` was asked for, by grid
-    index. Every array is read-only, so counts kept for the rows cannot go
-    stale."""
+    grid, as (grid, table), or None, and the member counts of every row,
+    by lam, at the lams that `member_counts` was asked for at points of a
+    counted grid. Every array is read-only, so counts kept for the rows
+    cannot go stale."""
 
     def __init__(self, scores: np.ndarray, truth: np.ndarray):
         self.scores, self.truth = _frozen(scores), _frozen(truth)
@@ -163,11 +163,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self._pool.scores) if self._rows is None else self._rows.size
-
-    @property
-    def _counts(self) -> tuple | None:
-        """The loss counts kept with the pool, (grid, table), or None."""
-        return self._pool.counts
 
     @property
     def examples(self) -> list:
@@ -268,8 +263,8 @@ def loss_reader(dataset: Dataset, kind, lams):
         raise ValueError("FNR loss needs a nonempty truth set")
     lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
     table = None
-    if dataset._counts is not None:
-        grid, kept = dataset._counts
+    if dataset._pool.counts is not None:
+        grid, kept = dataset._pool.counts
         i = grid.searchsorted(lams[0]) if lams.size else 0
         if np.array_equal(grid[i:i + lams.size], lams):
             table, index = kept[:, i:i + lams.size], dataset._rows
@@ -292,26 +287,22 @@ def loss_reader(dataset: Dataset, kind, lams):
 
 def member_counts(dataset: Dataset, lam: float) -> np.ndarray:
     """How many scores of each example are at least 1 - lam, the size of
-    its prediction set at lam.
+    its prediction set at lam, in `np.min_scalar_type(m)`.
 
-    When the dataset's pool is counted and lam is a point of its grid, the
-    pool counts every one of its rows at lam once, the first time any
-    dataset of it asks, and keeps that column in `np.min_scalar_type(m)`;
-    each later read gathers only the dataset's rows of it. Any other lam,
-    or a dataset of an uncounted pool, counts the dataset's own scores and
-    keeps nothing."""
+    A set size depends on lam alone, so it is counted over every row of the
+    dataset's pool and the dataset reads its rows of that column. The pool
+    keeps the column by lam when it is counted and lam is a point of its
+    grid; a kept column stays through a recount on another grid."""
     pool = dataset._pool
-    if pool.counts is not None:
-        grid = pool.counts[0]
-        k = int(grid.searchsorted(lam))
-        if k < grid.size and grid[k] == lam:
-            if k not in pool.members:
-                members = np.count_nonzero(pool.scores >= 1.0 - lam, axis=1)
-                pool.members[k] = _frozen(members.astype(np.min_scalar_type(dataset.m)))
-            return dataset._take(pool.members[k])
-    if np.isnan(lam):
-        raise ValueError("lam must not be NaN")
-    return np.count_nonzero(dataset.scores >= 1.0 - lam, axis=1)
+    kept = pool.members.get(lam)
+    if kept is None:
+        if np.isnan(lam):
+            raise ValueError("lam must not be NaN")
+        counted = np.count_nonzero(pool.scores >= 1.0 - lam, axis=1)
+        kept = _frozen(counted.astype(np.min_scalar_type(dataset.m)))
+        if pool.counts is not None and lam in pool.counts[0]:
+            pool.members[lam] = kept
+    return dataset._take(kept)
 
 
 def count_pool(dataset: Dataset, lams) -> None:
@@ -321,16 +312,15 @@ def count_pool(dataset: Dataset, lams) -> None:
     dataset of it reads its rows of them instead of walking. The counts
     hold for both loss kinds; a pool already counted on this grid is left
     as it is, and one counted on another grid is recounted. The dataset's
-    own pool and rows stay as they were made."""
-    lams = np.asarray(lams, dtype=np.float64)
-    if dataset._counts is not None and np.array_equal(dataset._counts[0], lams):
+    own pool and rows stay as they were made, and so do the member counts
+    the pool keeps, since a set size does not depend on the grid."""
+    lams, pool = np.asarray(lams, dtype=np.float64), dataset._pool
+    if pool.counts is not None and np.array_equal(pool.counts[0], lams):
         return
     if lams.ndim != 1 or np.isnan(lams).any() or not np.all(lams[1:] > lams[:-1]):
         raise ValueError("a counted grid must be strictly increasing")
-    pool = dataset._pool
     table = np.ascontiguousarray(_walk_counts(Dataset._view(pool, None), lams))  # rows contiguous
     pool.counts = (_frozen(lams.copy()), _frozen(table))
-    pool.members = {}  # kept at points of the grid just replaced
 
 
 def write_dataset(data: Dataset, fp) -> None:

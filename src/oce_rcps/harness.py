@@ -29,7 +29,7 @@ from .calibrate import (
     select_rcps,
 )
 from .datagen import Dataset, SplitSpec, count_pool, split_dataset
-from .risk import LOSS_MAX, LossKind, OceCost, empirical_oce, losses_at, relative_set_sizes
+from .risk import LOSS_MAX, LossKind, OceCost, empirical_oce, losses_at, relative_set_sizes, spelled_float
 from .rng import mix64
 
 METHODS = ("oce-crc", "rcps", "oce-rcps")
@@ -73,7 +73,7 @@ class TrialConfig:
             "grid": self.grid.resolution,
             "split": [self.split.opt_size, self.split.cal_size, self.split.test_size],
             "bound": self.bound_method,
-            "t_mode": PER_LAMBDA if self.fixed_t is None else f"fixed:{self.fixed_t:g}",
+            "t_mode": PER_LAMBDA if self.fixed_t is None else f"fixed:{spelled_float(self.fixed_t)}",
         }
 
 

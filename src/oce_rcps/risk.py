@@ -101,7 +101,13 @@ class OceCost:
     def spelled(self) -> str:
         if self.variant == "average":
             return "average"
-        return f"{self.variant}:{self.beta:g}"
+        return f"{self.variant}:{spelled_float(self.beta)}"
+
+
+def spelled_float(x: float) -> str:
+    """x as the run files spell a beta or a fixed t: its shortest round-trip
+    repr without a trailing ".0", so 3.0 is "3" and 0.9999999 stays so."""
+    return repr(float(x)).removesuffix(".0")
 
 
 def phi(cost: OceCost, u) -> np.ndarray:

@@ -655,7 +655,7 @@ def test_loss_reader_decides_as_the_converted_block(n, m, G, kind, cost, delta, 
     lams = grid[lo:int(rng.integers(lo + 1, G + 2))]
     ts = rng.choice([0.0, 1.0, rng.uniform()], size=lams.size)
     block = losses_at(data, kind, lams)
-    assert block.shape == (n, lams.size) and data._counts[1].dtype == np.min_scalar_type(m)
+    assert block.shape == (n, lams.size) and data._pool.counts[1].dtype == np.min_scalar_type(m)
     assert block.dtype == np.float64 and block.flags.f_contiguous  # each column contiguous
     read, reads = loss_reader(data, kind, lams), []
 

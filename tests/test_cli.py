@@ -122,6 +122,24 @@ def test_evaluate_entropic_tiny_beta_is_the_mean(dataset_path, capsys):
     assert abs(risks[1] - risks[0]) < 1e-9
 
 
+def test_run_files_spell_the_risk_and_t_in_full(dataset_path, tmp_path, capsys):
+    # a run file names its run as given: six significant digits would
+    # spell the risk cvar:1, which no cvar accepts, and the t 0.123457
+    run_flags = ["--method", "oce-rcps", "--risk", "cvar:0.9999999", "--loss", "fnr",
+                 "--alpha", "0.4", "--delta", "0.2", "--grid", "20", "--t-mode", "fixed:0.1234567"]
+    assert run(["calibrate", *run_flags, "--data", dataset_path, "--opt-size", "30",
+                "--cal-size", "100", "--output-dir", tmp_path / "cal"]) == 0
+    assert json.loads((tmp_path / "cal" / "calibration.json").read_text())["risk"] == "cvar:0.9999999"
+    assert run(["trials", *run_flags, "--pool", dataset_path, *POOL[2:], "--trials", "2",
+                "--seed", "1", "--output-dir", tmp_path / "trials"]) == 0
+    summary = json.loads((tmp_path / "trials" / "summary.json").read_text())
+    assert summary["config"]["risk"] == "cvar:0.9999999"
+    assert summary["config"]["t_mode"] == "fixed:0.1234567"
+    assert run(["evaluate", "--data", dataset_path, "--lambda", "0.5", "--risk", "cvar:0.9999999",
+                "--loss", "fnr"]) == 0
+    assert json.loads(capsys.readouterr().out)["risk"] == "cvar:0.9999999"
+
+
 @pytest.mark.parametrize("method", ["oce-rcps", "oce-crc"])
 def test_calibrate_subnormal_entropic_beta_picks_the_small_beta_lambda(tmp_path, method):
     # at beta = 5e-324, beta * u underflows to 0 without the beta floor, so
@@ -249,6 +267,19 @@ def test_evaluate_non_object_row_is_data_error(tmp_path, capsys):
     code = run(["evaluate", "--data", bad, "--lambda", "0.5", "--risk", "average", "--loss", "fnr"])
     assert code == 3
     assert "line 2: row needs scores and truth arrays" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("evaluate", ["--lambda", "0.5", "--risk", "average", "--loss", "fnr", "--output", "out.json"]),
+    ("calibrate", [*RUN, "--opt-size", "1", "--cal-size", "1", "--output-dir", "out"]),
+])
+def test_header_that_is_not_json_is_data_error(tmp_path, monkeypatch, capsys, command, flags):
+    monkeypatch.chdir(tmp_path)  # the relative output path would land here
+    Path("bad.jsonl").write_text('{"format": oce-rcps-dataset}\n{"scores":[0.5],"truth":[0]}\n')
+    assert run([command, "--data", "bad.jsonl", *flags]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: line 1: bad header")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
 
 
 def test_data_that_is_a_directory_is_data_error(tmp_path, capsys):
@@ -752,8 +783,11 @@ T_MODES = ("per-lambda", "closed-form", "fixed:nan", "fixed:-0", "fixed:1e308", 
 # "pool.jsonl" is a file, also as an output directory; "" names no file
 PATHS = ("missing", "directory", "pool.jsonl", "")
 SIZES = {"--count", "--trials", "--grid", "--m", "--jobs"}
+# sweep values that name one directory at six digits, an empty entry, none, and a signed zero
+SWEEP_VALUES = ("0.3,0.3000001", "0.2,", ",", "nan", "-0,0")
 CHOICES = {"--method": ("rcps", "oce-crc", "bogus"), "--loss": ("miscoverage", "bogus"),
-           "--bound": ("hoeffding", "bogus"), "--risk": RISK_SPECS, "--t-mode": T_MODES}
+           "--bound": ("hoeffding", "bogus"), "--risk": RISK_SPECS, "--t-mode": T_MODES,
+           "--vary": ("alpha", "bogus"), "--values": SWEEP_VALUES}
 
 RUN_FLAGS = {
     "--method": "oce-rcps", "--risk": "cvar:0.8", "--loss": "fnr", "--alpha": "0.4",
@@ -770,6 +804,7 @@ BASES = {
                "--test-size": "20", "--trials": "3", "--seed": "1", "--jobs": "1",
                "--output-dir": "trials"},
 }
+BASES["sweep"] = {**BASES["trials"], "--vary": "delta", "--values": "0.2,0.3"}
 PATH_FLAGS = {"--output", "--data", "--output-dir", "--pool"}
 JUNK_LINES = ("", "{", "null", "[]", '{"scores": [NaN], "truth": []}', '{"scores": [], "truth": [0]}',
               '{"scores": "0.5", "truth": []}', '{"scores": [1e400], "truth": [0]}')

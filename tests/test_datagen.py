@@ -261,6 +261,12 @@ def test_read_rejects_bad_header():
         read_dataset(io.StringIO(""))
 
 
+def test_read_rejects_a_header_that_is_not_json():
+    with pytest.raises(DatasetParseError, match="^line 1: bad header: ") as caught:
+        read_dataset(io.StringIO('{"format": oce-rcps-dataset}\n{"scores":[0.5],"truth":[0]}\n'))
+    assert caught.value.line_no == 1
+
+
 def test_read_rejects_count_mismatch():
     text = (
         '{"format":"oce-rcps-dataset","version":1,"m":1,"count":2,"seed":null,"params":null}\n'

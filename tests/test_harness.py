@@ -6,6 +6,8 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oce_rcps import datagen, harness
 from oce_rcps.calibrate import LambdaGrid
@@ -14,6 +16,7 @@ from oce_rcps.harness import (
     TrialConfig,
     TrialRecord,
     kde_density,
+    parse_t_mode,
     records_to_csv,
     run_trial,
     run_trials,
@@ -216,6 +219,18 @@ def test_rcps_takes_no_fixed_t(t):
     with pytest.raises(ValueError, match="method rcps takes no fixed t"):
         config("rcps", fixed_t=t)
     assert config("rcps").echo()["t_mode"] == "per-lambda"
+
+
+@given(
+    cost=st.builds(OceCost.cvar, st.floats(0.0, 1.0, exclude_max=True))
+    | st.builds(OceCost.entropic, st.floats(0.0, math.inf, exclude_min=True, exclude_max=True)),
+    t=st.floats(0.0, 1.0),
+)
+def test_echo_reads_back_as_the_config(cost, t):
+    # a six-digit spelling would write cvar:0.9999999 as cvar:1, which no cvar accepts
+    echo = config(cost=cost, fixed_t=t).echo()
+    assert OceCost.parse(echo["risk"]) == cost
+    assert parse_t_mode(echo["t_mode"]) == t
 
 
 def test_oce_crc_takes_no_bound_method():

@@ -222,7 +222,7 @@ def test_counts_fit_their_dtype_at_the_boundary(m, dtype):
     walked = datagen._walk_counts(data, np.asarray(lams))
     count_pool(data, lams)
     part = split_dataset(data, SplitSpec(2, 2, 2), seed=1)[1]
-    for counts in (walked, data._counts[1]):
+    for counts in (walked, data._pool.counts[1]):
         assert counts.dtype == dtype
         assert counts[:, 0].tolist() == truth.sum(axis=1).tolist()
     for kind in (FNR, MISS):
@@ -241,7 +241,7 @@ def test_counted_parts_read_any_columns_of_the_grid(counted_pool, monkeypatch):
     for (part, kind, lams), want in zip(cases, expected):
         walked = len(walks)
         assert same(losses_at(part, kind, lams), want)
-        assert part._counts[1] is counted_pool._counts[1]  # read, not copied
+        assert part._pool.counts[1] is counted_pool._pool.counts[1]  # read, not copied
         if any(lams is run for run in runs):
             assert len(walks) == walked
 
@@ -288,7 +288,7 @@ def test_parts_of_an_empty_counted_pool_read_its_counts(monkeypatch):
     part_of_part = split_dataset(part, SplitSpec(0, 0, 0), seed=2)[1]
     walks = record_walks(monkeypatch)
     for data in (part, part_of_part):
-        assert data._counts is pool._counts
+        assert data._pool.counts is pool._pool.counts
         assert losses_at(data, MISS, GRID).shape == (0, GRID.size)
     assert walks == []
 
@@ -297,11 +297,11 @@ def test_count_on_the_counted_grid_is_a_no_op(monkeypatch):
     pool = generate_dataset(GeneratorParams(m=30), 60, seed=8)
     count_pool(pool, GRID)
     part = split_dataset(pool, SplitSpec(10, 30, 20), seed=4)[1]
-    kept = pool._counts
+    kept = pool._pool.counts
     walks = record_walks(monkeypatch)
     for data in (pool, part):
         count_pool(data, GRID)
-        assert data._counts is kept
+        assert data._pool.counts is kept
     assert walks == []
 
 
@@ -315,11 +315,11 @@ def test_count_needs_a_strictly_increasing_grid(counted, monkeypatch):
     bad = (GRID[::-1], np.concatenate([GRID[:9], GRID[8:]]), np.array([0.0, math.nan, 1.0]),
            np.array([math.nan]), GRID[None, :])
     for data in (pool, part):
-        kept = data._counts
+        kept = data._pool.counts
         for lams in bad:
             with pytest.raises(ValueError, match="strictly increasing"):
                 count_pool(data, lams)
-            assert data._counts is kept
+            assert data._pool.counts is kept
     assert walks == []
 
 
@@ -347,7 +347,7 @@ def test_dataset_arrays_are_read_only(counted_pool):
     sizes = relative_set_sizes(part, GRID[7])  # the pool keeps its member counts at GRID[7]
     copied = pickle.loads(pickle.dumps(part))
     assert same(losses_at(copied, FNR, GRID), losses_at(part, FNR, GRID))
-    assert 7 in copied._pool.members and same(relative_set_sizes(copied, GRID[7]), sizes)
+    assert GRID[7] in copied._pool.members and same(relative_set_sizes(copied, GRID[7]), sizes)
     for data in (counted_pool, part, copied):
         with pytest.raises(ValueError, match="read-only"):
             data.scores[0, 0] = 0.5
@@ -392,16 +392,41 @@ def test_member_counts_match_the_scores(case):
             want = np.count_nonzero(data.scores >= 1.0 - lam, axis=1) / np.maximum(
                 data.truth.sum(axis=1), 1)
             assert same(relative_set_sizes(data, lam), want)
-    # kept for every pool row at the grid points read, only on a counted pool
-    kept = pool._pool.members
-    assert set(kept) == ({k for k, lam in enumerate(grid) if lam in lams} if counted else set())
-    for k, members in kept.items():
-        want = np.count_nonzero(pool.scores >= 1.0 - grid[k], axis=1)
+    # kept for every pool row by lam at the grid points read, only on a counted pool
+    kept = dict(pool._pool.members)
+    assert set(kept) == ({lam for lam in grid.tolist() if lam in lams} if counted else set())
+    for lam, members in kept.items():
+        want = np.count_nonzero(pool.scores >= 1.0 - lam, axis=1)
         assert same(members, want.astype(np.min_scalar_type(pool.m)))
         assert not members.flags.writeable
     if counted:
         count_pool(pool, LambdaGrid(len(grid)).values)  # another grid: a recount
-        assert pool._pool.members == {}
+        assert pool._pool.members.keys() == kept.keys()
+        assert all(pool._pool.members[lam] is members for lam, members in kept.items())
+
+
+def test_set_sizes_kept_on_one_grid_survive_a_recount():
+    # a set size depends on lam alone: the column kept at a point of one
+    # grid is the same array after a recount on a grid without that point,
+    # and equals a fresh count; an off-grid lam and an uncounted pool keep
+    # nothing
+    pool = generate_dataset(GeneratorParams(m=30), 60, seed=8)
+    part = split_dataset(pool, SplitSpec(10, 30, 20), seed=4)[1]
+    fresh = uncounted(pool)
+    lam = LambdaGrid(20).values[1]  # 0.05: no point of the 50-point grid
+    want = datagen.member_counts(fresh, lam)
+    assert fresh._pool.members == {} and want.dtype == np.min_scalar_type(pool.m)
+    count_pool(pool, LambdaGrid(20).values)
+    assert same(datagen.member_counts(part, 0.013), datagen.member_counts(uncounted(part), 0.013))
+    assert pool._pool.members == {}
+    assert same(datagen.member_counts(part, lam), want[part._rows])
+    kept = pool._pool.members[lam]
+    assert set(pool._pool.members) == {lam} and same(kept, want)
+    count_pool(pool, LambdaGrid(50).values)
+    assert lam not in pool._pool.counts[0] and set(pool._pool.members) == {lam}
+    assert pool._pool.members[lam] is kept
+    assert datagen.member_counts(pool, lam) is kept
+    assert same(datagen.member_counts(part, lam), want[part._rows])
 
 
 def test_parts_selected_on_another_grid_keep_their_rows(monkeypatch):
@@ -432,10 +457,10 @@ def test_parts_selected_on_another_grid_keep_their_rows(monkeypatch):
         late_opt, late_cal, _ = split_dataset(cal, SplitSpec(30, 90, 30), seed=len(pairs))
         pairs.append((late_cal, late_opt))
         copies.append((uncounted(late_cal), uncounted(late_opt)))
-        assert same(pool._counts[0], grid.values)  # recounted on each switch of grid
+        assert same(pool._pool.counts[0], grid.values)  # recounted on each switch of grid
     assert walks.count(len(pool)) == 3
     monkeypatch.undo()
-    assert same(pool._counts[1], datagen._walk_counts(uncounted(pool), LambdaGrid(20).values))
+    assert same(pool._pool.counts[1], datagen._walk_counts(uncounted(pool), LambdaGrid(20).values))
 
 
 def test_split_gathers_no_rows():
