@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from .risk import LOSS_MAX, OceCost, _loss_rows, bound_B, phi, transformed_losses
+from .risk import LOSS_MAX, OceCost, _loss_rows_and_ts, bound_B, phi, transformed_losses
 
 
 def _accumulate(op, first, x: np.ndarray) -> np.ndarray:
@@ -277,11 +277,8 @@ def _ucb_at_most(read, n: int, cost: OceCost, ts: np.ndarray, delta: float, alph
 
 def _array_reader(losses, t):
     """The array input of the public bounds, checked: a reader of its
-    `_loss_rows` rows (see `_normalized`), n, and the k values of t."""
-    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    block = _loss_rows(losses)
-    if ts.shape != block.shape[:1]:
-        raise ValueError("need one t per loss column")
+    `_loss_rows_and_ts` rows (see `_normalized`), n, and the k values of t."""
+    block, ts = _loss_rows_and_ts(losses, t)
     if not (block.min() >= 0.0 and block.max() <= LOSS_MAX):  # NaN fails too
         raise ValueError("losses must lie in [0, LOSS_MAX]")
     return (lambda cols, rows: block[cols, rows]), block.shape[1], ts

@@ -47,7 +47,7 @@ from .harness import (
     select,
     write_csv,
 )
-from .risk import LOSS_VARIANTS, LossKind, OceCost, empirical_oce, losses_at, relative_set_sizes
+from .risk import LOSS_VARIANTS, LossKind, OceCost, empirical_oce, losses_at, relative_set_sizes, spelled_float
 
 log = logging.getLogger("oce_rcps")
 
@@ -250,7 +250,6 @@ def _trial_config(args, test_size: int | None) -> TrialConfig:
         raise UsageError("--test-size must be >= 1")
     if config.split.opt_size == 0 and config.fixed_t is None and args.method != "rcps":
         raise UsageError("--opt-size must be >= 1 unless --method is rcps or --t-mode is fixed")
-    config.spec()  # a bad alpha or delta is a data error before any pool is read
     return config
 
 
@@ -303,9 +302,8 @@ def _cmd_sweep(args):
     values = [_config_value(action, v) for v in str(args.values).split(",") if v.strip()]
     if not values:
         raise UsageError("--values must list at least one number")
-    subdirs = [f"{args.vary}_{value:g}" for value in values]
-    if len(set(subdirs)) < len(subdirs):
-        raise UsageError("--values entries must differ in their first six significant digits")
+    if len(set(values)) < len(values):  # by value, so -0 and 0 are one number
+        raise UsageError("--values must not list one number twice")
     configs = []
     for value in values:  # validate every grid point before the long run
         setattr(args, args.vary, value)
@@ -316,9 +314,10 @@ def _cmd_sweep(args):
     columns = (args.vary, "satisfaction_rate", "mean_test_oce_risk",
                "median_test_oce_risk", "median_rel_size", "trials")
     rows = []
-    for value, config, subdir in zip(values, configs, subdirs):
+    for value, config in zip(values, configs):
         records, summary = run_trials(pool, config, args.trials, args.seed, jobs=args.jobs)
-        _emit_trials(outdir / subdir, records, summary, args.no_timestamp)
+        _emit_trials(outdir / f"{args.vary}_{spelled_float(value)}", records, summary,
+                     args.no_timestamp)
         rows.append([value] + [getattr(summary, c) for c in columns[1:]])
     with open(outdir / "sweep_summary.csv", "w") as fp:
         write_csv(fp, columns, rows)
@@ -341,9 +340,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file; flags override it")
     scored.add_argument("--risk", help="average | entropic:B | cvar:B")
     scored.add_argument("--loss", choices=LOSS_VARIANTS)
-    scored.add_argument("--alpha", type=float)
+    scored.add_argument("--alpha", type=float, help="risk tolerance: a finite number >= 0")
     run.add_argument("--method", choices=METHODS)
-    run.add_argument("--delta", type=float)
+    run.add_argument("--delta", type=float, help="failure probability, in (0, 1)")
     run.add_argument("--grid", type=int,
                      help=f"grid resolution G (default {LambdaGrid.resolution})")
     run.add_argument("--bound", choices=BOUND_METHODS)

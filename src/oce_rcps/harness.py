@@ -59,6 +59,7 @@ class TrialConfig:
             raise ValueError("method rcps takes no fixed t")
         if self.method == "oce-crc" and self.bound_method != TrialConfig.bound_method:  # it bounds nothing
             raise ValueError(f"method oce-crc takes no bound method {self.bound_method!r}")
+        self.spec()  # a bad alpha or delta makes no config
 
     def spec(self) -> ReliabilitySpec:
         return ReliabilitySpec(self.alpha, self.delta)

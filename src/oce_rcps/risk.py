@@ -105,8 +105,9 @@ class OceCost:
 
 
 def spelled_float(x: float) -> str:
-    """x as the run files spell a beta or a fixed t: its shortest round-trip
-    repr without a trailing ".0", so 3.0 is "3" and 0.9999999 stays so."""
+    """x as the run files spell a beta, a fixed t or a swept value: its
+    shortest round-trip repr without a trailing ".0", so 3.0 is "3" and
+    0.9999999 stays so."""
     return repr(float(x)).removesuffix(".0")
 
 
@@ -161,13 +162,24 @@ def _loss_rows(losses) -> np.ndarray:
     return np.ascontiguousarray(np.atleast_2d(losses.T))
 
 
+def _loss_rows_and_ts(losses, t) -> tuple[np.ndarray, np.ndarray]:
+    """`_loss_rows(losses)` and t as k float64 values, one per row: a scalar
+    t for a vector, one t per column for a block; the losses are checked
+    first."""
+    rows = _loss_rows(losses)
+    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if ts.shape != rows.shape[:1]:
+        raise ValueError("need one t per loss column")
+    return rows, ts
+
+
 def empirical_objective(losses: np.ndarray, cost: OceCost, t) -> float | np.ndarray:
     """t + mean phi(loss_i - t), convex in t: a float for an (n,) vector and
     a scalar t, k values for an (n, k) block with one t per column. A vector
     is the block with k = 1; block means run along contiguous rows, bit-equal
     to each column's own mean."""
-    rows = _loss_rows(losses)
-    out = transformed_losses(cost, np.atleast_1d(t)[:, None], rows).mean(axis=1)
+    rows, ts = _loss_rows_and_ts(losses, t)
+    out = transformed_losses(cost, ts[:, None], rows).mean(axis=1)
     return out if np.ndim(losses) == 2 else float(out[0])
 
 

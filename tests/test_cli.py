@@ -488,38 +488,14 @@ def test_calibrate_config_method_checked(dataset_path, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_calibrate_nan_alpha_is_data_error(dataset_path, tmp_path):
-    code = run([
-        "calibrate", "--method", "oce-rcps", "--risk", "cvar:0.8", "--loss", "fnr",
-        "--alpha", "nan", "--delta", "0.2", "--grid", "20", "--data", dataset_path,
-        "--opt-size", "30", "--cal-size", "100", "--output-dir", tmp_path / "out",
-    ])
-    assert code == 3
-    assert not (tmp_path / "out" / "calibration.json").exists()
-
-
-@pytest.mark.parametrize("command", ["calibrate", "trials", "sweep"])
-def test_infinite_alpha_is_data_error(dataset_path, tmp_path, command):
-    args = {
-        "calibrate": ["--data", dataset_path, "--opt-size", "30", "--cal-size", "100"],
-        "trials": ["--pool", dataset_path, *POOL[2:], "--trials", "2"],
-        "sweep": ["--vary", "alpha", "--values", "inf", "--pool", dataset_path, *POOL[2:],
-                  "--trials", "2"],
-    }[command]
-    code = run([command, *RUN, "--alpha", "inf", *args, "--output-dir", tmp_path / "out"])
-    assert code == 3
-    # JSON has no Infinity literal
-    written = [p for p in tmp_path.rglob("*") if p.is_file()]
-    assert not any("Infinity" in p.read_text() for p in written)
-
-
-def test_sweep_checks_every_value_before_running(dataset_path, tmp_path):
+def test_sweep_checks_every_value_before_running(dataset_path, tmp_path, capsys):
     outdir = tmp_path / "sweep"
     code = run([
         "sweep", "--vary", "alpha", "--values", "0.4,inf", *RUN, "--pool", dataset_path,
         *POOL[2:], "--trials", "2", "--seed", "7", "--output-dir", outdir,
     ])
-    assert code == 3
+    assert code == 2
+    assert "alpha must be a finite number >= 0" in capsys.readouterr().err
     assert not (outdir / "alpha_0.4").exists()
 
 
@@ -530,7 +506,7 @@ def test_bad_delta_reported_before_pool_is_read(tmp_path, capsys, command):
         command, *sweep, *RUN, "--delta", "1.5", "--pool", tmp_path / "missing.jsonl",
         "--trials", "2", "--seed", "7", "--output-dir", tmp_path / "out",
     ])
-    assert code == 3
+    assert code == 2
     err = capsys.readouterr().err
     assert "delta must lie in (0, 1)" in err and "missing.jsonl" not in err
 
@@ -755,16 +731,34 @@ def test_sweep_values_listing_nothing_is_usage_error(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("values", ["0.4000001,0.4000004", "0.3,0.4,0.3"])
-def test_sweep_values_sharing_a_directory_are_usage_errors(tmp_path, values):
+@pytest.mark.parametrize("values", ["0.3,0.4,0.3", "0.2,0.20", "-0,0"])
+def test_sweep_values_sharing_a_directory_are_usage_errors(tmp_path, capsys, values):
+    # judged by value, so -0 and 0, spelled alpha_-0 and alpha_0, are one
+    # number too: that list once ran one alpha twice
     outdir = tmp_path / "sweep"
     code = run([
-        "sweep", "--vary", "alpha", "--values", values, *RUN,
+        "sweep", "--vary", "alpha", f"--values={values}", *RUN,
         "--pool", tmp_path / "missing.jsonl",  # rejected before the pool is read
         "--trials", "2", "--seed", "7", "--output-dir", outdir,
     ])
     assert code == 2
+    assert "--values must not list one number twice" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_sweep_values_close_together_run_apart(dataset_path, tmp_path):
+    # a directory spells its value in full, so values that agree to six
+    # significant digits still get a directory each
+    outdir = tmp_path / "sweep"
+    code = run([
+        "sweep", "--vary", "alpha", "--values", "0.4000001,0.4000004", *RUN,
+        "--pool", dataset_path, *POOL[2:], "--trials", "2", "--seed", "7", "--output-dir", outdir,
+    ])
+    assert code == 0
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "alpha_0.4000001", "alpha_0.4000004", "sweep_summary.csv"]
+    rows = (outdir / "sweep_summary.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0.4000001", "0.4000004"]
 
 
 # ---------------------------------------------------------------- exit-code contract
@@ -783,7 +777,7 @@ T_MODES = ("per-lambda", "closed-form", "fixed:nan", "fixed:-0", "fixed:1e308", 
 # "pool.jsonl" is a file, also as an output directory; "" names no file
 PATHS = ("missing", "directory", "pool.jsonl", "")
 SIZES = {"--count", "--trials", "--grid", "--m", "--jobs"}
-# sweep values that name one directory at six digits, an empty entry, none, and a signed zero
+# sweep values that agree to six digits, an empty entry, none, and a signed zero
 SWEEP_VALUES = ("0.3,0.3000001", "0.2,", ",", "nan", "-0,0")
 CHOICES = {"--method": ("rcps", "oce-crc", "bogus"), "--loss": ("miscoverage", "bogus"),
            "--bound": ("hoeffding", "bogus"), "--risk": RISK_SPECS, "--t-mode": T_MODES,
@@ -953,6 +947,40 @@ def test_empty_config_path_is_usage_error(small_pool, tmp_path, monkeypatch, cap
     assert added == set()
 
 
+# ---------------------------------------------------------------- alpha and delta
+
+BAD_RUN_VALUES = [("alpha", v) for v in ("nan", "inf", "-0.1")] + [
+    ("delta", v) for v in ("0", "1", "1.5", "nan")]
+BAD_RUN_WAYS = [(command, via) for command in ("calibrate", "trials", "sweep")
+                for via in ("flag", "config")] + [("sweep", "values")]
+
+
+@pytest.mark.parametrize("command, via", BAD_RUN_WAYS)
+@pytest.mark.parametrize("name, value", BAD_RUN_VALUES)
+def test_bad_alpha_or_delta_is_usage_error(tmp_path, monkeypatch, capsys, command, via, name,
+                                           value):
+    # TrialConfig holds the alpha and delta rules, so a value no run takes
+    # is a usage error however it is given, before any data is read
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "read_dataset_path", lambda path: pytest.fail(f"{path} read"))
+    flags = base_flags(command)
+    if command == "sweep":  # the swept setting is the other one, or the bad one itself
+        other = "delta" if name == "alpha" else "alpha"
+        flags.update({"--vary": name, "--values": f"0.3,{value}"} if via == "values"
+                     else {"--vary": other, "--values": "0.3"})
+    if via == "config":
+        del flags[f"--{name}"]
+        Path("config.json").write_text(json.dumps({name: value}))
+        flags["--config"] = "config.json"
+    elif via == "flag":
+        flags[f"--{name}"] = value
+    assert run_cli([command, *(item for pair in flags.items() for item in pair)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: {name} must")
+    # nothing is written, so no JSON file can hold an Infinity literal
+    assert [p.name for p in tmp_path.iterdir()] == (["config.json"] if via == "config" else [])
+
+
 # ---------------------------------------------------------------- flag declarations
 
 DESTS = {
@@ -1057,3 +1085,34 @@ def test_an_allocation_too_large_is_a_data_error(small_pool, tmp_path, monkeypat
     assert run_cli(argv) == 3
     assert "data error: Unable to allocate 7.11 PiB" in capsys.readouterr().err
     assert {p.name for p in tmp_path.iterdir()} == {"pool.jsonl"}
+
+
+# ---------------------------------------------------------------- diagnostics
+
+def test_oce_rcps_log_sets_the_diagnostics_only(dataset_path, tmp_path):
+    # a fresh process each: inside pytest the root logger already has
+    # handlers, so logging.basicConfig would change nothing
+    src = Path(oce_rcps.__file__).resolve().parent.parent
+    outputs = {}
+    for level in (None, "bogus", "info", "debug"):
+        env = {k: v for k, v in os.environ.items() if k != "OCE_RCPS_LOG"}
+        env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+        if level is not None:
+            env["OCE_RCPS_LOG"] = level
+        outdir = tmp_path / str(level)
+        proc = subprocess.run(
+            [sys.executable, "-m", "oce_rcps.cli", "trials", *RUN, "--pool", str(dataset_path),
+             *POOL[2:], "--trials", "1", "--seed", "7", "--no-timestamp", "--output-dir",
+             str(outdir)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        if level in ("info", "debug"):
+            # one trial gives the KDE one value, so both fall back to raw values
+            assert "INFO satisfaction_rate=" in proc.stderr
+            for name in ("risk", "rel_size"):
+                assert f"INFO kde for {name} unavailable (" in proc.stderr
+        else:
+            assert proc.stderr == ""
+        outputs[level] = [(outdir / name).read_bytes() for name in ("trials.csv", "summary.json")]
+    assert all(files == outputs[None] for files in outputs.values())

@@ -245,7 +245,10 @@ def test_oce_crc_takes_no_bound_method():
 def test_bad_config_never_walks_the_pool(monkeypatch):
     pool = generate_dataset(GeneratorParams(m=40), 300, seed=2024)  # never counted
     seen = record_walks(monkeypatch)
-    for bad in ({"fixed_t": 1.5}, {"fixed_t": math.nan}, {"bound_method": "bogus"}):
+    bad_alphas = [{"alpha": a} for a in (math.nan, math.inf, -0.1)]
+    bad_deltas = [{"delta": d} for d in (0.0, 1.0, 1.5, math.nan)]
+    for bad in ({"fixed_t": 1.5}, {"fixed_t": math.nan}, {"bound_method": "bogus"},
+                *bad_alphas, *bad_deltas):
         for method in harness.METHODS:
             with pytest.raises(ValueError):
                 run_trials(pool, config(method, **bad), 3, master_seed=7)

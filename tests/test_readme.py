@@ -1,10 +1,11 @@
-"""The README's runnable snippet runs against the current API."""
+"""The README's runnable snippet and CLI examples run against the current API."""
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
-from oce_rcps import calibrate
+from oce_rcps import calibrate, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -52,3 +53,34 @@ def test_readme_module_names_resolve():
         if not hasattr(importlib.import_module(f"oce_rcps.{module}"), name)
     ]
     assert missing == []
+
+
+def readme_commands():
+    """Each `oce-rcps` command in the README's sh blocks as an argv, with
+    `\\` continuations joined and `$var` expanded over its `for` list."""
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S):
+        var, values = None, [None]
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split("#", 1)[0].strip()
+            if match := re.fullmatch(r"for (\w+) in (.*); do", line):
+                var, values = match.group(1), match.group(2).split()
+            elif line == "done":
+                var, values = None, [None]
+            elif line.startswith("oce-rcps "):
+                for value in values:
+                    command = line if var is None else line.replace(f"${var}", value)
+                    commands.append(shlex.split(command)[1:])
+    return commands
+
+
+def test_readme_cli_examples_parse():
+    # every example runs through the real parser and, for the commands that
+    # take a run, makes the TrialConfig the run would use
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"generate", "calibrate", "evaluate", "trials", "sweep"}
+    for argv in commands:
+        args = cli._merge_config(cli._build_parser().parse_args(argv))
+        if args.command in ("calibrate", "trials", "sweep"):
+            test_size = None if args.command == "calibrate" else args.test_size
+            assert cli._trial_config(args, test_size).method == args.method, argv

@@ -562,6 +562,11 @@ def test_empirical_objective_examples():
     assert empirical_objective([0.1, 0.3], OceCost.average(), 0.77) == pytest.approx(0.2)
     assert empirical_objective([0.1, 0.2, 0.3, 0.4], OceCost.cvar(0.5), 0.2) == pytest.approx(0.35)
     assert empirical_objective([0.3, 0.3], OceCost.entropic(3), 0.3) == pytest.approx(0.3)
+    # one t per loss column, as the bounds take it: a second t for a vector
+    # was ignored, and a scalar t was broadcast over a block's columns
+    for losses, t in (([0.2, 0.5, 0.8], [0.0, 0.5]), (np.full((3, 2), 0.5), 0.2)):
+        with pytest.raises(ValueError, match="need one t per loss column"):
+            empirical_objective(losses, OceCost.cvar(0.5), t)
 
 
 def test_empirical_objective_empty_rejected():
