@@ -109,7 +109,7 @@ def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward, bound) -> Calibra
     the k bounds, for its `bounds()`."""
     if len(cal) == 0:
         raise ValueError("calibration set must be nonempty")
-    if fixed_t is None and opt is None:
+    if fixed_t is None and (opt is None or len(opt) == 0):
         raise ValueError("opt split required unless t is fixed")
     lams = grid.values
     for split in (cal,) if fixed_t is not None else (cal, opt):

@@ -112,10 +112,8 @@ def spelled_float(x: float) -> str:
 
 
 def phi(cost: OceCost, u) -> np.ndarray:
-    """phi elementwise over an array u. The average and cvar costs are array
-    arithmetic; the entropic cost takes the scalar `math.expm1` per entry
-    (`np.expm1` rounds some values differently) and raises OverflowError
-    when an entry is past the exp range."""
+    """phi elementwise over an array u, in numpy's kernels; the entropic cost
+    raises OverflowError when an entry is past the exp range."""
     u = np.asarray(u, dtype=np.float64)
     if cost.variant == "average":
         return u
@@ -127,21 +125,16 @@ def phi(cost: OceCost, u) -> np.ndarray:
         raise OverflowError(
             f"entropic cost overflow: beta*u = {bu.max():.3g} exceeds exp limit"
         )
-    return np.array([math.expm1(x) / beta for x in bu.ravel().tolist()]).reshape(u.shape)
+    return np.expm1(bu) / beta
 
 
 def transformed_losses(cost: OceCost, t: float, losses: np.ndarray) -> np.ndarray:
-    """t + phi(loss - t) per loss; nondecreasing in loss for fixed t."""
+    """t + phi(loss - t) per loss; nondecreasing in loss for fixed t. The
+    average cost returns a copy of the losses, exact whatever t is."""
     losses = np.asarray(losses, dtype=np.float64)
     if cost.variant == "average":
         return losses.copy()
-    if cost.variant == "cvar":
-        return t + np.maximum(losses - t, 0.0) / (1.0 - cost.beta)
-    beta = max(cost.beta, _BETA_FLOOR)
-    bu = beta * (losses - t)
-    if np.any(bu > _EXP_LIMIT):
-        raise OverflowError("entropic cost overflow in transformed_losses")
-    return t + np.expm1(bu) / beta
+    return t + phi(cost, losses - t)
 
 
 def bound_B(cost: OceCost, t):
@@ -189,8 +182,7 @@ def optimize_t(opt_losses: np.ndarray, cost: OceCost) -> float | np.ndarray:
     order statistic (lowest minimizer). A float for an (n,) vector, k values
     for an (n, k) block, each bit-equal to the call on its column alone:
     the block is laid out as contiguous (k, n) rows, so each row's
-    partition, max and mean run as for the column alone, and the entropic
-    log stays a scalar `math.log` (`np.log` rounds differently)."""
+    partition, max, mean and log run as for the column alone."""
     rows = _loss_rows(opt_losses)
     k, n = rows.shape
     if cost.variant == "average":
@@ -203,13 +195,13 @@ def optimize_t(opt_losses: np.ndarray, cost: OceCost) -> float | np.ndarray:
         hi = rows.max(axis=1)
         beta = max(cost.beta, _BETA_FLOOR)
         if beta >= _SMALL_BETA:
-            log, mean = math.log, np.exp(beta * (rows - hi[:, None])).mean(axis=1)
+            log, mean = np.log, np.exp(beta * (rows - hi[:, None])).mean(axis=1)
         else:
             # the mean of exp rounds toward 1 here, losing ~1e-16/beta;
             # log1p and expm1 keep those digits. The value lies between the
             # mean and the mean + beta * (max - min)^2 / 8 (Hoeffding's lemma).
-            log, mean = math.log1p, np.expm1(beta * (rows - hi[:, None])).mean(axis=1)
-        ts = np.array([h + log(x) / beta for h, x in zip(hi.tolist(), mean.tolist())])
+            log, mean = np.log1p, np.expm1(beta * (rows - hi[:, None])).mean(axis=1)
+        ts = hi + log(mean) / beta
     return ts if np.ndim(opt_losses) == 2 else float(ts[0])
 
 

@@ -84,10 +84,10 @@ def closed_form_oce(losses, cost) -> tuple[float, float]:
         hi = float(np.max(losses))
         beta = cost.beta
         if beta >= 1e-4:
-            value = hi + math.log(np.mean(np.exp(beta * (losses - hi)))) / beta
+            value = hi + float(np.log(np.mean(np.exp(beta * (losses - hi))))) / beta
         else:
             beta = max(beta, 1e-100)
-            value = hi + math.log1p(np.mean(np.expm1(beta * (losses - hi)))) / beta
+            value = hi + float(np.log1p(np.mean(np.expm1(beta * (losses - hi))))) / beta
         return value, value
     k = max(1, math.ceil(cost.beta * losses.size))
     t_star = float(np.partition(losses, k - 1)[k - 1])

@@ -137,8 +137,8 @@ def test_block_t_matches_the_column_oracle(n, k, cost, values, column_major, see
 
 @pytest.mark.parametrize("cost", BLOCK_T_COSTS, ids=lambda c: f"{c.variant}:{c.beta!r}")
 def test_block_t_matches_the_column_oracle_on_a_wide_block(cost):
-    # thousands of columns: enough for `np.log` or `np.log1p` over the
-    # means to round some of them differently from the scalar `math` log
+    # thousands of columns, whose means take `np.log` or `np.log1p` in one
+    # call: each column keeps the bits of its own closed form
     block = np.asfortranarray(np.random.default_rng(67).uniform(size=(50, 3000)))
     want = np.array([closed_form_oce(block[:, j], cost)[1] for j in range(block.shape[1])])
     assert optimize_t(block, cost).tobytes() == want.tobytes()
@@ -581,9 +581,11 @@ def test_both_selectors_reject_a_fixed_t_outside_the_loss_range(t):
 
 def test_opt_split_required_unless_t_fixed():
     cal = random_dataset(np.random.default_rng(59), 10)
+    empty = split_dataset(cal, SplitSpec(0, 10, 0), seed=1)[0]  # a 0-row part
     for select in (select_oce_crc, select_oce_rcps):
-        with pytest.raises(ValueError, match="opt split required"):
-            select(cal, None, ReliabilitySpec(0.5, 0.2), LambdaGrid(5), OceCost.cvar(0.8), FNR)
+        for opt in (None, empty):
+            with pytest.raises(ValueError, match="opt split required"):
+                select(cal, opt, ReliabilitySpec(0.5, 0.2), LambdaGrid(5), OceCost.cvar(0.8), FNR)
 
 
 # ---------------------------------------------------------------- memory

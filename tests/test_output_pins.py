@@ -11,14 +11,34 @@ The digests were taken with Python 3.11, numpy 2.4.6 and scipy 1.17.1.
 The generated scores come from `scipy.special.betaincinv`, so another
 scipy (or numpy) release can move the generated bytes, and every pin
 downstream of them, without any change here.
+
+They are also taken on numpy's baseline x86-64 kernels. numpy picks its
+float64 `exp`, `expm1` and `log` kernels by CPU at run time, and its AVX-512
+kernels round some values differently from the others, which moves the
+entropic pins. So the commands run in a child process with the AVX-512
+dispatch groups disabled (`BASELINE_KERNELS`); those kernels run on every
+x86-64 CPU, and the digests are the same with or without AVX-512. Run as a
+script, this module writes the pinned files under the directory it is given
+and prints their paths as JSON.
 """
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from oce_rcps.cli import run_cli
+
+# numpy 2.4's AVX-512 dispatch groups. On a CPU without them numpy's import
+# gives an ImportWarning, which Python ignores by default
+BASELINE_KERNELS = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+# the warnings that the test session's filters make errors
+ERRORS = ["RuntimeWarning", "ResourceWarning", "DeprecationWarning", "PendingDeprecationWarning", "FutureWarning"]
 
 RUN = ["--loss", "fnr", "--alpha", "0.4", "--delta", "0.2"]
 CALIBRATIONS = {
@@ -44,19 +64,19 @@ PINS = {
     "trials-rcps/summary.json": "24e486c91d8d5f4e11da220a00aae85891f4d05d906e30901124662ad28d05ac",
     "trials-oce-rcps/trials.csv": "58e48d89cc10239cd2d394c9330b06410542225d9ad97e626f9e71d80114e295",
     "trials-oce-rcps/summary.json": "0d8783b6d7b637cc4039f5a8611ab95298f827347e863bf0ba4d755a020cbaaf",
-    "trials-oce-rcps/kde_risk.csv": "f5c214435567c4e6c2935bdd0cc8b705400afbaf81897453e57c0a8db90c4ad2",
-    "trials-oce-rcps/kde_rel_size.csv": "83aeb028cb3e950b7d569739c089e1a19ab641685308cbb9e15953452f015e3c",
+    "trials-oce-rcps/kde_risk.csv": "db8828cf02401d08dfc64cfbd7359f0966119c5581fc26e6ff90f80574692e50",
+    "trials-oce-rcps/kde_rel_size.csv": "75baa513f651a03ab27f465e4581e7ebf530eeb95359399c11095a23fe94a146",
     "sweep/sweep_summary.csv": "941fd6284c554feed7c6e96989c87595ff795fee7c0bb8e57485a94a48916e6a",
     "cal-oce-rcps/calibration.json": "742a3284ff9a4c3087bb81dd3c72eb646e7a2a27f25d0e3f10906a89bb2a69e8",
     "cal-oce-rcps/trace.csv": "f07203658693b2cd7e26ab868135e468f775f64baa46671ca47470e6127a6c08",
     "cal-oce-crc/calibration.json": "5ae8f8fd0fb8f7b1923c2ddec083b6e03b0c5061a5fe6819cc6bfeab6a07d930",
     "cal-oce-crc/trace.csv": "c0111c7bd9852efbe7b780e11d118ecef77946244ec0df29e9e990ab65e3bbf3",
     "cal-hoeffding-fixed/calibration.json": "227d20cf01f95ee245814a8c1c95ae9ea8765984c846b177208a92193c6e123f",
-    "cal-hoeffding-fixed/trace.csv": "973dfeeeadaab9332c492a51571dbad3d2b32dd8d49d1dee7f53b9a10fd1c44a",
+    "cal-hoeffding-fixed/trace.csv": "2dbe9d01c8991579bbf3ade864075376f6fa9b1fc638db9166375fa9208704b0",
     "cal-rcps/calibration.json": "9cbd5db810c48fbc5776fb98013f3a31758bdc6fb6dfe0abcb862d35ed199592",
     "cal-rcps/trace.csv": "5c3060a9d989b7cb42634c3379d7a00586ff7509fad2c83ee27e0d5e248d06e5",
-    "cal-oce-rcps-entropic/calibration.json": "70cb5bf612dde0827c7c6f3b28707e1b9aec98ee012038eb698b6b5ccb19b01f",
-    "cal-oce-rcps-entropic/trace.csv": "715d19d00f8d12a4c67fb9c89da078e7a48e54c7e442122f60f36ed4d6ae2053",
+    "cal-oce-rcps-entropic/calibration.json": "18a6dc42319eaff4c29591b9531f6013b275b9ea8778b654b59429001a576d44",
+    "cal-oce-rcps-entropic/trace.csv": "71bfd2bf4ea43ef54f08948729870d0dcdafde5d0e968e269f7196936c4ce7a4",
     "evaluate.json": "4a4c8a316519bf4b6c24eff36e1c0176b131545e10222048f648c631a899a60b",
     "trials-miss-oce-crc/trials.csv": "12ba3fee0b01cebb2e70335062d17d8959f01ba136991f62c4d740037bf72af9",
     "trials-miss-oce-crc/summary.json": "c2191729f41ecb0efd7ed7892c150967b215511534f9a7208cb34237f4181f79",
@@ -140,7 +160,14 @@ def produce(root):
 @pytest.fixture(scope="module")
 def produced(tmp_path_factory):
     root = tmp_path_factory.mktemp("pins")
-    return root, produce(root)
+    # the child imports this module and the package from where this process does
+    env = {**os.environ, **BASELINE_KERNELS, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run(
+        [sys.executable, *(f"-Werror::{w}" for w in ERRORS), __file__, str(root)],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    return root, {name: Path(p) for name, p in json.loads(child.stdout).items()}
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +195,7 @@ def test_every_kde_cell_is_a_float(produced):
         for row in rows:
             x, density = row.split(",")
             assert math.isfinite(float(x)) and math.isfinite(float(density))
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: str(p) for name, p in produce(Path(sys.argv[1])).items()}))

@@ -495,6 +495,27 @@ def test_phi_table():
     assert phi(OceCost.cvar(0.9), 0.05) == pytest.approx(0.5)
 
 
+ENTRY_BITS_COSTS = [
+    OceCost.average(),
+    OceCost.cvar(0.9),
+    *(OceCost.entropic(b) for b in (5e-324, 9.9e-5, 1e-4, 3.0, 700.0)),
+]
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 9, 64, 3000])
+@pytest.mark.parametrize("cost", ENTRY_BITS_COSTS, ids=lambda c: c.spelled())
+def test_phi_and_bound_on_a_vector_keep_each_entry_bits(cost, k):
+    # numpy's kernels take a vector in SIMD lanes and a remainder loop; each
+    # entry must still round as a one-entry call does, so a block of t keeps
+    # the bits of its columns
+    rng = np.random.default_rng(k)
+    u, t = rng.uniform(-1.0, 1.0, size=k), rng.uniform(size=k)
+    for f, x in ((phi, u), (bound_B, t)):
+        got = f(cost, x)
+        want = np.array([f(cost, float(v)) for v in x])
+        assert got.shape == (k,) and got.tobytes() == want.tobytes()
+
+
 def test_phi_entropic_overflow_rejected():
     with pytest.raises(OverflowError):
         phi(OceCost.entropic(1000.0), 1.0)
@@ -510,6 +531,7 @@ def test_transformed_losses_entropic_overflow_rejected():
     (lambda: LossKind("x"), "unknown loss variant"),
     (lambda: OceCost("x"), "unknown cost variant"),
     (lambda: OceCost.parse("cvar"), "cvar requires a parameter"),
+    (lambda: OceCost.parse("average:1"), "average takes no parameter"),
     (lambda: OceCost.parse("bogus:1"), "unknown risk spec"),
 ])
 def test_unknown_names_rejected(make, message):
