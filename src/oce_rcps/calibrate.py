@@ -13,7 +13,15 @@ block and a long one makes few calls.
 RCPS-style scans decide each column with a one-pass test that is exactly
 "UCB <= alpha" and never compute the UCB itself; the test reads each
 block's calibration losses from the kept counts one row chunk at a time,
-only up to the row where the column is decided. Scans only decide: each
+only up to the row where the column is decided. The OCE-CRC scan fails
+most columns by a certificate: phi is convex, so by Jensen the objective
+t + mean phi(loss - t) is at least t + phi(L - t), with L the column's
+mean loss read straight from the kept counts, and a column whose
+certificate (n (t + phi(L - t)) + B)/(n+1) exceeds alpha by more than the
+rounding margin 2^-30 (max(B, 1) + phi'(1 - t)) fails without its
+objective; only the other columns' objectives are computed. B is
+computed before either, so t-range and entropic overflow errors come
+first, as the column-by-column retry needs. Scans only decide: each
 selector hands the outcome its bound, which `bounds()` computes for the
 tested columns when they are written out.
 """
@@ -27,12 +35,17 @@ import numpy as np
 
 from .bounds import _ucb_at_most, oce_risk_ucb
 from .datagen import Dataset, count_pool, loss_reader
-from .risk import LossKind, OceCost, bound_B, empirical_objective, losses_at, optimize_t
+from .risk import (
+    LOSS_MAX, LossKind, OceCost, bound_B, empirical_objective, losses_at, optimize_t, phi,
+)
 
 # grid columns in a scan's first block and in its widest, and the trace
 # record of each tested column
 _FIRST_BLOCK, _MAX_BLOCK = 16, 64
 _TRACE = np.dtype([("lam", "f8"), ("passed", "?"), ("t", "f8")])
+
+# the OCE-CRC certificate's margin over alpha, per unit of `_margin`'s scale
+_MARGIN = 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -142,6 +155,40 @@ def _scan(cal, opt, grid, cost, loss, fixed_t, decide, upward, bound) -> Calibra
     return CalibrationOutcome(float(passing.min(initial=1.0)), passing.size > 0, trace, bound)
 
 
+def _certificate(mean, n: int, cost: OceCost, ts, B):
+    """Each column's OCE-CRC certificate (n (t + phi(L - t)) + B)/(n + 1)
+    from its mean loss over n rows, L the mean clipped to [0, LOSS_MAX]:
+    by Jensen, no more than the column's test value, up to `_margin`."""
+    L = np.clip(mean, 0.0, LOSS_MAX)
+    return (n * (ts + phi(cost, L - ts)) + B) / (n + 1.0)
+
+
+def _margin(cost: OceCost, ts, B):
+    """How far a column's float OCE-CRC certificate may exceed its float
+    test value: _MARGIN (max(B, 1) + phi'(LOSS_MAX - t)), where phi' = 1,
+    1/(1 - beta) and exp(beta (1 - t)) for the average, CVaR and entropic
+    costs is the largest slope of phi on the losses' range.
+
+    With u = 2^-53 and n calibration rows: a loss rounds by at most u and
+    the mean L by at most (n + 2) u, since a loss lies in [0, 1]; phi
+    carries an argument's error scaled by at most phi' and rounds by a few
+    u of itself. Each transformed loss t + phi(loss - t) lies in [0, B]
+    (phi(u) >= u), so the objective's mean and the certificate's sums round
+    by at most (n + 5) u B. The certificate and the test value together
+    stay within (2n + 12) u (max(B, 1) + phi') of their exact values, whose
+    order Jensen fixes, and that is below the margin, 2^23 u (max(B, 1) +
+    phi'), for any n below 4 million. The slope term is needed: at a large
+    entropic beta with t near 1, phi' is about beta B, and a margin of B
+    alone would not cover the rounding of L."""
+    if cost.variant == "entropic":
+        slope = np.exp(cost.beta * (LOSS_MAX - ts))
+    elif cost.variant == "cvar":
+        slope = 1.0 / (1.0 - cost.beta)
+    else:
+        slope = 1.0
+    return _MARGIN * (np.maximum(B, 1.0) + slope)
+
+
 def select_oce_crc(
     cal: Dataset,
     opt: Dataset | None,
@@ -153,15 +200,38 @@ def select_oce_crc(
 ) -> CalibrationOutcome:
     """Smallest grid threshold passing the conformal average-risk test
     (n/(n+1)) R_hat + B/(n+1) <= alpha: upward scan, stop at the first
-    pass. Ignores spec.delta."""
+    pass. Ignores spec.delta.
+
+    Each block's decision first computes B = `bound_B(cost, ts)`, so a t
+    out of range or an entropic column out of exp range raises before any
+    loss is read, and `_scan` can retest the block column by column. Then
+    each column gets the certificate (n (t + phi(L - t)) + B)/(n+1), with L
+    the column's mean loss from `read.mean`, clipped to [0, LOSS_MAX]. phi
+    is convex, so by Jensen t + mean phi(loss - t) >= t + phi(L - t), and
+    the certificate is at most the test value up to rounding, which
+    `_margin` bounds. A column whose certificate exceeds alpha + `_margin`
+    fails without its objective; only the other columns' objectives are
+    computed, so every decision is the test's own."""
     n = len(cal)
+
+    def value(block, ts, B):
+        """The test value of each column of an (n, k) loss block."""
+        return (n / (n + 1.0)) * empirical_objective(block, cost, ts) + B / (n + 1.0)
 
     def objective(lams, ts):
         block = losses_at(cal, loss, lams)
-        B = bound_B(cost, ts)  # checks t before the objective can overflow
-        return (n / (n + 1.0)) * empirical_objective(block, cost, ts) + B / (n + 1.0)
+        return value(block, ts, bound_B(cost, ts))
 
-    at_most_alpha = lambda lams, ts: objective(lams, ts) <= spec.alpha
+    def at_most_alpha(lams, ts):
+        read = loss_reader(cal, loss, lams)
+        B = bound_B(cost, ts)  # checks t before anything can overflow
+        fails = _certificate(read.mean(), n, cost, ts, B) > spec.alpha + _margin(cost, ts, B)
+        rest = np.flatnonzero(~fails)
+        passed = np.zeros(lams.size, dtype=bool)
+        if rest.size:
+            passed[rest] = value(read(rest).T, ts[rest], B[rest]) <= spec.alpha
+        return passed
+
     return _scan(cal, opt, grid, cost, loss, fixed_t, at_most_alpha, upward=True, bound=objective)
 
 

@@ -221,11 +221,18 @@ def _cmd_evaluate(args):
     return 0
 
 
-def _load_pool(args):
+def _load_pool(args, split: SplitSpec):
+    """The --pool file, or a generated pool of --pool-size examples; a
+    generated pool too small for the split is rejected before generation."""
     if args.pool is not None:
         return read_dataset_path(args.pool)
     if args.pool_size < 1:
         raise UsageError("--pool-size must be >= 1")
+    if args.pool_size < split.total:
+        raise UsageError(
+            f"--pool-size {args.pool_size} is below the split total {split.total} "
+            "(--opt-size + --cal-size + --test-size)"
+        )
     log.info("generating pool of %d examples (seed %d)", args.pool_size, args.pool_seed)
     return _generate(args, args.pool_size, args.pool_seed)
 
@@ -287,7 +294,7 @@ def _require_trials(args):
 def _cmd_trials(args):
     _require_trials(args)
     config = _trial_config(args, args.test_size)
-    pool = _load_pool(args)
+    pool = _load_pool(args, config.split)
     os.makedirs(args.output_dir, exist_ok=True)
     records, summary = run_trials(pool, config, args.trials, args.seed, jobs=args.jobs)
     _emit_trials(args.output_dir, records, summary, args.no_timestamp)
@@ -308,7 +315,7 @@ def _cmd_sweep(args):
     for value in values:  # validate every grid point before the long run
         setattr(args, args.vary, value)
         configs.append(_trial_config(args, args.test_size))
-    pool = _load_pool(args)
+    pool = _load_pool(args, configs[0].split)  # --vary changes no split size
     os.makedirs(args.output_dir, exist_ok=True)
     outdir = Path(args.output_dir)
     columns = (args.vary, "satisfaction_rate", "mean_test_oce_risk",

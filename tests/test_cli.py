@@ -243,6 +243,33 @@ def test_data_errors_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["trials", "sweep"])
+def test_undersized_generated_pool_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    # the split takes 200 rows, so a pool of 10 is refused before generation
+    def generate(*args):
+        raise AssertionError("generated a pool the split cannot use")
+
+    monkeypatch.setattr(cli, "generate_dataset", generate)
+    sweep = ["--vary", "delta", "--values", "0.2"] if command == "sweep" else []
+    code = run([
+        command, *sweep, *RUN, *POOL[2:], "--pool-size", "10",
+        "--trials", "2", "--seed", "1", "--output-dir", tmp_path / "out",
+    ])
+    assert code == 2
+    assert "--pool-size 10 is below the split total 200" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_undersized_pool_file_is_data_error(dataset_path, tmp_path, capsys):
+    # a --pool file is data, so a split larger than it stays exit 3
+    code = run([
+        "trials", *RUN, "--pool", dataset_path, "--opt-size", "31", "--cal-size", "100",
+        "--test-size", "70", "--trials", "2", "--seed", "1", "--output-dir", tmp_path / "out",
+    ])
+    assert code == 3
+    assert "split sizes total 201 exceed dataset size 200" in capsys.readouterr().err
+
+
 def test_evaluate_rejects_non_number_scores(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(
@@ -452,6 +479,10 @@ def test_config_values_checked_like_flags(dataset_path, tmp_path, key, value):
     assert run(["sweep", "--config", path, "--output-dir", tmp_path / "out"]) == 2
 
 
+# a split that a generated pool of 5 examples can hold
+SPLIT_OF_5 = ["--opt-size", "1", "--cal-size", "2", "--test-size", "2"]
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--count", "0"],
     ["generate", "--m", "0"],
@@ -462,11 +493,11 @@ def test_config_values_checked_like_flags(dataset_path, tmp_path, key, value):
     # valid flags whose Beta shapes betaincinv cannot invert
     ["generate", "--sharpness", "1e300"],
     ["generate", "--difficulty-a", "1e300"],
-    ["trials", *RUN, *POOL[2:], "--trials", "2", "--pool-size", "5", "--sharpness", "1e300"],
-    ["trials", *RUN, *POOL[2:], "--trials", "2", "--pool-size", "5", "--difficulty-a", "1e300"],
+    ["trials", *RUN, *SPLIT_OF_5, "--trials", "2", "--pool-size", "5", "--sharpness", "1e300"],
+    ["trials", *RUN, *SPLIT_OF_5, "--trials", "2", "--pool-size", "5", "--difficulty-a", "1e300"],
     # a valid rho so small that no membership draw is ever positive
     ["generate", "--m", "5", "--rho", "1e-300"],
-    ["trials", *RUN, *POOL[2:], "--trials", "2", "--pool-size", "5", "--m", "5", "--rho", "1e-300"],
+    ["trials", *RUN, *SPLIT_OF_5, "--trials", "2", "--pool-size", "5", "--m", "5", "--rho", "1e-300"],
 ])
 def test_bad_generator_flags_are_usage_errors(tmp_path, argv):
     defaults = {"generate": ["--count", "5", "--seed", "1", "--output", tmp_path / "d.jsonl"],
