@@ -177,7 +177,7 @@ def _cmd_calibrate(args):
     with open(outdir / "trace.csv", "w") as fp:
         write_csv(fp, ("lambda", "bound", "passed"), sorted(zip(lams, outcome.bounds(), passed)))
     if not outcome.feasible:
-        log.info("infeasible at alpha=%g; lambda_hat pinned to 1", args.alpha)
+        log.info("infeasible at alpha=%s; lambda_hat pinned to 1", spelled_float(args.alpha))
         if args.strict:
             return 1
     return 0

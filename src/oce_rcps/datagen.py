@@ -257,12 +257,12 @@ def loss_reader(dataset: Dataset, kind, lams):
     any is read, and a count-derived loss lies in [0, 1] by construction
     (count <= |truth|).
 
-    `read.mean()` gives each column's mean loss over every row, straight
-    from the counts, without a float loss block: the counts weighted by
-    1/|truth| over the number of rows for FNR, the share of nonzero counts
-    for miscoverage. The FNR mean rounds apart from the mean of `read()`
-    by at most about n units in the last place; the miscoverage mean
-    equals it.
+    `read.mean(cols)` gives the mean loss over every row of each of the
+    columns `cols` (a slice, all by default), straight from the counts,
+    without a float loss block: the counts weighted by 1/|truth| over the
+    number of rows for FNR, the share of nonzero counts for miscoverage.
+    The FNR mean rounds apart from the mean of `read()` by at most about n
+    units in the last place; the miscoverage mean equals it.
     """
     sizes = dataset.truth_sizes
     fnr = kind.variant == "fnr"
@@ -289,8 +289,8 @@ def loss_reader(dataset: Dataset, kind, lams):
             np.minimum(out, 1.0, out=out)
         return out
 
-    def mean():
-        counts = table if index is None else table[index]
+    def mean(cols=slice(None)):
+        counts = table[:, cols] if index is None else table[index, cols]
         if fnr:
             return (1.0 / sizes) @ counts / sizes.size
         # a product with ones sums down the rows faster than count_nonzero

@@ -98,6 +98,19 @@ def test_calibrate_strict_infeasible_exit_code(dataset_path, tmp_path):
     assert payload["feasible"] is False and payload["lambda_hat"] == 1.0
 
 
+def test_calibrate_infeasible_log_spells_alpha_in_full(dataset_path, tmp_path, caplog):
+    # %g would log 1.23457e-05; the run files spell alpha by its shortest repr
+    caplog.set_level("INFO", logger="oce_rcps")
+    code = run([
+        "calibrate", "--method", "oce-crc", "--risk", "cvar:0.8", "--loss", "fnr",
+        "--alpha", "1.234567891e-05", "--delta", "0.2", "--grid", "10",
+        "--data", dataset_path, "--opt-size", "30", "--cal-size", "100",
+        "--output-dir", tmp_path / "cal",
+    ])
+    assert code == 0
+    assert "infeasible at alpha=1.234567891e-05; lambda_hat pinned to 1" in caplog.messages
+
+
 def test_evaluate_stdout(dataset_path, capsys):
     code = run([
         "evaluate", "--data", dataset_path, "--lambda", "0.9",
