@@ -225,21 +225,14 @@ def _margin(cost: OceCost, ts, B, n: int):
     return max(_MARGIN, (2 * n + 12) * 2.0**-53) * (np.maximum(B, 1.0) + slope)
 
 
-def _t_free_bound(mean, n: int):
-    """Each column's t-free bound (n L + 1)/(n + 1) from its mean loss over
-    n rows, L the mean clipped to [0, LOSS_MAX]: at most the column's test
-    value at any t, up to `_t_free_margin`. It is the average cost's
-    `_certificate` at t = 0 with B = 1, bit for bit."""
-    return (n * np.clip(mean, 0.0, LOSS_MAX) + 1.0) / (n + 1.0)
-
-
 def _t_free_margin(cost: OceCost, n: int):
-    """How far a column's float `_t_free_bound` may exceed the float test
-    value, at any t, of any column with as much exact mean loss: `_margin`
-    at t = 0 with B = B(0) = phi(1).
+    """How far a column's float t-free bound (n L + 1)/(n + 1), L its mean
+    loss clipped to [0, LOSS_MAX], may exceed the float test value, at any
+    t, of any column with as much exact mean loss: `_margin` at t = 0 with
+    B = B(0) = phi(1).
 
-    The t-free bound is the average cost's certificate at t = 0 with B = 1,
-    so it rounds by no more than a certificate of any cost, whose B and
+    The t-free bound is the average cost's `_certificate` at t = 0 with
+    B = 1, so it rounds by no more than a certificate of any cost, whose B and
     phi' are at least 1: L by at most (n + 2) u at the probed column, then
     its sums and quotient. A skipped column's test value at its t rounds as
     `_margin` counts, with B(t) = t + phi(1 - t) at most B(0), since
@@ -310,9 +303,10 @@ def select_oce_crc(
         except OverflowError:
             return 0
         read, lo, hi = loss_reader(cal, loss, lams), 0, lams.size - 1
+        average = OceCost.average()  # its certificate at t = 0, B = 1 is the t-free bound
         while lo < hi:  # column lo - 1, when probed, fails at any t
             mid = (lo + hi) // 2
-            if _t_free_bound(read.mean(slice(mid, mid + 1)), n)[0] > bar:
+            if _certificate(read.mean(slice(mid, mid + 1)), n, average, 0.0, 1.0)[0] > bar:
                 lo = mid + 1
             else:
                 hi = mid

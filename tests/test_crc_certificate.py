@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oce_rcps import calibrate
 from oce_rcps.calibrate import (
-    LambdaGrid, ReliabilitySpec, _certificate, _margin, _t_free_bound, _t_free_margin, select_oce_crc,
+    LambdaGrid, ReliabilitySpec, _certificate, _margin, _t_free_margin, select_oce_crc,
 )
 from oce_rcps.datagen import (
     Dataset,
@@ -261,8 +261,7 @@ def test_t_free_bound_is_at_most_each_lower_test_value_plus_the_margin(
     block = read()
     mean = np.concatenate([read.mean(slice(j, j + 1)) for j in range(lams.size)])  # as probed
     assert np.all(np.abs(mean - block.mean(axis=1)) <= (2 * n + 4) * 2.0**-53)
-    bound = _t_free_bound(mean, n)
-    assert bound.tolist() == _certificate(mean, n, OceCost.average(), 0.0, 1.0).tolist()
+    bound = _certificate(mean, n, OceCost.average(), 0.0, 1.0)  # the t-free bound, as probed
     ts = [0.0, 1.0, float(rng.uniform()), 1.0 - float(rng.uniform()) * 1e-3]
     lowest = np.minimum.accumulate([min(oracle_value(col, cost, t) for t in ts) for col in block])
     assert np.all(bound <= lowest + _t_free_margin(cost, n))
@@ -275,7 +274,7 @@ def test_t_free_margin_covers_the_worst_rounding_of_the_mean(cost, n):
     # margin's derivation allows, keeps the t-free bound within the margin
     # of the column's test value at any t
     for loss in (0.0, 0.3, 1.0 - 1e-6, 1.0):
-        got = _t_free_bound(np.array([loss + (n + 2) * 2.0**-53]), n)[0]
+        got = _certificate(np.array([loss + (n + 2) * 2.0**-53]), n, OceCost.average(), 0.0, 1.0)[0]
         for t in (0.0, 0.5, 1.0):
             assert got <= oracle_value(np.full(n, loss), cost, t) + _t_free_margin(cost, n)
 

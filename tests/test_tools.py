@@ -50,31 +50,42 @@ def canned_run(seed, values, fingerprint, src):
     ]) + "\n"
 
 
-def test_bench_pairs_summarizes_canned_runs_without_running_any(tmp_path):
+def canned_bench(tmp_path, pairs, faster):
+    """A parent checkout holding only a BENCHMARK.json with mc-g1000 as its
+    one workload, and a runs directory of `pairs` canned pairs in which the
+    change is 20% faster in the pairs that `faster` names and 10% slower in
+    the others, its peak RSS 1 MB lower in pairs 1-3 only."""
     parent, runs = tmp_path / "parent", tmp_path / "runs"
-    parent.mkdir()
+    parent.mkdir(parents=True)
     runs.mkdir()
     (parent / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": n, "better": b, "bound": x} for n, b, x in E2E]}))
-    for i in range(1, 11):
-        # the change is 20% faster in every pair but the fifth, and its
-        # peak RSS is 1 MB lower in pairs 1-3 only
+        {"run_seconds": 20, "workloads": [{"name": "mc-g1000"}],
+         "end_to_end": [{"name": n, "better": b, "bound": x} for n, b, x in E2E]}))
+    for i in range(1, pairs + 1):
         speed = 100.0 + i
         values = {
             "parent": {"trials_per_s": speed, "peak_rss_mb": 60.0},
-            "change": {"trials_per_s": speed * (0.9 if i == 5 else 1.2),
+            "change": {"trials_per_s": speed * (1.2 if faster(i) else 0.9),
                        "peak_rss_mb": 59.0 if i <= 3 else 60.0},
         }
         for side in ("parent", "change"):
             (runs / f"{side}-mc-g1000-{i}.out").write_text(
                 canned_run(40 + i, values[side], f"fp{i}", side))
+    return parent, runs
+
+
+def bench_pairs(parent, runs, *args, check=True):
+    return subprocess.run(
+        [sys.executable, str(TOOLS / "bench_pairs.py"), str(parent), str(parent.parent / "absent"),
+         "--runs-dir", str(runs), "--claim", "mc-g1000.trials_per_s", "--summarize", *args],
+        capture_output=True, text=True, check=check)
+
+
+def test_bench_pairs_summarizes_canned_runs_without_running_any(tmp_path):
+    parent, runs = canned_bench(tmp_path, 10, lambda i: i != 5)
 
     def summary():
-        out = subprocess.run(
-            [sys.executable, str(TOOLS / "bench_pairs.py"), str(parent), str(tmp_path / "absent"),
-             "--runs-dir", str(runs), "--workloads", "mc-g1000", "--claim", "mc-g1000.trials_per_s",
-             "--summarize"], capture_output=True, text=True, check=True).stdout
-        return json.loads(out)
+        return json.loads(bench_pairs(parent, runs).stdout)
 
     got = summary()
     speed = got["metrics"]["mc-g1000.trials_per_s"]
@@ -95,3 +106,16 @@ def test_bench_pairs_summarizes_canned_runs_without_running_any(tmp_path):
     (runs / "change-mc-g1000-7.out").write_text(
         canned_run(47, {"trials_per_s": 128.4, "peak_rss_mb": 60.0}, "other", "change"))
     assert not summary()["trial_fingerprints_equal"]
+
+
+def test_bench_pairs_claim_needs_nine_tenths_of_the_pairs(tmp_path):
+    # of 20 pairs, 9 or 17 better miss the claim, the latter with a median
+    # gain past the parent's IQR, and 18 meet it; fewer than 10 pairs
+    # cannot be claimed
+    for better, met in ((9, False), (17, False), (18, True)):
+        parent, runs = canned_bench(tmp_path / str(better), 20, lambda i: i <= better)
+        claim = json.loads(bench_pairs(parent, runs, "--pairs", "20").stdout)["claim"]
+        assert claim["change_better_pairs"] == better and claim["met"] == met
+        assert better < 17 or claim["median_difference"] > claim["parent_iqr"]
+    few = bench_pairs(parent, runs, "--pairs", "9", check=False)
+    assert few.returncode != 0 and "--claim needs at least 10 pairs" in few.stderr

@@ -1,15 +1,15 @@
 """Run alternating benchmark pairs in two checkouts and summarise them.
 
     python3 tools/bench_pairs.py PARENT CHANGE --runs-dir DIR [--pairs 10]
-        [--seconds 20] [--seed 1] [--workloads mc-g100,mc-g1000,cli-session]
-        [--claim WORKLOAD.METRIC]
+        [--seed 1] [--claim WORKLOAD.METRIC]
     python3 tools/bench_pairs.py PARENT CHANGE --runs-dir DIR --summarize ...
 
 PARENT and CHANGE are the roots of two checkouts. Pair i (from 1) runs
-each workload on its own, one workload at a time, with seed SEED + i - 1:
-`python3 perfbench/run.py --workload W --seed S --seconds SECONDS` from
-each checkout's root, PARENT first on odd pairs and CHANGE first on even
-ones. Each run's standard output is kept as DIR/{parent,change}-W-i.out,
+each workload of PARENT's BENCHMARK.json on its own, one workload at a
+time, with seed SEED + i - 1: `python3 perfbench/run.py --workload W
+--seed S --seconds SECONDS` from each checkout's root, SECONDS the
+BENCHMARK.json's run_seconds, PARENT first on odd pairs and CHANGE first
+on even ones. Each run's standard output is kept as DIR/{parent,change}-W-i.out,
 and a run that exits nonzero stops the tool. With --summarize nothing is
 run: the summary is made from the files already in DIR.
 
@@ -19,8 +19,9 @@ and `run_spread` with the `unresolved` flag of `UNRESOLVED_RULE`; each
 end-to-end metric's direction and bound come from PARENT's BENCHMARK.json.
 It also has both sides' operation counts and `correct` verdicts, whether
 every pair's trial fingerprints are equal, and, with --claim, whether that
-metric is better in at least 9 of the pairs and in the median by more than
-the parent's interquartile range.
+metric is better in at least nine tenths of the pairs and in the median by
+more than the parent's interquartile range. --claim needs at least 10
+pairs.
 """
 
 import argparse
@@ -52,14 +53,14 @@ def parse_run(text: str) -> dict:
     return {"verdict": json.loads(lines[-1]), "report": report, "facts": facts}
 
 
-def run_pairs(roots: dict, runs_dir: Path, workloads, pairs: int, seconds: float, seed: int) -> None:
+def run_pairs(roots: dict, runs_dir: Path, workloads, pairs: int, seconds, seed: int) -> None:
     runs_dir.mkdir(parents=True, exist_ok=True)
     for pair in range(1, pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
         for workload in workloads:
             for side in order:
                 cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-                       "--seed", str(seed + pair - 1), "--seconds", f"{seconds:g}"]
+                       "--seed", str(seed + pair - 1), "--seconds", str(seconds)]
                 done = subprocess.run(cmd, cwd=roots[side], capture_output=True, text=True)
                 run_path(runs_dir, side, workload, pair).write_text(done.stdout)
                 if done.returncode != 0:
@@ -89,8 +90,7 @@ def compare(parent: list, change: list, better: str, bound: float) -> dict:
     }
 
 
-def summarize(roots: dict, runs_dir: Path, workloads, pairs: int, claim: str | None) -> dict:
-    bench = json.loads((Path(roots["parent"]) / "BENCHMARK.json").read_text())
+def summarize(bench: dict, runs_dir: Path, workloads, pairs: int, claim: str | None) -> dict:
     runs = {(side, w, i): parse_run(run_path(runs_dir, side, w, i).read_text())
             for side in SIDES for w in workloads for i in range(1, pairs + 1)}
     seeds = [runs["parent", workloads[0], i]["report"]["seed"] for i in range(1, pairs + 1)]
@@ -136,7 +136,7 @@ def summarize(roots: dict, runs_dir: Path, workloads, pairs: int, claim: str | N
             "parent_iqr": round(hi - lo, 4),
             "median_difference": round(difference, 4),
             "change_better_pairs": m["change_better_pairs"],
-            "met": bool(m["change_better_pairs"] >= 9 and gain > hi - lo),
+            "met": bool(10 * m["change_better_pairs"] >= 9 * pairs and gain > hi - lo),
         }
     return out
 
@@ -147,17 +147,18 @@ def main(argv=None) -> int:
     parser.add_argument("change")
     parser.add_argument("--runs-dir", required=True, type=Path)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workloads", default="mc-g100,mc-g1000,cli-session")
     parser.add_argument("--claim")
     parser.add_argument("--summarize", action="store_true")
     args = parser.parse_args(argv)
+    if args.claim and args.pairs < 10:
+        parser.error("--claim needs at least 10 pairs")
     roots = {"parent": args.parent, "change": args.change}
-    workloads = args.workloads.split(",")
+    bench = json.loads((Path(args.parent) / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
     if not args.summarize:
-        run_pairs(roots, args.runs_dir, workloads, args.pairs, args.seconds, args.seed)
-    print(json.dumps(summarize(roots, args.runs_dir, workloads, args.pairs, args.claim), indent=2))
+        run_pairs(roots, args.runs_dir, workloads, args.pairs, bench["run_seconds"], args.seed)
+    print(json.dumps(summarize(bench, args.runs_dir, workloads, args.pairs, args.claim), indent=2))
     return 0
 
 
